@@ -460,3 +460,7 @@ def run_command(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

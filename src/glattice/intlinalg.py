@@ -11,7 +11,11 @@ Conventions used across the package:
   and a sublattice is presented by a matrix whose rows span it;
 * Hermite form is row-style upper echelon with positive pivots and the
   entries above each pivot reduced into ``[0, pivot)``;
-* invariant factors are listed smallest first, each dividing the next.
+* invariant factors are listed smallest first, each dividing the next;
+* ``A @ B`` combines rows (Gustavson's row-wise sparse product): each output
+  row is the sum of ``a * B[k]`` over the nonzero entries ``a`` of the
+  matching row of ``A``, so a product costs nonzeros(A) x width(B) entry
+  operations rather than rows x inner x width.
 
 All values are immutable after construction and every function is pure, so
 the module is safe to use from multiple threads.
@@ -20,7 +24,6 @@ the module is safe to use from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 
@@ -50,6 +53,14 @@ class IntMatrix:
     ``A.rows`` and ``A.cols`` are the dimensions.  Empty matrices (zero rows
     and/or zero columns) are legal everywhere; construct them by passing
     ``cols=`` explicitly when there are no rows to infer the width from.
+
+    The public constructor validates every entry and the row lengths, since
+    documents and user code arrive through it.  Results built from matrices
+    that are already valid (``@``, ``+``, ``-``, negation, ``transpose``,
+    ``identity``, ``zeros``, ``stack``, ``block_diag``) skip those checks
+    through ``_from_rows``, whose rows must already be tuples of tuples of
+    ``int`` of the stated width: equality and hashing compare the stored
+    tuples directly.
     """
 
     __slots__ = ("_data", "_cols")
@@ -77,12 +88,20 @@ class IntMatrix:
         self._cols = width
 
     @classmethod
+    def _from_rows(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Wrap rows that are already valid, without checking them."""
+        m = object.__new__(cls)
+        m._data = data
+        m._cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._from_rows(tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._from_rows(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -100,13 +119,13 @@ class IntMatrix:
             if b.cols != cols:
                 raise ValueError("column counts differ")
             rows.extend(b._data)
-        return cls(rows, cols=cols)
+        return cls._from_rows(tuple(rows), cols)
 
     @classmethod
     def block_diag(cls, a: "IntMatrix", b: "IntMatrix") -> "IntMatrix":
         rows = [row + (0,) * b.cols for row in a._data]
         rows += [(0,) * a.cols + row for row in b._data]
-        return cls(rows, cols=a.cols + b.cols)
+        return cls._from_rows(tuple(rows), a.cols + b.cols)
 
     @property
     def rows(self) -> int:
@@ -133,39 +152,37 @@ class IntMatrix:
         return [list(row) for row in self._data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self._data), cols=self.rows) if self._data else IntMatrix([[0] * self.rows for _ in range(self._cols)], cols=self.rows)
+        if not self._data:
+            return IntMatrix._from_rows(((),) * self._cols, 0)
+        # tuple() of a list is sized once; of a bare iterator it grows by
+        # resizing, which measurably raises peak memory
+        return IntMatrix._from_rows(tuple(list(zip(*self._data))), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self._cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        bt = list(zip(*other._data))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._data],
-            cols=other.cols,
-        )
+        return IntMatrix._from_rows(tuple(matmul_rows(self._data, other._data, other._cols)), other._cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self._cols != other._cols:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self._cols,
+        return IntMatrix._from_rows(
+            tuple([tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self._data, other._data)]),
+            self._cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self._cols != other._cols:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self._cols,
+        return IntMatrix._from_rows(
+            tuple([tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self._data, other._data)]),
+            self._cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._data], cols=self._cols)
+        return IntMatrix._from_rows(tuple([tuple([-x for x in row]) for row in self._data]), self._cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -208,6 +225,33 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.is_square and self.det() in (1, -1)
+
+
+def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Rows of the product of ``a`` and ``b``, where ``b`` has ``width`` columns.
+
+    Output row i is the sum of ``x * b[k]`` over the nonzero entries
+    ``x = a[i][k]``, with ``+1`` and ``-1`` taken without multiplying; rows
+    of ``a`` with no nonzero entry share one zero tuple.
+    """
+    zero = (0,) * width
+    out = []
+    for row in a:
+        acc = None
+        for k, x in enumerate(row):
+            if not x:
+                continue
+            r = b[k]
+            if acc is None:
+                acc = r if x == 1 else [-y for y in r] if x == -1 else [x * y for y in r]
+            elif x == 1:
+                acc = [s + y for s, y in zip(acc, r)]
+            elif x == -1:
+                acc = [s - y for s, y in zip(acc, r)]
+            else:
+                acc = [s + x * y for s, y in zip(acc, r)]
+        out.append(zero if acc is None else tuple(acc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +386,14 @@ def express_in_row_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     pivots = _hnf(h, basis.cols, u)
     if len(pivots) != basis.rows:
         raise ValueError("basis rows are linearly dependent")
-    out = []
+    coords = []
     for i, v in enumerate(vectors):
         c = _solve_against_hnf(h, pivots, v)
         if c is None:
             raise NotSublattice(f"vector {i} is not in the spanned lattice")
-        # coordinates were found against H = U*basis; translate back
-        out.append([sum(c[k] * u[k][j] for k in range(len(c))) for j in range(basis.rows)])
-    return IntMatrix(out, cols=basis.rows)
+        coords.append(c)
+    # coordinates were found against H = U*basis; translate back
+    return IntMatrix._from_rows(tuple(matmul_rows(coords, u, basis.rows)), basis.rows)
 
 
 # ---------------------------------------------------------------------------

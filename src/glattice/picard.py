@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, matrix_order
 from .intlinalg import (
@@ -32,6 +33,7 @@ from .intlinalg import (
     char_poly,
     express_in_row_basis,
     kernel_basis,
+    matmul_rows,
     poly_eval,
     poly_pow,
     poly_str,
@@ -177,6 +179,22 @@ def reflection(p: PicardLattice, alpha) -> IntMatrix:
         e = tuple(1 if i == j else 0 for i in range(p.rank))
         cols.append(_reflect(p, e, alpha))
     return IntMatrix(cols).transpose()
+
+
+def q_reflections(q: QLattice, alphas) -> list[IntMatrix]:
+    """Matrices on Q-coordinates of the reflections in the given roots.
+
+    With ``a`` the Q-coordinates of a root, the reflection
+    x -> x + (x.alpha) alpha acts on Q as ``I + a (G_q a)^T``, the same
+    matrix as ``restrict_action(reflection(p, alpha), q.basis)``.
+    """
+    coords = express_in_row_basis(q.basis, IntMatrix(alphas, cols=q.parent.rank))
+    n = q.rank
+    out = []
+    for a, ga in zip(coords, coords @ q.gram_q):  # the form is symmetric: row i is G_q a_i
+        rows = [tuple([(1 if i == j else 0) + a[i] * ga[j] for j in range(n)]) for i in range(n)]
+        out.append(IntMatrix._from_rows(tuple(rows), n))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +359,27 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
     q = q_sublattice(lat)
     all_roots = roots(lat)
     qdim = q.rank
-    refl_q = [restrict_action(reflection(lat, a), q.basis).tolists() for a in all_roots]
+    refl_q = [list(m) for m in q_reflections(q, all_roots)]
     target = poly_pow((1,) * p, s)
     target_trace = -s  # s copies of the primitive p-th roots of unity summed
 
     rng = random.Random(cfg.seed)
     nroots = len(all_roots)
     rrange = range(qdim)
-    ident = [[1 if i == j else 0 for j in rrange] for i in rrange]
-
-    def mul(a, b):
-        return [[sum(row[k] * b[k][j] for k in rrange) for j in rrange] for row in a]
+    ident = list(IntMatrix.identity(qdim))
 
     for _ in range(cfg.max_trials):
         length = rng.randint(cfg.word_min, cfg.word_max)
         word = [rng.randrange(nroots) for _ in range(length)]
         w = refl_q[word[0]]
         for idx in range(1, length):
-            w = mul(w, refl_q[word[idx]])
+            w = matmul_rows(w, refl_q[word[idx]], qdim)
         # order of the word on Q; K^perp determines the order on all of Pic
         powers = [ident]
         cur = w
         while cur != ident and len(powers) <= _MAX_WEYL_ORDER:
             powers.append(cur)
-            cur = mul(cur, w)
+            cur = matmul_rows(cur, w, qdim)
         order = len(powers)
         if cur != ident or order % p != 0:
             continue
@@ -500,6 +515,7 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     predicted = charpoly_order(m)
     j = 1 if d == p else 0
     count = (9 - d) // (p - 1) - j
+    order = matrix_order(delta)
     checks = (
         _check(
             "H^1(Pic) = (Z/p)^2g",
@@ -523,8 +539,8 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
         ),
         _check(
             "generator has order p and fixes K",
-            matrix_order(delta) == p and delta @ lat.k_column() == lat.k_column(),
-            f"order {matrix_order(delta)}",
+            order == p and delta @ lat.k_column() == lat.k_column(),
+            f"order {order}",
         ),
         _check(
             "fixed sublattice has rank 1",
@@ -563,9 +579,8 @@ def _verify_conic_bundle(g: int) -> RowReport:
     # pairing v -> v.F over the fixed sublattice; F is the first basis vector
     pair = cb.gram @ IntMatrix([[1 if i == 0 else 0] for i in range(cb.rank)])
     values = [sum(v[i] * pair[i][0] for i in range(cb.rank)) for v in fixed]
-    image_gcd = 0
-    for x in values:
-        image_gcd = abs(x) if image_gcd == 0 else _gcd(image_gcd, abs(x))
+    image_gcd = gcd(*values)
+    gram_det = cb.gram.det()
     checks = (
         _check(
             "H^1(Pic) = (Z/2)^2g",
@@ -594,9 +609,9 @@ def _verify_conic_bundle(g: int) -> RowReport:
         ),
         _check(
             "lattice is unimodular and the form is preserved",
-            cb.gram.det() in (1, -1)
+            gram_det in (1, -1)
             and cb.delta.transpose() @ cb.gram @ cb.delta == cb.gram,
-            f"|det gram| = {abs(cb.gram.det())}",
+            f"|det gram| = {abs(gram_det)}",
         ),
     )
     return RowReport(
@@ -612,12 +627,6 @@ def _verify_conic_bundle(g: int) -> RowReport:
         generator=cb.delta,
         checks=checks,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def verify_row(case: str, genus: int | None = None, cfg: WeylSearchConfig | None = None) -> RowReport:

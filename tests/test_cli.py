@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,18 @@ def test_verify_table_json(capsys):
     assert cases == ["dejonquieres-g1", "geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5"]
     geiser = next(r for r in out["rows"] if r["case"] == "geiser")
     assert geiser["h1"]["invariant_factors"] == [2] * 6
+
+
+@pytest.mark.parametrize("module", ["glattice", "glattice.cli"])
+def test_module_entry_point_matches_run_command(module, capsys):
+    argv = ["verify-table", "--max-genus", "1", "--json"]
+    assert run_command(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_verify_table_regression_exits_3(monkeypatch, capsys):

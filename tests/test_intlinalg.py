@@ -374,11 +374,67 @@ def test_xgcd():
 # --- IntMatrix basics ----------------------------------------------------------
 
 
+def naive_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+
+
+def assert_check_free_result(m):
+    """Internal results hold tuples of int rows and match the validated matrix."""
+    assert all(type(row) is tuple and len(row) == m.cols for row in m)
+    assert all(type(x) is int for row in m for x in row)
+    checked = IntMatrix(m.tolists(), cols=m.cols)
+    assert m == checked and hash(m) == hash(checked)
+
+
+def test_matmul_matches_naive_product():
+    rng = random.Random(7)
+    big = 2**70 + 3
+    perm = IntMatrix([[1 if j == (3 * i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
+    sparse = IntMatrix([[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(6)] for _ in range(6)])
+    dense = random_matrix(rng, 6, 6)
+    huge = IntMatrix([[rng.choice((-big, big, -1, 0, 5)) for _ in range(4)] for _ in range(6)])
+    cases = [
+        (sparse, sparse),
+        (sparse, dense),
+        (perm, random_matrix(rng, 5, 3)),
+        (random_matrix(rng, 4, 5), perm),
+        (dense, dense),
+        (random_matrix(rng, 3, 6), random_matrix(rng, 6, 2)),
+        (IntMatrix.zeros(3, 6), dense),
+        (huge.transpose(), huge),
+        (dense, huge),
+        (IntMatrix([], cols=4), random_matrix(rng, 4, 3)),
+    ]
+    for a, b in cases:
+        prod = a @ b
+        assert prod.rows == a.rows and prod.cols == b.cols
+        assert prod.tolists() == naive_product(a, b)
+        assert_check_free_result(prod)
+    # an empty inner dimension gives the zero matrix of the outer shape
+    prod = IntMatrix([[], [], []], cols=0) @ IntMatrix([], cols=4)
+    assert prod == IntMatrix.zeros(3, 4)
+    assert_check_free_result(prod)
+
+
+def test_express_in_row_basis_recovers_coefficients():
+    rng = random.Random(11)
+    basis = IntMatrix([[2, 1, 0, -3, 5], [0, 4, 1, 1, -2], [1, 0, 0, 7, 1]])
+    coeffs = random_matrix(rng, 6, 3)
+    coords = express_in_row_basis(basis, coeffs @ basis)
+    assert coords == coeffs
+    assert_check_free_result(coords)
+    assert express_in_row_basis(basis, IntMatrix([], cols=5)) == IntMatrix([], cols=3)
+
+
 def test_matrix_shapes_and_ops():
     a = IntMatrix([[1, 2], [3, 4]])
     assert (a @ IntMatrix.identity(2)) == a
     assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
     assert (-a + a) == IntMatrix.zeros(2, 2)
+    assert a - a == IntMatrix.zeros(2, 2)
+    for m in (a @ a, a + a, a - a, -a, a.transpose(), IntMatrix.identity(3), IntMatrix.zeros(2, 3),
+              IntMatrix.stack([a, a]), IntMatrix.block_diag(a, a), IntMatrix.zeros(0, 2).transpose()):
+        assert_check_free_result(m)
     assert a.det() == -2
     assert not a.is_unimodular()
     assert IntMatrix([[2, 1], [1, 1]]).is_unimodular()

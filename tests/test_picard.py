@@ -15,6 +15,7 @@ from glattice.picard import (
     dejonquieres,
     del_pezzo_pic,
     geiser_involution,
+    q_reflections,
     q_sublattice,
     reflection,
     restrict_action,
@@ -130,6 +131,17 @@ def test_reflection_is_involution_and_isometry():
         assert r @ r == IntMatrix.identity(p.rank)
         assert r.transpose() @ p.gram @ r == p.gram
         assert r @ p.k_column() == p.k_column()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_q_reflections_match_restricted_reflections(d):
+    p = del_pezzo_pic(d)
+    q = q_sublattice(p)
+    all_roots = roots(p)
+    closed = q_reflections(q, all_roots)
+    assert len(closed) == len(all_roots)
+    for alpha, r in zip(all_roots, closed):
+        assert r == restrict_action(reflection(p, alpha), q.basis)
 
 
 def test_reflection_quadratic_transformation():
@@ -312,6 +324,18 @@ def test_weyl_search_dp1_p5():
     chi = char_poly(restrict_action(m.group.generator, q.basis))
     assert chi == poly_pow((1, 1, 1, 1, 1), 2)
     assert h1_cyclic(m).h1 == FinAbGroup((5, 5))
+    # the seeded search draws the same words, so it finds the same element
+    assert m.group.generator == IntMatrix([
+        [12, 3, 6, 5, 4, 4, 3, 4, 4],
+        [-4, -1, -2, -2, -2, -1, -1, -1, -1],
+        [-3, 0, -2, -1, -1, -1, -1, -1, -1],
+        [-4, -1, -2, -2, -1, -1, -1, -1, -2],
+        [-5, -1, -2, -2, -2, -2, -1, -2, -2],
+        [-4, -1, -2, -2, -1, -2, -1, -1, -1],
+        [-4, -1, -2, -2, -1, -1, -1, -2, -1],
+        [-3, -1, -2, -1, -1, -1, 0, -1, -1],
+        [-6, -2, -3, -2, -2, -2, -2, -2, -2],
+    ])
 
 
 def test_weyl_search_dp1_p3():
