@@ -13,8 +13,24 @@ Both methods return the isomorphism type as a :class:`FinAbGroup`; H^1 of a
 finite group acting on a lattice is always finite and annihilated by the
 group order, which is asserted on every run.
 
+Group elements are found by walking from the identity.  A ``list`` spec is
+proved closed by one walk (``_closed_walk``): greedy generators S are picked
+in list order, their span is grown by right multiplication, and every
+product must land in the list, O(|G| * |S|) products in all rather than
+the |G|^2 of the full multiplication table.  Orders come from residues
+mod 3 and one exact confirmation: by Minkowski's lemma the kernel of
+GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
+mod 3, and an infinite-order input is refused after a few cheap products
+instead of ``bound`` growing exact ones.
+
+Each :class:`GLattice` keeps its closure (default bound), its greedy
+generators and its fixed lattice after first use, so ``obstruction_scan``,
+``h1_cocycle``, ``restrict_subgroup`` and ``invariants_h0`` walk a group
+once however often they are called.
+
 All inputs and outputs are immutable; every function here is pure and safe
-for concurrent use.
+for concurrent use.  The per-lattice cache is filled idempotently: a value
+computed twice by racing threads is the same value either way.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from .intlinalg import (
     FinAbGroup,
     IntMatrix,
     kernel_basis,
+    matmul_rows,
     subquotient,
 )
 
@@ -153,15 +170,36 @@ class Generated(GroupSpec):
 
 
 def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
-    """Multiplicative order of ``g``; error if it exceeds ``bound``."""
+    """Multiplicative order of ``g``; error if it exceeds ``bound``.
+
+    The candidate order ``k`` is the order of ``g`` mod 3, found on
+    residues in {-1, 0, 1}; ``g^k == I`` is then confirmed exactly by
+    binary powering from ``g``.  By Minkowski's lemma a finite order equals
+    the order mod 3, so a failed confirmation proves the order infinite.
+    Cost: k - 1 residue products plus at most 2 log2(k) exact ones (one for
+    an involution, two for order 3, three for order 5).
+    """
+
+    def mod3(rows):
+        return tuple([tuple([(x + 1) % 3 - 1 for x in row]) for row in rows])
+
     ident = IntMatrix.identity(g.rows)
-    p = g
+    one = tuple(ident)
+    residue = mod3(g)
+    p = residue
     k = 1
-    while p != ident:
-        p = p @ g
+    while p != one:
+        p = mod3(matmul_rows(p, residue, g.cols))
         k += 1
         if k > bound:
             raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
+    power = g
+    for bit in bin(k)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ g
+    if power != ident:
+        raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
     return k
 
 
@@ -190,6 +228,46 @@ def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) 
     return elements
 
 
+def _closed_walk(
+    elements: Sequence[IntMatrix], members: set[IntMatrix]
+) -> tuple[list[IntMatrix], IntMatrix | None]:
+    """Greedy generators of ``elements`` and the first product to leave ``members``.
+
+    Generators are picked in list order: each is the first element the
+    walk has not reached yet.  The reached set starts at the identity and
+    grows by right-multiplying it by the generators; after a new generator
+    joins, elements reached before need only the product with it, while
+    newly reached ones take every generator, so a step costs at most
+    |reached| * |generators| products.  Returns ``(generators, None)`` when
+    every product stays inside ``members``: the reached set is then the
+    subgroup the generators span, and it contains every listed element.
+    Otherwise the walk stops at the first product outside ``members`` and
+    returns it; it never leaves the finite set ``members``, so it ends.
+    """
+    ident = IntMatrix.identity(elements[0].rows)
+    reached = [ident]
+    seen = {ident}
+    gens: list[IntMatrix] = []
+    for g in elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        new_only = gens[-1:]
+        known = len(reached)
+        i = 0
+        while i < len(reached):
+            x = reached[i]
+            for s in new_only if i < known else gens:
+                y = x @ s
+                if y not in seen:
+                    if y not in members:
+                        return gens, y
+                    seen.add(y)
+                    reached.append(y)
+            i += 1
+    return gens, None
+
+
 def validate_and_close(
     spec: GroupSpec,
     order_bound: int | None = None,
@@ -199,8 +277,13 @@ def validate_and_close(
 
     Checks that every listed matrix is unimodular and preserves ``form``
     when one is given.  Cyclic specs are expanded into the powers of the
-    generator, Generated specs into the multiplicative closure; Explicit
-    specs are verified to contain the identity and be product-closed.
+    generator.  Generated specs first have each generator's order checked
+    (see :func:`matrix_order`), so an infinite-order generator is refused
+    after a few residue products, and are then closed by ``mulclose`` at
+    |G| * |generators| products.  Explicit specs are verified to contain
+    the identity and be product-closed by one generator walk
+    (``_closed_walk``), O(|G| * |S|) products for a greedy generating set
+    S instead of the |G|^2 of the full multiplication table.
     """
     if order_bound is None:
         order_bound = spec.closure_bound if isinstance(spec, Generated) else DEFAULT_ORDER_BOUND
@@ -219,6 +302,14 @@ def validate_and_close(
             powers.append(powers[-1] @ spec.generator)
         return powers
     if isinstance(spec, Generated):
+        for g in spec.generators:
+            try:
+                matrix_order(g, order_bound)
+            except GroupTooLarge:
+                # the closure holds every power of g, so it exceeds the bound too
+                raise GroupTooLarge(
+                    f"group too large or infinite: closure exceeds {order_bound}"
+                ) from None
         return mulclose(spec.generators, order_bound)
     if isinstance(spec, Explicit):
         elems = spec.elements
@@ -229,10 +320,8 @@ def validate_and_close(
             raise ValidationError("Explicit element list contains duplicates")
         if IntMatrix.identity(spec.size) not in seen:
             raise ValidationError("Explicit element list is missing the identity")
-        for a in elems:
-            for b in elems:
-                if a @ b not in seen:
-                    raise ValidationError("Explicit element list is not closed under products")
+        if _closed_walk(elems, seen)[1] is not None:
+            raise ValidationError("Explicit element list is not closed under products")
         return list(elems)
     raise TypeError(f"unknown group spec {spec!r}")
 
@@ -270,7 +359,35 @@ class GLattice:
                 raise ValidationError(f"matrix {i} does not preserve the bilinear form")
 
     def elements(self, order_bound: int | None = None) -> list[IntMatrix]:
-        return validate_and_close(self.group, order_bound, self.form)
+        if order_bound is not None:
+            return validate_and_close(self.group, order_bound, self.form)
+        return list(self._closure())
+
+    def _memo(self, key: str, compute):
+        """``compute()`` once per instance, kept beside the dataclass fields.
+
+        The value is stored in the instance ``__dict__``, outside the
+        fields, so equality, hashing and ``repr`` ignore it.  A fill is
+        idempotent: two threads racing on it compute equal values and
+        either one may be kept.
+        """
+        memo = self.__dict__
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def _closure(self) -> tuple[IntMatrix, ...]:
+        """The group elements with the default bound, validated once."""
+        return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
+
+    def _walk_generators(self) -> tuple[IntMatrix, ...]:
+        """Greedy generating subset of :meth:`_closure`, in element order."""
+
+        def walk():
+            elems = self._closure()
+            return tuple(_closed_walk(elems, set(elems))[0])
+
+        return self._memo("_generators", walk)
 
     def generator_matrices(self) -> tuple[IntMatrix, ...]:
         return self.group.listed_matrices()
@@ -309,14 +426,17 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     """Canonical basis of the fixed sublattice M^G (rows of the result).
 
     A vector is fixed by the whole group iff it is fixed by the listed
-    generators, so only those enter the kernel computation.
+    generators, so only those enter the kernel computation.  The basis is
+    computed once per lattice and kept with its closure.
     """
-    gens = m.generator_matrices()
-    if not gens or m.rank == 0:
-        return IntMatrix.identity(m.rank)
-    ident = IntMatrix.identity(m.rank)
-    stacked = IntMatrix.stack([g - ident for g in gens])
-    return kernel_basis(stacked)
+    def fixed() -> IntMatrix:
+        gens = m.generator_matrices()
+        if not gens or m.rank == 0:
+            return IntMatrix.identity(m.rank)
+        ident = IntMatrix.identity(m.rank)
+        return kernel_basis(IntMatrix.stack([g - ident for g in gens]))
+
+    return m._memo("_fixed", fixed)
 
 
 def h1_cyclic(m: GLattice, witness: bool = False, order_bound: int | None = None) -> CohomologyResult:
@@ -350,22 +470,6 @@ def h1_cyclic(m: GLattice, witness: bool = False, order_bound: int | None = None
     return res
 
 
-def _greedy_generators(elements: list[IntMatrix], bound: int) -> list[IntMatrix]:
-    """Small generating subset of a closed element list (greedy sweep)."""
-    if len(elements) == 1:
-        return []
-    gens: list[IntMatrix] = []
-    known = {IntMatrix.identity(elements[0].rows)}
-    for g in elements:
-        if g in known:
-            continue
-        gens.append(g)
-        known = set(mulclose(gens, bound))
-        if len(known) == len(elements):
-            break
-    return gens
-
-
 def h1_cocycle(
     m: GLattice,
     witness: bool = False,
@@ -380,14 +484,13 @@ def h1_cocycle(
     cut out the cocycle lattice Z^1 inside Z^(|S| * rank).  Coboundaries map
     to ((s - 1)x)_{s in S}, and H^1 is the subquotient.
     """
-    elements = m.elements()
-    if len(elements) > order_cap:
-        raise GroupTooLarge(f"cocycle computation refused: group order {len(elements)} > {order_cap}")
+    order = len(m._closure())
+    if order > order_cap:
+        raise GroupTooLarge(f"cocycle computation refused: group order {order} > {order_cap}")
     if m.rank > rank_cap:
         raise GroupTooLarge(f"cocycle computation refused: rank {m.rank} > {rank_cap}")
-    order = len(elements)
     r = m.rank
-    gens = _greedy_generators(elements, order)
+    gens = m._walk_generators()
     s = len(gens)
     ident = IntMatrix.identity(r)
 
@@ -401,7 +504,10 @@ def h1_cocycle(
             witness=Witness(empty, empty, "cocycle and coboundary bases (generator-value coordinates)") if witness else None,
         )
 
-    # T[g]: r x (s*r) matrix with f(g) = T[g] . (f(s_0), ..., f(s_{s-1}))
+    # T[g]: r x (s*r) matrix with f(g) = T[g] . (f(s_0), ..., f(s_{s-1})).
+    # Each edge h -> g.h of the walk either defines T[g.h] (a tree edge,
+    # whose relation holds by construction) or yields the residual of the
+    # relation f(g.h) = f(g) + g.f(h) as constraint rows.
     slot = {}
     for k, g in enumerate(gens):
         e = IntMatrix.zeros(r, s * r).tolists()
@@ -409,25 +515,26 @@ def h1_cocycle(
             e[i][k * r + i] = 1
         slot[g] = IntMatrix(e, cols=s * r)
     t = {ident: IntMatrix.zeros(r, s * r)}
+    constraint_rows: list[tuple[int, ...]] = []
     frontier = [ident]
     while frontier:
         new = []
         for h in frontier:
+            th = t[h]
             for g in gens:
                 gh = g @ h
-                if gh not in t:
-                    t[gh] = slot[g] + g @ t[h]
+                image = slot[g] + g @ th
+                known = t.get(gh)
+                if known is None:
+                    t[gh] = image
                     new.append(gh)
+                    continue
+                for row in known - image:
+                    if any(row):
+                        constraint_rows.append(row)
         frontier = new
     assert len(t) == order
 
-    constraint_rows: list[tuple[int, ...]] = []
-    for g in gens:
-        for h in elements:
-            residual = t[g @ h] - slot[g] - g @ t[h]
-            for row in residual:
-                if any(row):
-                    constraint_rows.append(row)
     constraints = IntMatrix(constraint_rows, cols=s * r)
     z1 = kernel_basis(constraints)
     b1 = IntMatrix(
@@ -491,12 +598,14 @@ def permutation_module(perms: Sequence[Sequence[int]], kind: str = "generated") 
         spec: GroupSpec = Cyclic(mats[0])
     elif kind == "explicit":
         spec = Explicit(mats)
-        validate_and_close(spec)  # verifies closure and identity
     elif kind == "generated":
         spec = Generated(mats)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return GLattice(rank=k, group=spec, form=None)
+    m = GLattice(rank=k, group=spec, form=None)
+    if kind == "explicit":
+        m._closure()  # verifies closure and identity, and keeps the elements
+    return m
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
@@ -552,7 +661,7 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
     must be product-closed, contain the identity, and consist of members of
     the acting group.
     """
-    full = set(m.elements())
+    full = set(m._closure())
     if isinstance(elements, IntMatrix):
         subset: list[IntMatrix] = [elements]
         single = True
@@ -569,10 +678,8 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
         raise NotSubgroup("subset not a subgroup: duplicate elements")
     if IntMatrix.identity(m.rank) not in seen:
         raise NotSubgroup("subset not a subgroup: identity missing")
-    for a in subset:
-        for b in subset:
-            if a @ b not in seen:
-                raise NotSubgroup("subset not a subgroup: not closed under products")
+    if _closed_walk(subset, seen)[1] is not None:
+        raise NotSubgroup("subset not a subgroup: not closed under products")
     return GLattice(m.rank, Explicit(subset), m.form)
 
 
@@ -605,14 +712,17 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     subgroup they generate, keeping the lowest generator index; entries come
     out sorted by that index.
     """
-    elements = m.elements()
+    elements = m._closure()
     full = h1(m)
+    ident = IntMatrix.identity(m.rank)
     entries: list[SubgroupEntry] = []
     seen_subgroups: set[frozenset[IntMatrix]] = set()
     for idx, g in enumerate(elements):
-        powers = [IntMatrix.identity(m.rank)]
-        while powers[-1] @ g != powers[0]:
-            powers.append(powers[-1] @ g)
+        powers = [ident]
+        power = g
+        while power != ident:
+            powers.append(power)
+            power = power @ g
         key = frozenset(powers)
         if key in seen_subgroups:
             continue

@@ -118,6 +118,15 @@ def test_compute_invalid_input_exits_1(tmp_path, capsys):
     assert "not unimodular" in capsys.readouterr().err
 
 
+def test_compute_refuses_generated_unipotent(tmp_path, capsys):
+    doc = {"rank": 2, "group": {"kind": "generated", "matrices": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]}}
+    code = run_command(["compute", "--input", write_doc(tmp_path, doc), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "group too large or infinite: closure exceeds 10000" in captured.err
+
+
 def test_compute_missing_file_exits_1(capsys):
     assert run_command(["compute", "--input", "/does/not/exist.json"]) == 1
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from glattice.cohomology import (
     restrict_subgroup,
     validate_and_close,
 )
-from glattice.intlinalg import FinAbGroup, IntMatrix, hermite_form
+from glattice.intlinalg import FinAbGroup, IntMatrix, hermite_form, kernel_basis
 
 SWAP = IntMatrix([[0, 1], [1, 0]])
 MINUS_I2 = IntMatrix([[-1, 0], [0, -1]])
@@ -51,6 +52,14 @@ def random_unimodular(rng, n):
     return IntMatrix(m)
 
 
+def conjugator(rng, n):
+    """A random unimodular matrix and its inverse."""
+    p = random_unimodular(rng, n)
+    h, pinv = hermite_form(p)
+    assert h == IntMatrix.identity(n)
+    return p, pinv
+
+
 def random_finite_order_action(rng, rank, max_order):
     """Random unimodular conjugate of a signed permutation of finite order."""
     perm = list(range(rank))
@@ -62,9 +71,7 @@ def random_finite_order_action(rng, rank, max_order):
     g = IntMatrix(base)
     if matrix_order(g, 10_000) > max_order:
         g = IntMatrix.diagonal([rng.choice([1, -1]) for _ in range(rank)])
-    p = random_unimodular(rng, rank)
-    h, pinv = hermite_form(p)
-    assert h == IntMatrix.identity(rank)
+    p, pinv = conjugator(rng, rank)
     return p @ g @ pinv
 
 
@@ -418,3 +425,259 @@ def test_h1_additivity():
         m2 = GLattice(r2, Cyclic(g2))
         s = direct_sum(m1, m2)
         assert h1(s).h1 == h1(m1).h1.direct_sum(h1(m2).h1)
+
+
+# --- closure walk, cached closure and orders ------------------------------------------
+
+
+def closed_by_table(elements):
+    """Reference subgroup check over the full multiplication table, |G|^2 products."""
+    members = set(elements)
+    return (
+        len(members) == len(elements)
+        and IntMatrix.identity(elements[0].rows) in members
+        and all(a @ b in members for a in elements for b in elements)
+    )
+
+
+def perm_matrix(perm, signed):
+    """Permutation matrix of ``perm``, times its sign when ``signed``."""
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    sign = -1 if signed and inversions % 2 else 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[perm[i]][i] = sign
+    return IntMatrix(rows)
+
+
+def symmetric_group_module(degree, signed):
+    """All of S_n acting by permutations, twisted by the sign when ``signed``."""
+    return [perm_matrix(p, signed) for p in itertools.permutations(range(degree))]
+
+
+def symmetric_group_generators(degree, signed):
+    """A transposition and an n-cycle."""
+    cycle = tuple(range(1, degree)) + (0,)
+    return [perm_matrix((1, 0) + tuple(range(2, degree)), signed), perm_matrix(cycle, signed)]
+
+
+def conjugated_modules(seed):
+    """Shuffled, unimodularly conjugated S3/S4 permutation and sign modules."""
+    rng = random.Random(seed)
+    for degree in (3, 4):
+        for signed in (False, True):
+            p, pinv = conjugator(rng, degree)
+            mats = [p @ g @ pinv for g in symmetric_group_module(degree, signed)]
+            rng.shuffle(mats)
+            yield rng, degree, signed, p, pinv, mats
+
+
+def unipotent(n):
+    rows = IntMatrix.identity(n).tolists()
+    rows[0][1] = 1
+    return IntMatrix(rows)
+
+
+def test_explicit_walk_matches_full_table():
+    for rng, degree, signed, p, pinv, mats in conjugated_modules(7):
+        ident = IntMatrix.identity(degree)
+        missing = list(mats)
+        missing.remove(rng.choice([g for g in mats if g != ident]))
+        cases = [(mats, True), (missing, False)]
+        for foreign in (-ident, p @ unipotent(degree) @ pinv):
+            with_foreign = list(mats)
+            with_foreign.insert(rng.randrange(len(mats) + 1), foreign)
+            cases.append((with_foreign, False))
+        for elements, expected in cases:
+            assert closed_by_table(elements) is expected
+            if expected:
+                assert validate_and_close(Explicit(elements)) == elements
+            else:
+                with pytest.raises(ValidationError, match="not closed under products"):
+                    validate_and_close(Explicit(elements))
+
+
+def test_explicit_walk_rejects_unipotent_pair():
+    with pytest.raises(ValidationError, match="not closed"):
+        validate_and_close(Explicit([IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]])]))
+
+
+def test_restrict_subgroup_walk_matches_full_table():
+    for rng, degree, signed, p, pinv, mats in conjugated_modules(8):
+        full = GLattice(degree, Explicit(mats))
+        ident = IntMatrix.identity(degree)
+        # the stabilizer of the last point, S_(n-1), conjugated the same way
+        stabilizer = [
+            p @ perm_matrix(q, signed) @ pinv
+            for q in itertools.permutations(range(degree))
+            if q[-1] == degree - 1
+        ]
+        rng.shuffle(stabilizer)
+        outside = next(g for g in mats if g not in stabilizer)
+        cases = [(mats, True), (stabilizer, True), (stabilizer + [outside], False)]
+        for subgroup in (mats, stabilizer):
+            partial = list(subgroup)
+            partial.remove(rng.choice([g for g in subgroup if g != ident]))
+            if len(partial) > 1:  # one element restricts to its cyclic closure instead
+                cases.append((partial, False))
+        for subset, expected in cases:
+            assert closed_by_table(subset) is expected
+            if expected:
+                assert restrict_subgroup(full, subset).group.elements == tuple(subset)
+            else:
+                with pytest.raises(NotSubgroup, match="not closed under products"):
+                    restrict_subgroup(full, subset)
+
+
+def test_closure_is_cached_per_lattice(monkeypatch):
+    import glattice.cohomology as coh
+
+    calls = []
+    real = coh.validate_and_close
+    monkeypatch.setattr(coh, "validate_and_close", lambda *a: calls.append(a) or real(*a))
+    m = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    first = m.elements()
+    obstruction_scan(m)
+    h1_cocycle(m)
+    restrict_subgroup(m, [IntMatrix.identity(4)])
+    assert len(calls) == 1
+    first.clear()  # callers get copies: the cache is untouched
+    assert len(m.elements()) == 24
+    assert m == permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    assert hash(m) == hash(permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated"))
+    assert repr(m) == repr(GLattice(m.rank, m.group, m.form))
+    assert len(m.elements(order_bound=24)) == 24
+    with pytest.raises(GroupTooLarge):
+        m.elements(order_bound=23)
+
+
+def test_closure_cache_shared_between_threads():
+    import sys
+    import threading
+
+    expected = h1_cocycle(permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated"))
+    m = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    results = []
+
+    def work():
+        results.append((tuple(m.elements()), invariants_h0(m), h1_cocycle(m)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6
+    assert all(r == results[0] for r in results)
+    assert results[0][2] == expected and len(results[0][0]) == 24
+
+
+def naive_order(g):
+    ident = IntMatrix.identity(g.rows)
+    p, k = g, 1
+    while p != ident:
+        p, k = p @ g, k + 1
+    return k
+
+
+def test_matrix_order_matches_naive_powers():
+    rng = random.Random(31)
+    for _ in range(60):
+        rank = rng.randint(1, 7)
+        g = random_finite_order_action(rng, rank, 60)
+        assert matrix_order(g) == naive_order(g)
+    assert matrix_order(IntMatrix([[1]])) == 1
+    assert matrix_order(IntMatrix([], cols=0)) == 1
+    with pytest.raises(GroupTooLarge, match="order exceeds 3"):
+        matrix_order(permutation_module([[1, 2, 3, 0]], kind="cyclic").group.generator, 3)
+    assert matrix_order(permutation_module([[1, 2, 3, 0]], kind="cyclic").group.generator, 4) == 4
+
+
+def hyperbolic_plus_unipotent(rng, n):
+    """Unimodular conjugate of [[2,1],[1,1]] + [[1,1],[0,1]] + I_(n-4): infinite order."""
+    rows = IntMatrix.identity(n).tolists()
+    rows[0][:2] = [2, 1]
+    rows[1][:2] = [1, 1]
+    rows[2][3] = 1
+    p, pinv = conjugator(rng, n)
+    return p @ IntMatrix(rows) @ pinv
+
+
+def test_matrix_order_refuses_infinite_order():
+    rng = random.Random(12)
+    inputs = [IntMatrix([[1, 1], [0, 1]]), IntMatrix([[2, 1], [1, 1]])]
+    inputs += [hyperbolic_plus_unipotent(rng, n) for n in (12, 16)]
+    for g in inputs:
+        with pytest.raises(GroupTooLarge, match="exceeds"):
+            matrix_order(g)
+    with pytest.raises(GroupTooLarge, match="closure exceeds 10000"):
+        validate_and_close(Generated([inputs[-1], IntMatrix.identity(16)]))
+
+
+def two_pass_cocycle_bases(m):
+    """Z^1 and B^1 the way they were built before the single-pass walk."""
+    elements = m.elements()
+    gens = []
+    known = {IntMatrix.identity(m.rank)}
+    for g in elements:
+        if g not in known:
+            gens.append(g)
+            known = set(mulclose(gens, len(elements)))
+    r, s = m.rank, len(gens)
+    ident = IntMatrix.identity(r)
+    slot = {}
+    for k, g in enumerate(gens):
+        e = IntMatrix.zeros(r, s * r).tolists()
+        for i in range(r):
+            e[i][k * r + i] = 1
+        slot[g] = IntMatrix(e, cols=s * r)
+    t = {ident: IntMatrix.zeros(r, s * r)}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in gens:
+                if g @ h not in t:
+                    t[g @ h] = slot[g] + g @ t[h]
+                    new.append(g @ h)
+        frontier = new
+    rows = [row for g in gens for h in elements for row in t[g @ h] - slot[g] - g @ t[h] if any(row)]
+    z1 = kernel_basis(IntMatrix(rows, cols=s * r))
+    b1 = IntMatrix([[x for g in gens for x in (g - ident).column(i)] for i in range(r)], cols=s * r)
+    return z1, b1
+
+
+def test_single_pass_cocycle_matches_two_pass_reference():
+    rng = random.Random(5)
+    for degree in (3, 4):
+        for signed in (False, True):
+            mats = symmetric_group_module(degree, signed)
+            listed = list(mats)
+            rng.shuffle(listed)
+            gens = symmetric_group_generators(degree, signed)
+            for m in (GLattice(degree, Explicit(listed)), GLattice(degree, Generated(gens))):
+                res = h1_cocycle(m, witness=True)
+                z1, b1 = two_pass_cocycle_bases(m)
+                assert res.witness.numerator_basis == z1
+                assert res.witness.denominator_gens == b1
+                assert res.group_order == len(mats)
+
+
+def test_fixed_lattice_computed_once_per_row(monkeypatch):
+    import glattice.cohomology as coh
+    from glattice.picard import dejonquieres, verify_row
+
+    delta = dejonquieres(3).pic_glattice().group.generator
+    fixed_problem = delta - IntMatrix.identity(delta.rows)
+    calls = []
+    real = coh.kernel_basis
+    monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
+    assert verify_row("dejonquieres", genus=3).passed
+    assert calls.count(fixed_problem) == 1
