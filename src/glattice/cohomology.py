@@ -416,10 +416,14 @@ class CohomologyResult:
     witness: Witness | None = None
 
     def __post_init__(self) -> None:
-        if self.h1.free_rank != 0:
-            raise AssertionError("H^1 of a finite group on a lattice must be finite")
-        if self.group_order % self.h1.exponent() != 0:
-            raise AssertionError("H^1 exponent must divide the group order")
+        _check_h1(self.h1, self.group_order)
+
+
+def _check_h1(h1: FinAbGroup, group_order: int) -> None:
+    if h1.free_rank != 0:
+        raise AssertionError("H^1 of a finite group on a lattice must be finite")
+    if group_order % h1.exponent() != 0:
+        raise AssertionError("H^1 exponent must divide the group order")
 
 
 def invariants_h0(m: GLattice) -> IntMatrix:
@@ -450,24 +454,29 @@ def h1_cyclic(m: GLattice, witness: bool = False, order_bound: int | None = None
         raise ValidationError("h1_cyclic needs a cyclic group spec")
     delta = m.group.generator
     n = matrix_order(delta, order_bound or DEFAULT_ORDER_BOUND)
-    ident = IntMatrix.identity(m.rank)
-    norm = ident
-    power = ident
+    powers = [IntMatrix.identity(m.rank)]
     for _ in range(n - 1):
-        power = power @ delta
-        norm = norm + power
-    eta = ident - delta
-    ker = kernel_basis(norm)
-    eta_image = eta.transpose()  # row i is eta applied to the i-th basis vector
-    h1 = subquotient(ker, eta_image)
-    res = CohomologyResult(
+        powers.append(powers[-1] @ delta)
+    h1, ker, eta_image = _norm_quotient(powers)
+    return CohomologyResult(
         h0_rank=invariants_h0(m).rows,
         h1=h1,
         method="cyclic",
         group_order=n,
         witness=Witness(ker, eta_image, "ker(N) basis and eta(M) generators") if witness else None,
     )
-    return res
+
+
+def _norm_quotient(powers: list[IntMatrix]) -> tuple[FinAbGroup, IntMatrix, IntMatrix]:
+    """``(ker(N) / eta(M), ker(N) basis, eta(M) generators)`` for the cyclic
+    group whose elements are ``powers = [1, d, ..., d^(n-1)]``."""
+    norm = powers[0]
+    for power in powers[1:]:
+        norm = norm + power
+    eta = powers[0] - powers[1 % len(powers)]  # 1 - d; d is 1 when n == 1
+    ker = kernel_basis(norm)
+    eta_image = eta.transpose()  # row i is eta applied to the i-th basis vector
+    return subquotient(ker, eta_image), ker, eta_image
 
 
 def h1_cocycle(
@@ -689,6 +698,9 @@ class SubgroupEntry:
     order: int
     h1: FinAbGroup
 
+    def __post_init__(self) -> None:
+        _check_h1(self.h1, self.order)
+
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -727,8 +739,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         if key in seen_subgroups:
             continue
         seen_subgroups.add(key)
-        sub = GLattice(m.rank, Cyclic(g), m.form)
-        entries.append(SubgroupEntry(idx, len(powers), h1_cyclic(sub).h1))
+        entries.append(SubgroupEntry(idx, len(powers), _norm_quotient(powers)[0]))
     witnesses = []
     if not full.h1.is_trivial:
         witnesses.append(f"full group: H^1 = {full.h1}")

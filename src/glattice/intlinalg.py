@@ -17,6 +17,21 @@ Conventions used across the package:
   matching row of ``A``, so a product costs nonzeros(A) x width(B) entry
   operations rather than rows x inner x width.
 
+The eliminations are sparse-aware too, since the actions met in practice
+(permutation modules, de Jonquieres and Weyl group elements) and their
+transforms are mostly zeros with tiny entries:
+
+* row and column operations (``_row_sub``, ``_combine_rows``, the column
+  steps of ``smith_form``) skip the zero entries of their source; every
+  Hermite form, kernel, coordinate solve and Smith form runs on them;
+* ``IntMatrix.det`` skips the Bareiss row updates that are the identity
+  (see its docstring);
+* ``kernel_basis`` and ``subquotient``, whose results do not depend on the
+  order of the rows they eliminate, take the sparsest rows first
+  (``_fill_in_order``), so that the eliminations fill in few entries;
+* ``subquotient`` Hermite-reduces the generators' coefficients first, so
+  its Smith form has at most ``rank`` rows.
+
 All values are immutable after construction and every function is pure, so
 the module is safe to use from multiple threads.
 """
@@ -24,6 +39,8 @@ the module is safe to use from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,10 +74,12 @@ class IntMatrix:
     The public constructor validates every entry and the row lengths, since
     documents and user code arrive through it.  Results built from matrices
     that are already valid (``@``, ``+``, ``-``, negation, ``transpose``,
-    ``identity``, ``zeros``, ``stack``, ``block_diag``) skip those checks
-    through ``_from_rows``, whose rows must already be tuples of tuples of
-    ``int`` of the stated width: equality and hashing compare the stored
-    tuples directly.
+    ``identity``, ``zeros``, ``stack``, ``block_diag``, and the normal forms
+    ``hermite_form``, ``row_basis``, ``kernel_basis``,
+    ``express_in_row_basis`` and ``smith_form``) skip those checks through
+    ``_from_rows``, whose rows must already be tuples of tuples of ``int``
+    of the stated width: equality and hashing compare the stored tuples
+    directly.
     """
 
     __slots__ = ("_data", "_cols")
@@ -198,7 +217,15 @@ class IntMatrix:
         return f"IntMatrix({self.tolists()!r})"
 
     def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant via fraction-free (Bareiss) elimination.
+
+        Step k replaces ``a[i][j]`` by ``(a[i][j] * p - a[i][k] * a[k][j]) //
+        prev`` for the pivot ``p = a[k][k]``.  When ``p == prev`` a row with
+        ``a[i][k] == 0`` is left as it is and any other row changes only
+        where the pivot row is nonzero; a pivot equal to ``-prev`` is brought
+        to that case by negating its row (and the determinant).  Otherwise a
+        row with ``a[i][k] == 0`` is only rescaled by ``p / prev``.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -216,11 +243,30 @@ class IntMatrix:
                         break
                 else:
                     return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
+            ak = a[k]
+            if ak[k] == -prev:
+                ak = a[k] = [-x for x in ak]
+                sign = -sign
+            p = ak[k]
+            if p == prev:
+                # exact: a[i][j] * prev - x * a[k][j] is divisible by prev,
+                # hence so is x * a[k][j]
+                support = [j for j in range(k + 1, n) if ak[j]]
+                for ai in a[k + 1:]:
+                    x = ai[k]
+                    if x:
+                        for j in support:
+                            ai[j] -= x * ak[j] // prev
+            else:
+                for ai in a[k + 1:]:
+                    x = ai[k]
+                    if x:
+                        for j in range(k + 1, n):
+                            ai[j] = (ai[j] * p - x * ak[j]) // prev
+                    else:
+                        for j in range(k + 1, n):
+                            ai[j] = ai[j] * p // prev
+                prev = p
         return sign * a[n - 1][n - 1]
 
     def is_unimodular(self) -> bool:
@@ -258,24 +304,50 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: i
 # Hermite normal form
 
 
+def _matrix(rows: Sequence[Sequence[int]], cols: int) -> IntMatrix:
+    """Wrap rows of ``int`` computed here from valid matrices, unchecked."""
+    return IntMatrix._from_rows(tuple([tuple(r) for r in rows]), cols)
+
+
 def _row_sub(row: list[int], other: Sequence[int], q: int, start: int = 0) -> None:
+    # row -= q * other, from position start on; zeros of other change nothing
     for k in range(start, len(row)):
-        row[k] -= q * other[k]
+        x = other[k]
+        if x:
+            row[k] -= q * x
 
 
 def _combine_rows(r1: list[int], r2: list[int], x: int, y: int, u: int, v: int, start: int = 0) -> None:
-    # applies the 2x2 transform [[x, y], [u, v]] to the row pair
+    # applies the 2x2 transform [[x, y], [u, v]] to the row pair; a position
+    # where both rows are 0 stays 0
     for k in range(start, len(r1)):
         a, b = r1[k], r2[k]
-        r1[k] = x * a + y * b
-        r2[k] = u * a + v * b
+        if a or b:
+            r1[k] = x * a + y * b
+            r2[k] = u * a + v * b
 
 
-def _hnf(rows: list[list[int]], ncols: int, u: list[list[int]] | None):
+def _fill_in_order(row: Sequence[int]) -> int:
+    """Sort key for rows about to be eliminated where their order does not
+    show in the result: the rows whose last nonzero lies furthest right come
+    first.  ``_hnf`` pivots on the first row of least absolute value, and
+    subtracting such a row from the others fills in columns that are
+    eliminated late, if at all, rather than the next one."""
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return -end
+
+
+def _hnf(rows: list[list[int]], ncols: int, u: list[list[int]] | None, reduce_above: bool = True):
     """In-place row Hermite form; returns the pivot (row, col) list.
 
     ``u``, when given, starts as an identity and accumulates the unimodular
-    left transform applied to ``rows``.
+    left transform applied to ``rows``.  With ``reduce_above=False`` the
+    entries above each pivot are left as they are (an echelon form with
+    positive pivots); the zero rows after the pivot rows, and their
+    transforms, come out the same either way, since a pivot row is only
+    reduced after it has served as a pivot.
     """
     m = len(rows)
     pivots: list[tuple[int, int]] = []
@@ -313,7 +385,7 @@ def _hnf(rows: list[list[int]], ncols: int, u: list[list[int]] | None):
             if u is not None:
                 u[r] = [-x for x in u[r]]
         p = rows[r][j]
-        for i in range(r):
+        for i in range(r if reduce_above else 0):
             q = rows[i][j] // p  # floor: leaves the entry in [0, p)
             if q:
                 _row_sub(rows[i], rows[r], q, j)
@@ -333,14 +405,14 @@ def hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     rows = a.tolists()
     u = IntMatrix.identity(a.rows).tolists()
     _hnf(rows, a.cols, u)
-    return IntMatrix(rows, cols=a.cols), IntMatrix(u, cols=a.rows)
+    return _matrix(rows, a.cols), _matrix(u, a.rows)
 
 
 def row_basis(a: IntMatrix) -> IntMatrix:
     """Canonical (Hermite) basis of the lattice spanned by the rows of ``a``."""
     rows = a.tolists()
     pivots = _hnf(rows, a.cols, None)
-    return IntMatrix(rows[: len(pivots)], cols=a.cols)
+    return _matrix(rows[: len(pivots)], a.cols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -350,12 +422,17 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     zero.  The kernel of an integer matrix is automatically saturated, and
     the basis is Hermite-reduced so equal kernels yield equal matrices.
     """
-    t = a.transpose().tolists()
-    u = IntMatrix.identity(a.cols).tolists()
-    pivots = _hnf(t, a.rows, u)
-    ker = u[len(pivots):]
+    # the kernel is a lattice and its Hermite basis is unique, so the rows
+    # may be eliminated in any order; only the transforms of the zero rows
+    # are kept, so the pivot rows need no reduction
+    rows = sorted(zip(a.transpose().tolists(), IntMatrix.identity(a.cols).tolists()),
+                  key=lambda pair: _fill_in_order(pair[0]))
+    t = [row for row, _ in rows]
+    u = [unit for _, unit in rows]
+    pivots = _hnf(t, a.rows, u, reduce_above=False)
+    ker = sorted(u[len(pivots):], key=_fill_in_order)
     _hnf(ker, a.cols, None)
-    return IntMatrix(ker, cols=a.cols)
+    return _matrix(ker, a.cols)
 
 
 def _solve_against_hnf(h: list[list[int]], pivots: list[tuple[int, int]], v: Sequence[int]) -> list[int] | None:
@@ -427,10 +504,11 @@ def smith_form(a: IntMatrix) -> SmithForm:
     v = IntMatrix.identity(n).tolists()
 
     def col_sub(j_dst: int, j_src: int, q: int) -> None:
-        for row in d:
-            row[j_dst] -= q * row[j_src]
-        for row in v:
-            row[j_dst] -= q * row[j_src]
+        for rows in (d, v):
+            for row in rows:
+                x = row[j_src]
+                if x:
+                    row[j_dst] -= q * x
 
     def col_combine(j1: int, j2: int, x: int, y: int, p: int, q: int) -> None:
         for row in d:
@@ -444,14 +522,18 @@ def smith_form(a: IntMatrix) -> SmithForm:
 
     for t in range(min(m, n)):
         while True:
-            piv = None
+            # the first entry of least absolute value, row by row; a unit
+            # cannot be beaten, so the search stops at the first one
+            pi, best = None, 0
             for i in range(t, m):
-                for j in range(t, n):
-                    if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
+                least = min(map(abs, filter(None, d[i][t:])), default=0)
+                if least and (pi is None or least < best):
+                    pi, best = i, least
+                    if best == 1:
+                        break
+            if pi is None:
                 break
-            pi, pj = piv
+            pj = next(j for j in range(t, n) if abs(d[pi][j]) == best)
             if pi != t:
                 d[t], d[pi] = d[pi], d[t]
                 u[t], u[pi] = u[pi], u[t]
@@ -489,16 +571,12 @@ def smith_form(a: IntMatrix) -> SmithForm:
                         row_clean = False  # column t may have been dirtied below
                 if row_clean and all(d[i][t] == 0 for i in range(t + 1, m)):
                     break
-            # the pivot must divide every remaining entry
+            # the pivot must divide every remaining entry (a unit always
+            # does): the first row whose gcd it does not divide is dirty
             aa = d[t][t]
             offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % aa != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if abs(aa) != 1:
+                offender = next((i for i in range(t + 1, m) if gcd(*d[i][t + 1:]) % aa), None)
             if offender is None:
                 break
             _row_sub(d[t], d[offender], -1, t)
@@ -509,9 +587,9 @@ def smith_form(a: IntMatrix) -> SmithForm:
 
     factors = tuple(d[i][i] for i in range(min(m, n)) if d[i][i] != 0)
     return SmithForm(
-        U=IntMatrix(u, cols=m),
-        D=IntMatrix(d, cols=n),
-        V=IntMatrix(v, cols=n),
+        U=_matrix(u, m),
+        D=_matrix(d, n),
+        V=_matrix(v, n),
         invariant_factors=factors,
     )
 
@@ -599,7 +677,12 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
         if c is None:
             raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")
         coeff_rows.append(c)
-    sf = smith_form(IntMatrix(coeff_rows, cols=r))
+    # left-unimodular row operations, reordering among them, keep the
+    # invariant factors and the rank, so only the (at most r) nonzero
+    # Hermite rows go on to Smith
+    coeff_rows.sort(key=_fill_in_order)
+    nonzero = len(_hnf(coeff_rows, r, None))
+    sf = smith_form(_matrix(coeff_rows[:nonzero], r))
     factors = tuple(f for f in sf.invariant_factors if f > 1)
     return FinAbGroup(factors, free_rank=r - len(sf.invariant_factors))
 
@@ -622,26 +705,21 @@ def char_poly(a: IntMatrix) -> tuple[int, ...]:
     n = a.rows
     if n == 0:
         return (1,)
+    rows = a._data
     # vec holds the coefficients for the leading principal minors,
     # highest degree first
-    vec = [1, -a[0][0]]
+    vec = [1, -rows[0][0]]
     for r in range(1, n):
-        m = [row[:r] for row in a.tolists()[:r]]
-        col = [a[i][r] for i in range(r)]
-        row = list(a[r][:r])
+        m = [row[:r] for row in rows[:r]]
+        row = rows[r][:r]
+        w = [rows[i][r] for i in range(r)]  # the column C above a_rr
         # Toeplitz column: 1, -a_rr, -(R C), -(R M C), ..., -(R M^{r-1} C)
-        q = [1, -a[r][r]]
-        w = col
-        for _ in range(r):
-            q.append(-sum(x * y for x, y in zip(row, w)))
-            w = [sum(m[i][k] * w[k] for k in range(r)) for i in range(r)]
-        new = [0] * (r + 2)
-        for i in range(r + 2):
-            s = 0
-            for j in range(max(0, i - r - 1), min(i, r) + 1):
-                s += q[i - j] * vec[j]
-            new[i] = s
-        vec = new
+        q = [1, -rows[r][r], -sum(map(mul, row, w))]
+        for _ in range(r - 1):
+            w = [sum(map(mul, mi, w)) for mi in m]
+            q.append(-sum(map(mul, row, w)))
+        # lower-triangular Toeplitz product: new[i] = sum_j q[i - j] * vec[j]
+        vec = [sum(map(mul, q[i::-1], vec)) for i in range(r + 2)]
     vec.reverse()
     return tuple(vec)
 

@@ -11,6 +11,7 @@ from glattice.cohomology import (
     GroupMismatch,
     GroupTooLarge,
     NotSubgroup,
+    SubgroupEntry,
     ValidationError,
     direct_sum,
     h1,
@@ -359,6 +360,45 @@ def test_scan_geiser_obstructed():
     assert report.obstructed
     assert report.verdict == "stable linearization obstructed"
     assert any("(Z/2)^6" in w for w in report.witnesses)
+
+
+def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
+    import glattice.cohomology as coh
+
+    rng = random.Random(71)
+    s4 = [[1, 0, 2, 3], [1, 2, 3, 0]]
+    lattices = [
+        permutation_module(s4, kind="generated"),
+        permutation_module([[1, 2, 0]], kind="cyclic"),
+        GLattice(4, Explicit(permutation_module(s4, kind="generated").elements())),
+        GLattice(4, Generated([-g for g in permutation_module(s4, kind="generated").generator_matrices()])),
+        GLattice(3, Cyclic(random_finite_order_action(rng, 3, 6))),
+        GLattice(4, Explicit(GLattice(4, Cyclic(random_finite_order_action(rng, 4, 4))).elements())),
+    ]
+    for m in lattices:
+        elements = m.elements()
+        report = obstruction_scan(m)
+        assert report.full_group == h1(m)
+        for e in report.subgroups:
+            g = elements[e.generator_index]
+            assert e.order == matrix_order(g)
+            assert e.h1 == h1_cyclic(GLattice(m.rank, Cyclic(g), m.form)).h1
+        # on a fresh lattice the scan computes the full group's kernels and
+        # one norm kernel per subgroup: no fixed lattice per subgroup
+        calls = []
+        real = coh.kernel_basis
+        monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
+        fresh = GLattice(m.rank, m.group, m.form)
+        h1(fresh)
+        full_calls = len(calls)
+        obstruction_scan(GLattice(m.rank, m.group, m.form))
+        assert len(calls) == 2 * full_calls + len(report.subgroups)
+        monkeypatch.undo()
+    # subgroup entries assert what CohomologyResult asserts of H^1
+    with pytest.raises(AssertionError, match="finite"):
+        SubgroupEntry(0, 2, FinAbGroup((2,), 1))
+    with pytest.raises(AssertionError, match="divide the group order"):
+        SubgroupEntry(0, 2, FinAbGroup((3,), 0))
 
 
 # --- properties -------------------------------------------------------------------

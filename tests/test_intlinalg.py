@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -21,6 +22,7 @@ from glattice.intlinalg import (
     subquotient,
     xgcd,
 )
+from glattice.picard import dejonquieres
 
 
 def random_matrix(rng, rows, cols, lo=-20, hi=20):
@@ -152,6 +154,22 @@ def test_hermite_zero_matrix():
     assert row_basis(a).rows == 0
 
 
+def assert_hermite_shape(h):
+    """Echelon with positive pivots, the entries above each pivot in [0, pivot)."""
+    last = -1
+    for i in range(h.rows):
+        nz = [j for j in range(h.cols) if h[i][j] != 0]
+        if not nz:
+            assert all(not any(h[k]) for k in range(i, h.rows))
+            break
+        p = nz[0]
+        assert p > last
+        last = p
+        assert h[i][p] > 0
+        for k in range(i):
+            assert 0 <= h[k][p] < h[i][p]
+
+
 def test_hermite_shape_properties():
     rng = random.Random(11)
     for _ in range(60):
@@ -160,19 +178,7 @@ def test_hermite_shape_properties():
         h, u = hermite_form(a)
         assert u @ a == h
         assert u.det() in (1, -1)
-        # echelon with positive pivots, reduced above
-        last = -1
-        for i in range(h.rows):
-            nz = [j for j in range(n) if h[i][j] != 0]
-            if not nz:
-                assert all(not any(h[k]) for k in range(i, h.rows))
-                break
-            p = nz[0]
-            assert p > last
-            last = p
-            assert h[i][p] > 0
-            for k in range(i):
-                assert 0 <= h[k][p] < h[i][p]
+        assert_hermite_shape(h)
 
 
 # --- Smith form --------------------------------------------------------------
@@ -450,3 +456,163 @@ def test_matrix_rejects_bad_entries():
         IntMatrix([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+
+
+# --- sparse inputs: determinants, normal forms and subquotients ----------------------
+
+
+def det_laplace(rows):
+    """Cofactor expansion along the first row; fit for n <= 6."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * det_laplace([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def det_fraction(rows):
+    """Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return IntMatrix([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def sparse_matrix(rng, rows, cols, entries=(0, 0, 0, 0, 1, -1, 2, -3)):
+    return IntMatrix([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def zero_heavy_matrices():
+    """Signed permutations, de Jonquieres delta +- I, block-diagonal matrices
+    and matrices with empty rows and columns."""
+    rng = random.Random(23)
+    out = [signed_permutation(rng, n) for n in (1, 2, 3, 5, 6, 8)]
+    for g in (1, 2, 3, 4):
+        delta = dejonquieres(g).delta
+        ident = IntMatrix.identity(delta.rows)
+        out += [delta + ident, delta - ident, delta.transpose() + ident, delta.transpose() - ident]
+    out += [
+        IntMatrix.block_diag(signed_permutation(rng, 3), sparse_matrix(rng, 2, 4)),
+        IntMatrix.block_diag(sparse_matrix(rng, 3, 2), IntMatrix.zeros(2, 3)),
+        IntMatrix.block_diag(IntMatrix([[2, 1], [0, 2]]), IntMatrix([[0, 3], [3, 0]])),
+    ]
+    for _ in range(12):
+        m = sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)).tolists()
+        m.insert(rng.randint(0, len(m)), [0] * len(m[0]))  # an empty row
+        j = rng.randint(0, len(m[0]))
+        out.append(IntMatrix([r[:j] + [0] + r[j:] for r in m]))  # and an empty column
+    out += [IntMatrix.zeros(3, 4), IntMatrix([], cols=3), IntMatrix([[], []], cols=0)]
+    return out
+
+
+def test_det_matches_references_on_sparse_and_special_inputs():
+    big = 2**70 + 1
+    cases = [
+        [],
+        [[7]],
+        [[-big]],
+        [[0, 1], [1, 0]],  # forced swap
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # singular
+        [[0, 0, 1], [0, 2, 0], [0, 0, 5]],  # zero column: singular
+        [[2, 1, 0], [0, 3, 1], [1, 0, 4]],  # zero below a pivot of 2: rescale only
+        [[-3, 1, 0, 0], [0, 2, 1, 0], [0, 0, -1, 1], [1, 0, 0, 5]],
+        [[-1, 2, 0], [0, 1, 3], [4, 0, 1]],  # pivot -prev: negated row
+        [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]],  # zero pivot mid-way: swap
+        [[big, 1, 0], [0, big, -1], [1, 0, -big]],
+        [[3, 2**64, 0, 0], [0, 5, 0, 1], [2**65, 0, 7, 0], [0, 1, 0, 2**63]],
+    ]
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        entries = rng.choice([(0, 0, 0, 1, -1), (0, 0, 1, -1, 2, -2, 3), (0, 0, 0, 0, 5, -7, 11)])
+        cases.append(sparse_matrix(rng, n, n, entries).tolists())
+    for m in cases:
+        assert IntMatrix(m, cols=len(m)).det() == det_laplace(m) == det_fraction(m), m
+    for _ in range(40):
+        n = rng.randint(7, 12)
+        m = sparse_matrix(rng, n, n).tolists()
+        assert IntMatrix(m).det() == det_fraction(m), m
+    for a in zero_heavy_matrices():
+        if a.is_square and a.rows <= 12:
+            assert a.det() == det_fraction(a.tolists())
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]).det()
+
+
+def test_normal_forms_on_zero_heavy_inputs():
+    for a in zero_heavy_matrices():
+        h, u = hermite_form(a)
+        assert u @ a == h and u.det() in (1, -1)
+        assert_hermite_shape(h)
+        rank = row_basis(a).rows
+        assert row_basis(a) == IntMatrix(h.tolists()[:rank], cols=a.cols)
+
+        k = kernel_basis(a)
+        assert k.rows == a.cols - rank and k.cols == a.cols
+        assert a @ k.transpose() == IntMatrix.zeros(a.rows, k.rows)
+        assert_hermite_shape(k)
+
+        sf = smith_form(a)
+        assert sf.U @ a @ sf.V == sf.D
+        assert sf.U.det() in (1, -1) and sf.V.det() in (1, -1)
+        assert all(sf.D[i][j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        fs = sf.invariant_factors
+        assert len(fs) == rank and all(f > 0 for f in fs)
+        assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
+
+        for m in (h, u, row_basis(a), k, sf.U, sf.D, sf.V):
+            assert_check_free_result(m)
+
+
+def smith_of_raw_coefficients(a, b):
+    """(span a) / (span b) from the Smith form of b's coordinates in a basis of a."""
+    basis = row_basis(a)
+    sf = smith_form(express_in_row_basis(basis, b))
+    return FinAbGroup(tuple(f for f in sf.invariant_factors if f > 1), basis.rows - len(sf.invariant_factors))
+
+
+def test_subquotient_matches_smith_of_raw_coefficients():
+    rng = random.Random(31)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        a = sparse_matrix(rng, rng.randint(1, n), n)
+        if not row_basis(a).rows:
+            continue
+        r = a.rows
+        more = sparse_matrix(rng, r + rng.randint(1, 4), r) @ a  # more generators than rank
+        dependent = IntMatrix.stack([more, more, IntMatrix.zeros(1, n)])  # repeated and zero generators
+        none = IntMatrix([], cols=n)
+        cases += [(a, more), (a, dependent), (a, none), (a, a)]
+    for g in (1, 2, 3, 4):
+        delta = dejonquieres(g).delta
+        ident = IntMatrix.identity(delta.rows)
+        cases.append((kernel_basis(ident + delta), (ident - delta).transpose()))
+    for a, b in cases:
+        assert subquotient(a, b) == smith_of_raw_coefficients(a, b)
+    assert subquotient(IntMatrix([[1, 0, 2], [0, 3, 0]]), IntMatrix([], cols=3)) == FinAbGroup((), 2)
+    # repeated, dependent and zero generators of an index-2 sublattice
+    a = IntMatrix([[2, 0], [0, 1]])
+    b = IntMatrix([[2, 0], [2, 0], [4, 2], [0, 6], [0, 0]])
+    assert subquotient(a, b) == smith_of_raw_coefficients(a, b) == FinAbGroup((2,), 0)
