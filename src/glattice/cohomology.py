@@ -380,6 +380,10 @@ class GLattice:
         """The group elements with the default bound, validated once."""
         return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
 
+    def _generator_order(self) -> int:
+        """The order of a cyclic group's generator with the default bound, found once."""
+        return self._memo("_order", lambda: matrix_order(self.group.generator))
+
     def _walk_generators(self) -> tuple[IntMatrix, ...]:
         """Greedy generating subset of :meth:`_closure`, in element order."""
 
@@ -453,7 +457,7 @@ def h1_cyclic(m: GLattice, witness: bool = False, order_bound: int | None = None
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
     delta = m.group.generator
-    n = matrix_order(delta, order_bound or DEFAULT_ORDER_BOUND)
+    n = matrix_order(delta, order_bound) if order_bound else m._generator_order()
     powers = [IntMatrix.identity(m.rank)]
     for _ in range(n - 1):
         powers.append(powers[-1] @ delta)

@@ -1,45 +1,31 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms, integer
 kernels, subquotient structure and characteristic polynomials.
 
-Everything runs on Python's arbitrary-precision integers; no floating point
-is used anywhere.  Intermediate coefficient blowup is therefore a speed
-concern, never a correctness one.
+Everything runs on Python's arbitrary-precision integers, with no floating
+point; coefficient blowup costs speed, never correctness.  Conventions:
 
-Conventions used across the package:
-
-* matrices act on column vectors; lattice vectors are handled as row tuples,
-  and a sublattice is presented by a matrix whose rows span it;
+* matrices act on column vectors; a sublattice is given by a matrix whose
+  rows span it;
 * Hermite form is row-style upper echelon with positive pivots and the
   entries above each pivot reduced into ``[0, pivot)``;
-* invariant factors are listed smallest first, each dividing the next;
-* ``A @ B`` combines rows (Gustavson's row-wise sparse product): each output
-  row is the sum of ``a * B[k]`` over the nonzero entries ``a`` of the
-  matching row of ``A``, so a product costs nonzeros(A) x width(B) entry
-  operations rather than rows x inner x width.
+* invariant factors are listed smallest first, each dividing the next.
 
-The eliminations are sparse-aware too, since the actions met in practice
-(permutation modules, de Jonquieres and Weyl group elements) and their
-transforms are mostly zeros with tiny entries:
+The actions met in practice (permutation modules, de Jonquieres and Weyl
+group elements) are mostly zeros with tiny entries, so the kernels are
+sparse-aware: ``A @ B`` sums ``a * B[k]`` over the nonzero ``a`` of each row
+of ``A`` (Gustavson); row and column operations skip zero source entries;
+``det`` skips the Bareiss updates that are the identity; ``kernel_basis``
+and ``subquotient`` eliminate the sparsest rows first (``_fill_in_order``).
+Characteristic polynomials are computed modulo a prime above their
+coefficient bound (see ``char_poly``).
 
-* row and column operations (``_row_sub``, ``_combine_rows``, the column
-  steps of ``smith_form``) skip the zero entries of their source; every
-  Hermite form, kernel, coordinate solve and Smith form runs on them;
-* ``IntMatrix.det`` skips the Bareiss row updates that are the identity
-  (see its docstring);
-* ``kernel_basis`` and ``subquotient``, whose results do not depend on the
-  order of the rows they eliminate, take the sparsest rows first
-  (``_fill_in_order``), so that the eliminations fill in few entries;
-* ``subquotient`` Hermite-reduces the generators' coefficients first, so
-  its Smith form has at most ``rank`` rows.
-
-All values are immutable after construction and every function is pure, so
-the module is safe to use from multiple threads.
+Values are immutable and functions pure, so the module is thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -71,15 +57,10 @@ class IntMatrix:
     and/or zero columns) are legal everywhere; construct them by passing
     ``cols=`` explicitly when there are no rows to infer the width from.
 
-    The public constructor validates every entry and the row lengths, since
-    documents and user code arrive through it.  Results built from matrices
-    that are already valid (``@``, ``+``, ``-``, negation, ``transpose``,
-    ``identity``, ``zeros``, ``stack``, ``block_diag``, and the normal forms
-    ``hermite_form``, ``row_basis``, ``kernel_basis``,
-    ``express_in_row_basis`` and ``smith_form``) skip those checks through
-    ``_from_rows``, whose rows must already be tuples of tuples of ``int``
-    of the stated width: equality and hashing compare the stored tuples
-    directly.
+    The public constructor validates every entry and the row lengths.
+    Results built from valid matrices (arithmetic, ``transpose``, the
+    constructors and the normal forms) skip the checks through
+    ``_from_rows``, whose rows must be tuples of ``int`` of the stated width.
     """
 
     __slots__ = ("_data", "_cols")
@@ -494,9 +475,10 @@ class SmithForm:
 def smith_form(a: IntMatrix) -> SmithForm:
     """Smith normal form over the integers.
 
-    Pivots are chosen as the entry of minimal nonzero absolute value in the
-    remaining submatrix, which keeps coefficient growth in check; the output
-    does not depend on the pivot strategy.
+    The pivot is an entry of least nonzero absolute value in the remaining
+    submatrix; the output does not depend on that choice.  The transforms
+    are not size-reduced as they go, so their entries can grow to thousands
+    of bits on dense inputs (ROADMAP item 3).
     """
     m, n = a.rows, a.cols
     d = a.tolists()
@@ -688,40 +670,103 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomials (division-free) and small polynomial helpers
-#
-# Polynomials are coefficient tuples in ascending degree: p[k] is the
-# coefficient of t^k.
+# Characteristic polynomials and polynomial helpers (coefficient tuples,
+# ascending degree)
+
+# proven primes, ascending; 2^61 - 1 is left out, so checks modulo it stay independent
+_PRIMES = (2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19) + tuple(2**k - 1 for k in (
+    521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497))
+
+
+def _moduli(bound: int) -> tuple[int, ...]:
+    """The smallest prime above ``2 * bound``, else the fewest largest whose product is."""
+    for p in _PRIMES:
+        if p > 2 * bound:
+            return (p,)
+    moduli, prod = [], 1
+    for p in reversed(_PRIMES):
+        moduli.append(p)
+        prod *= p
+        if prod > 2 * bound:
+            return tuple(moduli)
+    raise ValueError(f"char_poly: a {bound.bit_length()}-bit coefficient bound exceeds the listed primes")
+
+
+def _char_poly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """``det(tI - A)`` mod ``p`` from ``A N = N H``, ``H`` upper Hessenberg
+    (Cohen, Algorithm 2.2.9, built by inner products as in Wilkinson's direct
+    reduction).  ``N`` is lower triangular, ``n_0 = e_0``, and ``n_{r+1}`` is
+    ``A n_r`` less its parts along ``n_0 .. n_r``, so ``H``'s subdiagonal is
+    0 or 1; ``A`` keeps its own (small) entries, only permuted."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    low = [[0] if i else [] for i in range(n)]  # low[i]: row i of N left of the diagonal
+    diag, inv = [1] * n, [1] * n  # the diagonal of N and its inverses mod p
+    cols = []  # cols[r]: h[0][r], ..., h[r][r]
+    sub = [0] * n  # sub[r]: h[r][r - 1]
+    for r in range(n):
+        ncol = [diag[r]] + [low[i][r] for i in range(r + 1, n)]
+        v = [sum(map(mul, row[r:], ncol)) for row in a]
+        hc = []
+        for i in range(r + 1):
+            hc.append((v[i] - sum(map(mul, low[i], hc))) * inv[i] % p)
+        cols.append(hc)
+        s = r + 1
+        if s == n:
+            break
+        w = [(v[i] - sum(map(mul, low[i], hc))) % p for i in range(s, n)]
+        j = next((j for j, x in enumerate(w) if x), None)
+        if j is None:  # A n_r is in the span of n_0 .. n_r mod p: h[s][r] = 0
+            for lo in low[s + 1:]:
+                lo.append(0)
+            continue
+        if j:  # a zero pivot: swap s with the first nonzero below it
+            t = s + j
+            a[s], a[t] = a[t], a[s]
+            for row in a:
+                row[s], row[t] = row[t], row[s]
+            low[s], low[t] = low[t], low[s]
+            w[0], w[j] = w[j], w[0]
+        sub[s], diag[s], inv[s] = 1, w[0], pow(w[0], -1, p)
+        for lo, x in zip(low[s + 1:], w[1:]):
+            lo.append(x)
+    # the block polynomials P_0 = 1, P_{m+1} = t P_m - sum_{i=z..m} h[i][m] P_i,
+    # where z is the last index up to m with h[z][z - 1] = 0; by_degree[j]
+    # lists the t^j coefficients of P_j, P_{j+1}, ...
+    by_degree = [[1]]
+    z = 0
+    for m in range(n):
+        if not sub[m]:
+            z = m
+        cs = [0] * z + cols[m][z:]
+        shifted = [0] + [c[-1] for c in by_degree[:-1]]
+        for j, (c, x) in enumerate(zip(by_degree, shifted)):
+            c.append((x - sum(map(mul, cs[j:], c))) % p)
+        by_degree.append([1])
+    return [c[-1] for c in by_degree]
 
 
 def char_poly(a: IntMatrix) -> tuple[int, ...]:
-    """Coefficients of ``det(tI - A)``, computed division-free (Berkowitz).
+    """Coefficients of ``det(tI - A)``, ascending, leading coefficient 1.
 
-    The result has ``a.rows + 1`` entries, ascending degree, with leading
-    coefficient 1.
+    By Hadamard's inequality on the principal minors, each coefficient is
+    at most ``B = prod_i (isqrt(sum_j a_ij^2) + 2)``.  The polynomial is
+    found in O(n^3) steps modulo the smallest listed proven prime above
+    ``2B`` (``2^127 - 1``, ``2^192 - 2^64 - 1``, ``2^255 - 19``, Mersenne
+    primes to ``2^44497 - 1``), else several joined by Chinese remainders,
+    and lifted to the symmetric range; ``ValueError`` beyond them all.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return (1,)
-    rows = a._data
-    # vec holds the coefficients for the leading principal minors,
-    # highest degree first
-    vec = [1, -rows[0][0]]
-    for r in range(1, n):
-        m = [row[:r] for row in rows[:r]]
-        row = rows[r][:r]
-        w = [rows[i][r] for i in range(r)]  # the column C above a_rr
-        # Toeplitz column: 1, -a_rr, -(R C), -(R M C), ..., -(R M^{r-1} C)
-        q = [1, -rows[r][r], -sum(map(mul, row, w))]
-        for _ in range(r - 1):
-            w = [sum(map(mul, mi, w)) for mi in m]
-            q.append(-sum(map(mul, row, w)))
-        # lower-triangular Toeplitz product: new[i] = sum_j q[i - j] * vec[j]
-        vec = [sum(map(mul, q[i::-1], vec)) for i in range(r + 2)]
-    vec.reverse()
-    return tuple(vec)
+    bound = 1
+    for row in a._data:
+        bound *= isqrt(sum(map(mul, row, row))) + 2
+    coeffs, m = [0] * (a.rows + 1), 1
+    for p in _moduli(bound):
+        inv = pow(m, -1, p)
+        coeffs = [c + m * ((x - c) * inv % p) for c, x in zip(coeffs, _char_poly_mod(a._data, p))]
+        m *= p
+    return tuple([c - m if 2 * c > m else c for c in coeffs])
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:

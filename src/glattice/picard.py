@@ -421,7 +421,7 @@ def charpoly_order(m: GLattice) -> int:
     lat = del_pezzo_pic(d)  # rejects ranks outside the del Pezzo range
     if m.form != lat.gram:
         raise ValueError("the lattice does not carry the del Pezzo intersection form")
-    n = matrix_order(m.group.generator)
+    n = m._generator_order()
     if not _is_prime(n):
         raise ValueError(f"the generator must have prime order, got {n}")
     if invariants_h0(m).rows != 1:
@@ -515,7 +515,7 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     predicted = charpoly_order(m)
     j = 1 if d == p else 0
     count = (9 - d) // (p - 1) - j
-    order = matrix_order(delta)
+    order = m._generator_order()
     checks = (
         _check(
             "H^1(Pic) = (Z/p)^2g",

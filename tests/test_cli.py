@@ -259,6 +259,31 @@ def test_verify_table_report_is_byte_identical(seed, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TABLE_SHA256[seed]
 
 
+# sha256 of the stdout of `search --degree d --prime p --seed s --json`, taken
+# with the Berkowitz characteristic polynomial: the search accepts a Weyl word
+# by its characteristic polynomial on K^perp, and its report carries the
+# generator, so these pin the accepted words
+SEARCH_SHA256 = {
+    (3, 3, 0): "92e6869a22ee64851c4d9c18eeed0a59728c8174a003541b97db07f8c595db48",
+    (3, 3, 1): "0437c680bf9dc655be14f76f4bcde14fdd10dc440ffcbcc3ebb9b6943d594f2d",
+    (3, 3, 2): "52a58d17fe1403b4eec9971420b0ffbcd4bd57c23edc560d4775ea8fa4e84e84",
+    (1, 3, 0): "57f8ba72ee8b9dcb9b03d8666b146f8ab52e8b25ab8c36b58a963870385e3081",
+    (1, 3, 1): "c87053177b2f4d90cc77f282f0c4640f3717bbf180a25fc4ea7e7c5816bac699",
+    (1, 3, 2): "eb49d55141fb8efc089b763f7418cb1dc4bbcae52c6b824c7a661788cb4d8acc",
+    (1, 5, 0): "7a6ffe5527bb8370b83e715e52a299e3680f9986c66a105c088d554ac6622784",
+    (1, 5, 1): "4c27b3116d7e644f12abd8e46d16789e6014267e65065ad3450ead85b7581e78",
+    (1, 5, 2): "74469adff9e3b3785ee6d17bcbfd41de92e921fc4865329e9f76561b5898f510",
+}
+
+
+@pytest.mark.parametrize("degree, prime, seed", sorted(SEARCH_SHA256))
+def test_search_report_is_byte_identical(degree, prime, seed, capsys):
+    argv = ["search", "--degree", str(degree), "--prime", str(prime), "--seed", str(seed), "--json"]
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEARCH_SHA256[degree, prime, seed]
+
+
 @pytest.mark.parametrize("module", ["glattice", "glattice.cli"])
 def test_module_entry_point_matches_run_command(module, capsys):
     argv = ["verify-table", "--max-genus", "1", "--json"]

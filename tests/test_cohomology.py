@@ -721,3 +721,22 @@ def test_fixed_lattice_computed_once_per_row(monkeypatch):
     monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
     assert verify_row("dejonquieres", genus=3).passed
     assert calls.count(fixed_problem) == 1
+
+
+def test_generator_order_found_once_per_lattice(monkeypatch):
+    import glattice.cohomology as coh
+    import glattice.picard as picard
+
+    calls = []
+    real = coh.matrix_order
+
+    def counted(g, *args, **kw):
+        calls.append(g)
+        return real(g, *args, **kw)
+
+    for module in (coh, picard):
+        monkeypatch.setattr(module, "matrix_order", counted)
+    assert picard.verify_row("geiser").passed
+    # the Pic lattice and its K^perp restriction, one order each
+    assert len(calls) == 2
+    assert len(set(calls)) == 2

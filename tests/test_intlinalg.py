@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
+from glattice import intlinalg
 from glattice.intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -77,6 +79,31 @@ def charpoly_leibniz(a):
         for k, c in enumerate(term):
             poly[k] += c
     return tuple(poly)
+
+
+def charpoly_berkowitz(a):
+    """Berkowitz's division-free O(n^4) det(tI - A): the reference the
+    modular Hessenberg ``char_poly`` must match exactly."""
+    n = a.rows
+    if n == 0:
+        return (1,)
+    rows = a.tolists()
+    # vec holds the coefficients for the leading principal minors,
+    # highest degree first
+    vec = [1, -rows[0][0]]
+    for r in range(1, n):
+        m = [row[:r] for row in rows[:r]]
+        row = rows[r][:r]
+        w = [rows[i][r] for i in range(r)]  # the column C above a_rr
+        # Toeplitz column: 1, -a_rr, -(R C), -(R M C), ..., -(R M^{r-1} C)
+        q = [1, -rows[r][r], -sum(map(mul, row, w))]
+        for _ in range(r - 1):
+            w = [sum(map(mul, mi, w)) for mi in m]
+            q.append(-sum(map(mul, row, w)))
+        # lower-triangular Toeplitz product: new[i] = sum_j q[i - j] * vec[j]
+        vec = [sum(map(mul, q[i::-1], vec)) for i in range(r + 2)]
+    vec.reverse()
+    return tuple(vec)
 
 
 def quotient_structure_bruteforce(b_rows, n):
@@ -331,6 +358,130 @@ def test_charpoly_conjugation_invariance():
         h, u = hermite_form(p)
         assert h == IntMatrix.identity(n)  # unimodular, so U is the inverse
         assert char_poly(p @ a @ u) == char_poly(a)
+
+
+def perm_matrix(perm):
+    return IntMatrix([[1 if perm[i] == j else 0 for j in range(len(perm))] for i in range(len(perm))])
+
+
+def test_charpoly_matches_berkowitz_at_scale():
+    rng = random.Random(29)
+    big = 2**64
+    for n in range(41):
+        cases = [
+            random_matrix(rng, n, n),
+            # a few rows carry entries above 2^64, the rest stay small and sparse
+            IntMatrix([[rng.choice((-1, 1)) * rng.randint(big, 4 * big) if i % 9 == 0 and rng.random() < 0.3
+                        else rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in range(n)] for i in range(n)]),
+        ]
+        if n <= 12:
+            cases.append(random_matrix(rng, n, n, -4 * big, 4 * big))
+        for a in cases:
+            assert char_poly(a) == charpoly_berkowitz(a)
+
+
+def test_charpoly_special_matrices():
+    rng = random.Random(31)
+    for n in (1, 2, 5, 12, 23):
+        ident = IntMatrix.identity(n)
+        nilpotent = IntMatrix([[rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases = {
+            "identity": (ident, poly_pow((-1, 1), n)),
+            "-I": (-ident, poly_pow((1, 1), n)),
+            "nilpotent": (nilpotent, (0,) * n + (1,)),
+            "nilpotent^T": (nilpotent.transpose(), (0,) * n + (1,)),
+            "zero": (IntMatrix.zeros(n, n), (0,) * n + (1,)),
+            "permutation": (perm_matrix(perm), None),
+            "block diagonal": (IntMatrix.block_diag(random_matrix(rng, n, n), perm_matrix(perm)), None),
+            "blocks, first column zero": (IntMatrix.block_diag(IntMatrix.zeros(1, 1), random_matrix(rng, n, n)), None),
+        }
+        for name, (a, expected) in cases.items():
+            assert char_poly(a) == charpoly_berkowitz(a), name
+            if expected is not None:
+                assert char_poly(a) == expected, name
+
+
+def test_charpoly_skip_and_swap_paths():
+    # column 0 zero below the diagonal: no pivot, the column is skipped
+    skip = IntMatrix([[2, 1, 0, 3], [0, 1, 4, 0], [0, 5, 1, 2], [0, 0, 7, 1]])
+    # zero subdiagonal entry with a nonzero below it: rows and columns 1, 2 swap
+    swap = IntMatrix([[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 6]])
+    # joined by Chinese remainders, the largest prime is one of the moduli and
+    # an entry equal to it is a zero pivot modulo it alone
+    top = intlinalg._PRIMES[-1]
+    hidden = IntMatrix([[0, 1, 0], [top, 0, 1], [1, 1, 1]])
+    assert intlinalg._moduli(9 * (top + 2)) == (top, intlinalg._PRIMES[-2])
+    for a in (skip, swap, hidden, skip.transpose(), swap.transpose()):
+        assert char_poly(a) == charpoly_berkowitz(a)
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        a = IntMatrix([[rng.randint(-2, 2) if rng.random() < 0.25 else 0 for _ in range(n)] for _ in range(n)])
+        assert char_poly(a) == charpoly_berkowitz(a)
+
+
+def test_charpoly_bound_around_each_prime():
+    primes = intlinalg._PRIMES
+    for i, p in enumerate(primes):
+        # B = prod_i (isqrt(sum_j a_ij^2) + 2) = 9 (x + 2) for diag(x) + a swap
+        for x, expected in (
+            ((p - 1) // 18 - 2, (p,)),  # 2B just below p
+            (p // 18 - 1, (primes[i + 1],) if i + 1 < len(primes) else primes[:-3:-1]),  # just above
+        ):
+            bound = 9 * (x + 2)
+            assert intlinalg._moduli(bound) == expected
+            for a in (IntMatrix([[x, 0, 0], [0, 0, 1], [0, 1, 0]]), IntMatrix([[-x, 0, 0], [0, 0, -1], [0, 1, 0]])):
+                assert char_poly(a) == charpoly_berkowitz(a)
+        # a 1 x 1 matrix puts its coefficient next to the edge of the symmetric range
+        x = (p - 1) // 2 - 2
+        assert intlinalg._moduli(x + 2) == (p,)
+        assert char_poly(IntMatrix([[x]])) == (-x, 1)
+        assert char_poly(IntMatrix([[-x]])) == (x, 1)
+
+
+def test_charpoly_chinese_remainder_path():
+    primes = intlinalg._PRIMES
+    rng = random.Random(41)
+    top, second = primes[-1], primes[-2]
+    # beyond the largest prime the largest ones are joined, as few as will do
+    assert intlinalg._moduli(top) == (top, second)
+    assert intlinalg._moduli(top * second // 2 - 1) == (top, second)
+    assert intlinalg._moduli(top * second // 2 + 1) == (top, second, primes[-3])
+    x = top * second // 2 - 3
+    assert char_poly(IntMatrix([[x]])) == (-x, 1)
+    assert char_poly(IntMatrix([[-x]])) == (x, 1)
+    # 3 x 3 matrices of 16000-bit entries have B near 2^48000, beyond the largest prime
+    assert len(intlinalg._moduli(2**48000)) == 2
+    for _ in range(3):
+        a = random_matrix(rng, 3, 3, -(2**16000), 2**16000)
+        assert char_poly(a) == charpoly_berkowitz(a)
+    product = 1
+    for p in primes:
+        product *= p
+    with pytest.raises(ValueError, match="exceeds the listed primes"):
+        char_poly(IntMatrix([[product // 2]]))
+
+
+def test_charpoly_primes_are_listed_ascending():
+    primes = intlinalg._PRIMES
+    assert list(primes) == sorted(set(primes))
+    assert 2**61 - 1 not in primes  # the benchmark oracle's modulus
+    assert primes[:6] == (2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19, 2**521 - 1, 2**607 - 1, 2**1279 - 1)
+    for p in primes:
+        if p.bit_length() <= 2300:
+            assert pow(3, p - 1, p) == 1
+
+
+def test_charpoly_cayley_hamilton():
+    rng = random.Random(43)
+    for lo in (1, 20, 2**40):
+        a = random_matrix(rng, 20, 20, -lo, lo)
+        acc = IntMatrix.zeros(20, 20)
+        for c in reversed(char_poly(a)):  # Horner: chi(A) = (...(A + c_19 I) A + ...) + c_0 I
+            acc = acc @ a + IntMatrix.diagonal([c] * 20)
+        assert acc == IntMatrix.zeros(20, 20)
 
 
 def test_charpoly_rejects_rectangular():
