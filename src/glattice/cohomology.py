@@ -1,17 +1,7 @@
 """Finite group actions on integer lattices and their first cohomology.
 
 A G-lattice is a free Z-module of finite rank on which a finite matrix group
-acts by unimodular integer matrices (acting on column vectors).  H^1 is
-computed two ways:
-
-* for a cyclic group of order n with generator d, as ker(N)/eta(M) where
-  N = 1 + d + ... + d^(n-1) and eta = 1 - d in the group ring;
-* for an arbitrary finite group, from crossed homomorphisms
-  f(gh) = f(g) + g.f(h) modulo the principal ones f(g) = g.m - m.
-
-Both methods return the isomorphism type as a :class:`FinAbGroup`; H^1 of a
-finite group acting on a lattice is always finite and annihilated by the
-group order, which is asserted on every run.
+acts by unimodular integer matrices (acting on column vectors).
 
 Group elements are found by walking from the identity.  A ``list`` spec is
 proved closed by one walk (``_closed_walk``): greedy generators S are picked
@@ -23,19 +13,36 @@ GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
 mod 3, and an infinite-order input is refused after a few cheap products
 instead of ``bound`` growing exact ones.
 
-Each :class:`GLattice` keeps its closure (default bound), its greedy
-generators and its fixed lattice after first use, so ``obstruction_scan``,
+H^1 has one kernel, ``_h1_walk``: Fox calculus on the Schreier relators of
+a walk (Fox, "Free differential calculus I", Ann. Math. 57, 1953).  A
+crossed homomorphism f(gh) = f(g) + g.f(h) is fixed by its values on the
+walk's generators; the walk's spanning tree writes every f(g) in terms of
+them, and each product off the tree is a relator whose Fox rows cut out
+the cocycles Z^1.  H^1 is Z^1 modulo the coboundaries f(g) = g.m - m.  The
+walk of the greedy generators serves any finite group (``h1_cocycle``);
+the walk of a cyclic group <d> of order n is its list of powers, whose one
+relator d^n = 1 has Fox row -N for the norm N = 1 + d + ... + d^(n-1), so
+H^1 = ker(N)/eta(M) with eta = 1 - d (``h1_cyclic`` and the subgroups of
+``obstruction_scan``).  Either way the result is a :class:`FinAbGroup`; H^1
+of a finite group acting on a lattice is always finite and annihilated by
+the group order, which is asserted on every run.
+
+Each :class:`GLattice` keeps its closure (default bound), its generator
+walk and its fixed lattice after first use, so ``obstruction_scan``,
 ``h1_cocycle``, ``restrict_subgroup`` and ``invariants_h0`` walk a group
 once however often they are called.
 
 All inputs and outputs are immutable; every function here is pure and safe
-for concurrent use.  The per-lattice cache is filled idempotently: a value
-computed twice by racing threads is the same value either way.
+for concurrent use.  The per-lattice cache, and what a spec keeps (an
+``Explicit`` spec's validation walk, the forms a spec has passed), are
+filled idempotently: a value computed twice by racing threads is the same
+value either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 from .intlinalg import (
@@ -83,6 +90,19 @@ class GroupSpec:
         mats = self.listed_matrices()
         return mats[0].rows if mats else 0
 
+    def _check(self, form: IntMatrix | None) -> None:
+        """Raise ValidationError unless every listed matrix is unimodular and
+        preserves ``form``; a spec keeps the forms it has passed, so each is checked once."""
+        passed = self.__dict__.setdefault("_passed", set())
+        if form in passed:
+            return
+        for i, g in enumerate(self.listed_matrices()):
+            if not g.is_unimodular():
+                raise ValidationError(f"matrix {i} is not unimodular")
+            if form is not None and g.transpose() @ form @ g != form:
+                raise ValidationError(f"matrix {i} does not preserve the bilinear form")
+        passed.add(form)
+
 
 def _as_matrix_tuple(mats: Sequence[IntMatrix], what: str) -> tuple[IntMatrix, ...]:
     out = []
@@ -123,13 +143,29 @@ class Cyclic(GroupSpec):
 class Explicit(GroupSpec):
     """Full element list, closed under product and containing the identity."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_walk")
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = _as_matrix_tuple(elements, "Explicit")
+        self._walk = None
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
         return self.elements
+
+    def _checked_walk(self) -> _Walk:
+        """The generator walk that proves the list a group, found once per spec."""
+        if self._walk is None:
+            elems = self.elements
+            members = dict(zip(elems, elems))
+            if len(members) != len(elems):
+                raise ValidationError("Explicit element list contains duplicates")
+            if IntMatrix.identity(self.size) not in members:
+                raise ValidationError("Explicit element list is missing the identity")
+            walk = _closed_walk(elems, members)
+            if walk is None:
+                raise ValidationError("Explicit element list is not closed under products")
+            self._walk = walk
+        return self._walk
 
     def __eq__(self, other):
         return isinstance(other, Explicit) and self.elements == other.elements
@@ -228,44 +264,60 @@ def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) 
     return elements
 
 
-def _closed_walk(
-    elements: Sequence[IntMatrix], members: set[IntMatrix]
-) -> tuple[list[IntMatrix], IntMatrix | None]:
-    """Greedy generators of ``elements`` and the first product to leave ``members``.
+@dataclass(frozen=True)
+class _Walk:
+    """A finite group walked from the identity by right multiplication.
+
+    ``elements`` lists the group in the order the walk reached it, the
+    identity first.  Each ``(a, s, b)`` in ``edges`` is a product
+    ``elements[a] @ gens[s] == elements[b]``, in the order they were made.
+    The edge that first reaches an element (``b`` is then the number of
+    elements reached before it) belongs to the Schreier tree; every other
+    edge closes a relator.
+    """
+
+    elements: tuple[IntMatrix, ...]
+    gens: tuple[IntMatrix, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+def _closed_walk(elements: Sequence[IntMatrix], members: dict[IntMatrix, IntMatrix]) -> _Walk | None:
+    """The walk of the greedy generators of ``elements``, or None if it leaves ``members``.
 
     Generators are picked in list order: each is the first element the
     walk has not reached yet.  The reached set starts at the identity and
     grows by right-multiplying it by the generators; after a new generator
     joins, elements reached before need only the product with it, while
     newly reached ones take every generator, so a step costs at most
-    |reached| * |generators| products.  Returns ``(generators, None)`` when
-    every product stays inside ``members``: the reached set is then the
-    subgroup the generators span, and it contains every listed element.
-    Otherwise the walk stops at the first product outside ``members`` and
-    returns it; it never leaves the finite set ``members``, so it ends.
+    |reached| * |generators| products, and every element meets every
+    generator exactly once.  When every product stays inside ``members``
+    the reached set is the subgroup the generators span, and it contains
+    every listed element.  Otherwise the walk stops at the first product
+    outside ``members``; it never leaves that finite set, so it ends.
+    ``members`` maps each member to itself, so the walk keeps those objects.
     """
-    ident = IntMatrix.identity(elements[0].rows)
+    ident = members[IntMatrix.identity(elements[0].rows)]
     reached = [ident]
-    seen = {ident}
+    index = {ident: 0}
     gens: list[IntMatrix] = []
+    edges: list[tuple[int, int, int]] = []
     for g in elements:
-        if g in seen:
+        if g in index:
             continue
         gens.append(g)
-        new_only = gens[-1:]
         known = len(reached)
-        i = 0
-        while i < len(reached):
-            x = reached[i]
-            for s in new_only if i < known else gens:
-                y = x @ s
-                if y not in seen:
-                    if y not in members:
-                        return gens, y
-                    seen.add(y)
+        for i, x in enumerate(reached):  # the list grows as it is read
+            for s in range(len(gens) - 1 if i < known else 0, len(gens)):
+                y = x @ gens[s]
+                j = index.get(y)
+                if j is None:
+                    y = members.get(y)
+                    if y is None:
+                        return None
+                    j = index[y] = len(reached)
                     reached.append(y)
-            i += 1
-    return gens, None
+                edges.append((i, s, j))
+    return _Walk(tuple(reached), tuple(gens), tuple(edges))
 
 
 def validate_and_close(
@@ -276,29 +328,25 @@ def validate_and_close(
     """Validate a group spec and return its full element list.
 
     Checks that every listed matrix is unimodular and preserves ``form``
-    when one is given.  Cyclic specs are expanded into the powers of the
-    generator.  Generated specs first have each generator's order checked
-    (see :func:`matrix_order`), so an infinite-order generator is refused
-    after a few residue products, and are then closed by ``mulclose`` at
-    |G| * |generators| products.  Explicit specs are verified to contain
-    the identity and be product-closed by one generator walk
-    (``_closed_walk``), O(|G| * |S|) products for a greedy generating set
-    S instead of the |G|^2 of the full multiplication table.
+    when one is given, once per spec and form.  Cyclic specs are expanded
+    into the powers of the generator.  Generated specs first have each
+    generator's order checked (see :func:`matrix_order`), so an
+    infinite-order generator is refused after a few residue products, and
+    are then closed by ``mulclose`` at |G| * |generators| products.
+    Explicit specs are verified to contain the identity and be
+    product-closed by one generator walk (``_closed_walk``), O(|G| * |S|)
+    products for a greedy generating set S instead of the |G|^2 of the
+    full multiplication table; the spec keeps that walk.
     """
     if order_bound is None:
         order_bound = spec.closure_bound if isinstance(spec, Generated) else DEFAULT_ORDER_BOUND
     if order_bound < 1:
         raise ValueError("order bound must be positive")
-    for i, g in enumerate(spec.listed_matrices()):
-        if not g.is_unimodular():
-            raise ValidationError(f"matrix {i} is not unimodular")
-        if form is not None and g.transpose() @ form @ g != form:
-            raise ValidationError(f"matrix {i} does not preserve the bilinear form")
+    spec._check(form)
     if isinstance(spec, Cyclic):
         n = matrix_order(spec.generator, order_bound)
-        ident = IntMatrix.identity(spec.size)
-        powers = [ident]
-        for _ in range(n - 1):
+        powers = [IntMatrix.identity(spec.size), spec.generator][:n]
+        while len(powers) < n:
             powers.append(powers[-1] @ spec.generator)
         return powers
     if isinstance(spec, Generated):
@@ -312,17 +360,10 @@ def validate_and_close(
                 ) from None
         return mulclose(spec.generators, order_bound)
     if isinstance(spec, Explicit):
-        elems = spec.elements
-        if len(elems) > order_bound:
-            raise GroupTooLarge(f"group too large or infinite: {len(elems)} > {order_bound}")
-        seen = set(elems)
-        if len(seen) != len(elems):
-            raise ValidationError("Explicit element list contains duplicates")
-        if IntMatrix.identity(spec.size) not in seen:
-            raise ValidationError("Explicit element list is missing the identity")
-        if _closed_walk(elems, seen)[1] is not None:
-            raise ValidationError("Explicit element list is not closed under products")
-        return list(elems)
+        if len(spec.elements) > order_bound:
+            raise GroupTooLarge(f"group too large or infinite: {len(spec.elements)} > {order_bound}")
+        spec._checked_walk()
+        return list(spec.elements)
     raise TypeError(f"unknown group spec {spec!r}")
 
 
@@ -353,10 +394,7 @@ class GLattice:
         for i, g in enumerate(self.group.listed_matrices()):
             if g.rows != self.rank or g.cols != self.rank:
                 raise ValidationError(f"matrix {i} is not {self.rank}x{self.rank}")
-            if not g.is_unimodular():
-                raise ValidationError(f"matrix {i} is not unimodular")
-            if self.form is not None and g.transpose() @ self.form @ g != self.form:
-                raise ValidationError(f"matrix {i} does not preserve the bilinear form")
+        self.group._check(self.form)
 
     def elements(self, order_bound: int | None = None) -> list[IntMatrix]:
         if order_bound is not None:
@@ -380,18 +418,16 @@ class GLattice:
         """The group elements with the default bound, validated once."""
         return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
 
-    def _generator_order(self) -> int:
-        """The order of a cyclic group's generator with the default bound, found once."""
-        return self._memo("_order", lambda: matrix_order(self.group.generator))
-
-    def _walk_generators(self) -> tuple[IntMatrix, ...]:
-        """Greedy generating subset of :meth:`_closure`, in element order."""
+    def _walk(self) -> _Walk:
+        """The greedy generator walk over :meth:`_closure`; a list spec's is its validation walk."""
 
         def walk():
             elems = self._closure()
-            return tuple(_closed_walk(elems, set(elems))[0])
+            if isinstance(self.group, Explicit):
+                return self.group._checked_walk()
+            return _closed_walk(elems, dict(zip(elems, elems)))
 
-        return self._memo("_generators", walk)
+        return self._memo("_walked", walk)
 
     def generator_matrices(self) -> tuple[IntMatrix, ...]:
         return self.group.listed_matrices()
@@ -437,124 +473,91 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     generators, so only those enter the kernel computation.  The basis is
     computed once per lattice and kept with its closure.
     """
-    def fixed() -> IntMatrix:
-        gens = m.generator_matrices()
-        if not gens or m.rank == 0:
-            return IntMatrix.identity(m.rank)
+    def fixed() -> IntMatrix:  # every spec lists a matrix; at rank 0 the kernel is the 0x0 identity
         ident = IntMatrix.identity(m.rank)
-        return kernel_basis(IntMatrix.stack([g - ident for g in gens]))
+        return kernel_basis(IntMatrix.stack([g - ident for g in m.generator_matrices()]))
 
     return m._memo("_fixed", fixed)
 
 
-def h1_cyclic(m: GLattice, witness: bool = False, order_bound: int | None = None) -> CohomologyResult:
+def _h1_walk(walk: _Walk, rank: int) -> tuple[FinAbGroup, IntMatrix, IntMatrix]:
+    """``(H^1, Z^1 basis, B^1 generators)`` of a walked group, in generator-value coordinates.
+
+    A cocycle f is fixed by its values on the walk's generators s_0, ...,
+    s_(k-1), and along a right walk f(a.s) = f(a) + a.f(s).  So f(a) =
+    T[a] . (f(s_0), ..., f(s_(k-1))) with T[1] = 0, where a tree edge gives
+    T[a.s] = T[a] + a.E_s: the matrix a added into the column block of s.
+    Each product a.s = b off the tree closes a Schreier relator, whose Fox
+    rows T[b] - T[a] - a.E_s vanish on exactly the cocycles; their kernel
+    is Z^1.  The coboundaries f(s) = (s - 1)x span B^1, one row per basis
+    vector x.  No matrix product is formed.
+    """
+    width = len(walk.gens) * rank  # 0 for the trivial group or at rank 0, where Z^1 and B^1 are 0 x 0
+    elements = walk.elements
+
+    def step(t, a, s):
+        # the rows of T[a] + a.E_s, given the rows t of T[a]
+        lo, hi = s * rank, (s + 1) * rank
+        return [row[:lo] + tuple(map(add, row[lo:hi], a_row)) + row[hi:] for row, a_row in zip(t, elements[a])]
+
+    t = [((0,) * width,) * rank]
+    fox = []
+    for a, s, b in walk.edges:
+        image = step(t[a], a, s)
+        if b == len(t):  # a tree edge: the first to reach b
+            t.append(image)
+            continue
+        for row, image_row in zip(t[b], image):
+            if row != image_row:
+                fox.append(tuple(map(sub, row, image_row)))
+    z1 = kernel_basis(IntMatrix._from_rows(tuple(fox), width))
+    ident = IntMatrix.identity(rank)
+    shifted = [(g - ident).transpose() for g in walk.gens]  # row i of (s - 1)^T is column i of s - 1
+    b1 = IntMatrix._from_rows(tuple([sum(parts, ()) for parts in zip(*shifted)]), width)
+    return subquotient(z1, b1), z1, b1
+
+
+def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
+    """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``: a chain
+    of powers closed by the one relator d^n = 1, whose Fox row is -N."""
+    n = len(powers)
+    return _Walk(tuple(powers), (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
+
+
+def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
     """H^1 for a cyclic action, as ker(N) / eta(M).
 
     ``N`` is the norm 1 + d + ... + d^(n-1) of the generator d and
-    eta = 1 - d; the image eta(M) always lands inside ker(N), which the
-    subquotient computation verifies as a side effect.
+    eta = 1 - d: the cocycles and coboundaries of the walk of powers.
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
-    delta = m.group.generator
-    n = matrix_order(delta, order_bound) if order_bound else m._generator_order()
-    powers = [IntMatrix.identity(m.rank)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ delta)
-    h1, ker, eta_image = _norm_quotient(powers)
+    powers = m._closure()
+    h1, ker, b1 = _h1_walk(_cyclic_walk(powers), m.rank)
     return CohomologyResult(
         h0_rank=invariants_h0(m).rows,
         h1=h1,
         method="cyclic",
-        group_order=n,
-        witness=Witness(ker, eta_image, "ker(N) basis and eta(M) generators") if witness else None,
+        group_order=len(powers),
+        # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
+        witness=Witness(ker, -b1, "ker(N) basis and eta(M) generators") if witness else None,
     )
 
 
-def _norm_quotient(powers: list[IntMatrix]) -> tuple[FinAbGroup, IntMatrix, IntMatrix]:
-    """``(ker(N) / eta(M), ker(N) basis, eta(M) generators)`` for the cyclic
-    group whose elements are ``powers = [1, d, ..., d^(n-1)]``."""
-    norm = powers[0]
-    for power in powers[1:]:
-        norm = norm + power
-    eta = powers[0] - powers[1 % len(powers)]  # 1 - d; d is 1 when n == 1
-    ker = kernel_basis(norm)
-    eta_image = eta.transpose()  # row i is eta applied to the i-th basis vector
-    return subquotient(ker, eta_image), ker, eta_image
-
-
-def h1_cocycle(
-    m: GLattice,
-    witness: bool = False,
-    order_cap: int = COCYCLE_ORDER_CAP,
-    rank_cap: int = COCYCLE_RANK_CAP,
-) -> CohomologyResult:
+def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     """H^1 by crossed homomorphisms, for an arbitrary finite group.
 
-    A cocycle is determined by its values on a generating set S: walking the
-    Cayley graph expresses every f(g) as an integer-linear function of the
-    f(s), and the relations f(s.h) = f(s) + s.f(h) over all s in S, h in G
-    cut out the cocycle lattice Z^1 inside Z^(|S| * rank).  Coboundaries map
-    to ((s - 1)x)_{s in S}, and H^1 is the subquotient.
+    Cocycles are taken in the coordinates of their values on the greedy
+    generators of the lattice's walk, which ``_h1_walk`` turns into Z^1
+    and B^1.  Groups above ``COCYCLE_ORDER_CAP`` elements and lattices
+    above rank ``COCYCLE_RANK_CAP`` are refused with :class:`GroupTooLarge`.
     """
     order = len(m._closure())
-    if order > order_cap:
-        raise GroupTooLarge(f"cocycle computation refused: group order {order} > {order_cap}")
-    if m.rank > rank_cap:
-        raise GroupTooLarge(f"cocycle computation refused: rank {m.rank} > {rank_cap}")
-    r = m.rank
-    gens = m._walk_generators()
-    s = len(gens)
-    ident = IntMatrix.identity(r)
-
-    if s == 0 or r == 0:
-        empty = IntMatrix([], cols=s * r)
-        return CohomologyResult(
-            h0_rank=invariants_h0(m).rows,
-            h1=FinAbGroup(),
-            method="cocycle",
-            group_order=order,
-            witness=Witness(empty, empty, "cocycle and coboundary bases (generator-value coordinates)") if witness else None,
-        )
-
-    # T[g]: r x (s*r) matrix with f(g) = T[g] . (f(s_0), ..., f(s_{s-1})).
-    # Each edge h -> g.h of the walk either defines T[g.h] (a tree edge,
-    # whose relation holds by construction) or yields the residual of the
-    # relation f(g.h) = f(g) + g.f(h) as constraint rows.
-    slot = {}
-    for k, g in enumerate(gens):
-        e = IntMatrix.zeros(r, s * r).tolists()
-        for i in range(r):
-            e[i][k * r + i] = 1
-        slot[g] = IntMatrix(e, cols=s * r)
-    t = {ident: IntMatrix.zeros(r, s * r)}
-    constraint_rows: list[tuple[int, ...]] = []
-    frontier = [ident]
-    while frontier:
-        new = []
-        for h in frontier:
-            th = t[h]
-            for g in gens:
-                gh = g @ h
-                image = slot[g] + g @ th
-                known = t.get(gh)
-                if known is None:
-                    t[gh] = image
-                    new.append(gh)
-                    continue
-                for row in known - image:
-                    if any(row):
-                        constraint_rows.append(row)
-        frontier = new
-    assert len(t) == order
-
-    constraints = IntMatrix(constraint_rows, cols=s * r)
-    z1 = kernel_basis(constraints)
-    b1 = IntMatrix(
-        [[x for g in gens for x in (g - ident).column(i)] for i in range(r)],
-        cols=s * r,
-    )
-    h1 = subquotient(z1, b1)
+    if order > COCYCLE_ORDER_CAP:
+        raise GroupTooLarge(f"cocycle computation refused: group order {order} > {COCYCLE_ORDER_CAP}")
+    if m.rank > COCYCLE_RANK_CAP:
+        raise GroupTooLarge(f"cocycle computation refused: rank {m.rank} > {COCYCLE_RANK_CAP}")
+    h1, z1, b1 = _h1_walk(m._walk(), m.rank)
     return CohomologyResult(
         h0_rank=invariants_h0(m).rows,
         h1=h1,
@@ -564,21 +567,10 @@ def h1_cocycle(
     )
 
 
-def h1(m: GLattice, witness: bool = False, check: bool = False) -> CohomologyResult:
-    """H^1 of the action: cyclic formula when available, cocycles otherwise.
-
-    With ``check=True`` a cyclic input is run through both methods and the
-    results are asserted equal before returning the cyclic one.
-    """
+def h1(m: GLattice, witness: bool = False) -> CohomologyResult:
+    """H^1 of the action: cyclic formula when available, cocycles otherwise."""
     if isinstance(m.group, Cyclic):
-        res = h1_cyclic(m, witness=witness)
-        if check:
-            other = h1_cocycle(m, witness=False)
-            if other.h1 != res.h1 or other.h0_rank != res.h0_rank:
-                raise AssertionError(
-                    f"method disagreement: cyclic {res.h1} vs cocycle {other.h1}"
-                )
-        return res
+        return h1_cyclic(m, witness=witness)
     return h1_cocycle(m, witness=witness)
 
 
@@ -644,12 +636,12 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
         e1, e2 = m1.group.elements, m2.group.elements
         if len(e1) != len(e2):
             raise GroupMismatch("group mismatch: element counts differ")
-        idx1 = {g: i for i, g in enumerate(e1)}
-        idx2 = {g: i for i, g in enumerate(e2)}
-        for i in range(len(e1)):
-            for j in range(len(e1)):
-                if idx1[e1[i] @ e1[j]] != idx2[e2[i] @ e2[j]]:
-                    raise GroupMismatch("group mismatch: multiplication tables differ")
+        # the pairing is a homomorphism, so the tables agree, iff it respects each
+        # product a.s of m1's walk: every element meets every walk generator once
+        walk, pair = m1._walk(), dict(zip(e1, e2))
+        m2._closure()  # proves the second list a group as well
+        if any(pair[walk.elements[a]] @ pair[walk.gens[s]] != pair[walk.elements[b]] for a, s, b in walk.edges):
+            raise GroupMismatch("group mismatch: multiplication tables differ")
         paired = [IntMatrix.block_diag(a, b) for a, b in zip(e1, e2)]
         return GLattice(m1.rank + m2.rank, Explicit(paired), form)
     if isinstance(m1.group, Generated):
@@ -676,24 +668,19 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
     """
     full = set(m._closure())
     if isinstance(elements, IntMatrix):
-        subset: list[IntMatrix] = [elements]
-        single = True
-    else:
-        subset = [e if isinstance(e, IntMatrix) else IntMatrix(e) for e in elements]
-        single = len(subset) == 1
+        elements = [elements]
+    subset = [e if isinstance(e, IntMatrix) else IntMatrix(e) for e in elements]
     for g in subset:
         if g not in full:
             raise NotSubgroup("subset not a subgroup: element does not belong to the group")
-    if single:
+    if len(subset) == 1:
         return GLattice(m.rank, Cyclic(subset[0]), m.form)
-    seen = set(subset)
-    if len(seen) != len(subset):
-        raise NotSubgroup("subset not a subgroup: duplicate elements")
-    if IntMatrix.identity(m.rank) not in seen:
-        raise NotSubgroup("subset not a subgroup: identity missing")
-    if _closed_walk(subset, seen)[1] is not None:
-        raise NotSubgroup("subset not a subgroup: not closed under products")
-    return GLattice(m.rank, Explicit(subset), m.form)
+    spec = Explicit(subset)
+    try:
+        spec._checked_walk()  # kept by the spec, so the restricted lattice does not walk again
+    except ValidationError as e:
+        raise NotSubgroup(f"subset not a subgroup: {e}") from None
+    return GLattice(m.rank, spec, m.form)
 
 
 @dataclass(frozen=True)
@@ -743,7 +730,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         if key in seen_subgroups:
             continue
         seen_subgroups.add(key)
-        entries.append(SubgroupEntry(idx, len(powers), _norm_quotient(powers)[0]))
+        entries.append(SubgroupEntry(idx, len(powers), _h1_walk(_cyclic_walk(powers), m.rank)[0]))
     witnesses = []
     if not full.h1.is_trivial:
         witnesses.append(f"full group: H^1 = {full.h1}")

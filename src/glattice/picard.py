@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, matrix_order
+from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -42,6 +42,10 @@ from .intlinalg import (
 
 class SearchExhausted(RuntimeError):
     """The randomized Weyl search ran out of trials without a hit."""
+
+
+class ConstructionError(RuntimeError):
+    """A lattice or action built here lacks a property it has by construction."""
 
 
 def _is_prime(n: int) -> bool:
@@ -101,7 +105,8 @@ def del_pezzo_pic(d: int) -> PicardLattice:
     gram = IntMatrix.diagonal([1] + [-1] * (rank - 1))
     k = (-3,) + (1,) * (rank - 1)
     lat = PicardLattice(degree=d, rank=rank, gram=gram, k=k)
-    assert lat.dot(k, k) == d
+    if lat.dot(k, k) != d:
+        raise ConstructionError(f"K.K = {lat.dot(k, k)}, expected the degree {d}")
     return lat
 
 
@@ -123,11 +128,13 @@ def q_sublattice(p: PicardLattice) -> QLattice:
     pairing = IntMatrix([p.k]) @ p.gram  # row vector x -> x.K
     basis = kernel_basis(pairing)
     gram_q = basis @ p.gram @ basis.transpose()
-    assert basis.rows == 9 - p.degree
+    if basis.rows != 9 - p.degree:
+        raise ConstructionError(f"K^perp has rank {basis.rows}, expected {9 - p.degree}")
     neg = -gram_q
     for t in range(1, neg.rows + 1):
         minor = IntMatrix([row[:t] for row in list(neg)[:t]])
-        assert minor.det() > 0, "induced form is not negative definite"
+        if minor.det() <= 0:
+            raise ConstructionError("induced form is not negative definite")
     return QLattice(parent=p, basis=basis, gram_q=gram_q)
 
 
@@ -209,8 +216,8 @@ def _anti_q_involution(d: int, scale: int) -> GLattice:
         [[scale * k_col[i][0] * pair[0][j] - (1 if i == j else 0) for j in range(p.rank)]
          for i in range(p.rank)]
     )
-    assert delta @ k_col == k_col
-    assert delta @ delta == IntMatrix.identity(p.rank)
+    if delta @ k_col != k_col or delta @ delta != IntMatrix.identity(p.rank):
+        raise ConstructionError("the involution must fix K and square to the identity")
     return GLattice(rank=p.rank, group=Cyclic(delta), form=p.gram)
 
 
@@ -300,9 +307,10 @@ def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:
     cols.append(col)
     delta = IntMatrix(cols).transpose()
     gram_m = IntMatrix(gram)
-    assert delta @ delta == IntMatrix.identity(n)
-    assert delta.transpose() @ gram_m @ delta == gram_m
-    assert gram_m.det() in (1, -1)
+    if delta @ delta != IntMatrix.identity(n) or delta.transpose() @ gram_m @ delta != gram_m:
+        raise ConstructionError("the involution must square to the identity and preserve the form")
+    if gram_m.det() not in (1, -1):
+        raise ConstructionError("the intersection form must be unimodular")
     return ConicBundlePic(genus=g, rank=n, gram=gram_m, delta=delta, section_square=section_square)
 
 
@@ -394,9 +402,10 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
         found = full
         for _ in range(order // p - 1):
             found = found @ full
-        assert matrix_order(found, bound=2 * p) == p
-        assert found @ lat.k_column() == lat.k_column()
-        return GLattice(rank=lat.rank, group=Cyclic(found), form=lat.gram)
+        m = GLattice(rank=lat.rank, group=Cyclic(found), form=lat.gram)
+        if len(m._closure()) != p or found @ lat.k_column() != lat.k_column():
+            raise ConstructionError(f"the search result must have order {p} and fix K")
+        return m
     raise SearchExhausted(
         f"no order-{p} isometry with Q-char-polynomial {poly_str(target)} "
         f"found in {cfg.max_trials} trials (seed {cfg.seed})"
@@ -421,7 +430,7 @@ def charpoly_order(m: GLattice) -> int:
     lat = del_pezzo_pic(d)  # rejects ranks outside the del Pezzo range
     if m.form != lat.gram:
         raise ValueError("the lattice does not carry the del Pezzo intersection form")
-    n = m._generator_order()
+    n = len(m._closure())
     if not _is_prime(n):
         raise ValueError(f"the generator must have prime order, got {n}")
     if invariants_h0(m).rows != 1:
@@ -515,7 +524,7 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     predicted = charpoly_order(m)
     j = 1 if d == p else 0
     count = (9 - d) // (p - 1) - j
-    order = m._generator_order()
+    order = res.group_order
     checks = (
         _check(
             "H^1(Pic) = (Z/p)^2g",

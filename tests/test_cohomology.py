@@ -197,11 +197,11 @@ def test_h1_cocycle_klein_four_sign_action():
 
 
 def test_h1_cocycle_refuses_oversize():
-    m = GLattice(2, Cyclic(SWAP))
-    with pytest.raises(GroupTooLarge):
-        h1_cocycle(m, order_cap=1)
-    with pytest.raises(GroupTooLarge):
-        h1_cocycle(m, rank_cap=1)
+    s6 = permutation_module([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], kind="generated")
+    with pytest.raises(GroupTooLarge, match="group order 720 > 200"):
+        h1_cocycle(s6)
+    with pytest.raises(GroupTooLarge, match="rank 33 > 32"):
+        h1_cocycle(GLattice(33, Cyclic(IntMatrix.identity(33))))
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_h1_dispatch_identity_only():
 
 
 def test_h1_dispatch_check_mode():
-    res = h1(sign_lattice(2), check=True)
+    res = h1(sign_lattice(2))
     assert res.h1 == FinAbGroup((2, 2))
     assert res.method == "cyclic"
 
@@ -734,9 +734,106 @@ def test_generator_order_found_once_per_lattice(monkeypatch):
         calls.append(g)
         return real(g, *args, **kw)
 
-    for module in (coh, picard):
-        monkeypatch.setattr(module, "matrix_order", counted)
+    monkeypatch.setattr(coh, "matrix_order", counted)
     assert picard.verify_row("geiser").passed
     # the Pic lattice and its K^perp restriction, one order each
     assert len(calls) == 2
     assert len(set(calls)) == 2
+
+
+def test_order_found_once_per_searched_row(monkeypatch):
+    import glattice.cohomology as coh
+    import glattice.picard as picard
+
+    calls = []
+    real = coh.matrix_order
+
+    def counted(g, *args, **kw):
+        calls.append(g)
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(coh, "matrix_order", counted)
+    assert picard.verify_row("dp3-p3").passed
+    # the searched Pic lattice and its K^perp restriction, one order each
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
+def test_cyclic_order_found_once(monkeypatch):
+    import glattice.cohomology as coh
+
+    calls = []
+    real = coh.matrix_order
+    monkeypatch.setattr(coh, "matrix_order", lambda *a: calls.append(a) or real(*a))
+    m = permutation_module([[1, 2, 0]], kind="cyclic")
+    h1(m)
+    obstruction_scan(m)
+    assert len(calls) == 1
+
+
+def test_h1_cocycle_reuses_the_closure_walk(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    explicit = permutation_module([list(p) for p in itertools.permutations(range(4))], kind="explicit")
+    generated = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    for m in (explicit, generated):
+        m.elements()
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    assert h1_cocycle(explicit).h1.is_trivial
+    # the list was walked when it was validated: no product is formed again
+    assert len(calls) == 0
+    assert h1_cocycle(generated).h1.is_trivial
+    # one walk of the closure by its two greedy generators
+    assert len(calls) <= 48
+
+
+def test_listed_matrices_checked_once_per_lattice(monkeypatch):
+    calls = []
+    real = IntMatrix.is_unimodular
+    monkeypatch.setattr(IntMatrix, "is_unimodular", lambda a: calls.append(a) or real(a))
+    mats = symmetric_group_module(3, True)
+    m = GLattice(3, Explicit(mats), IntMatrix.identity(3))
+    h1(m)
+    obstruction_scan(m)
+    assert len(calls) == len(mats)
+    # the public closure still checks every matrix it is given
+    validate_and_close(Explicit(mats))
+    assert len(calls) == 2 * len(mats)
+
+
+def test_cyclic_and_cocycle_methods_share_one_kernel():
+    rng = random.Random(47)
+    for _ in range(10):
+        rank = rng.randint(1, 5)
+        g = random_finite_order_action(rng, rank, 8)
+        if g == IntMatrix.identity(rank):
+            continue
+        m = GLattice(rank, Cyclic(g))
+        cyclic = h1_cyclic(m, witness=True).witness
+        cocycle = h1_cocycle(m, witness=True).witness
+        # on <g> the greedy generator is g itself: cocycles are ker(N), and
+        # the coboundaries (g - 1)x are eta(M) = (1 - g)M with the sign flipped
+        assert cocycle.numerator_basis == cyclic.numerator_basis
+        assert cocycle.denominator_gens == -cyclic.denominator_gens
+
+
+def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+    perms = [list(p) for p in itertools.permutations(range(4))]
+    a = permutation_module(perms, kind="explicit")
+    b = permutation_module(perms, kind="explicit")
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda x, y: calls.append(1) or real(x, y))
+    s = direct_sum(a, b)
+    # one product per edge of the first list's walk (24 elements by 3 greedy
+    # generators), not the two full multiplication tables (2 * 24^2)
+    assert len(calls) == 72
+    monkeypatch.undo()
+    assert h1(s).h1.is_trivial
+    with pytest.raises(GroupMismatch, match="tables"):
+        direct_sum(a, permutation_module(perms[::-1], kind="explicit"))

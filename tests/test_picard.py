@@ -435,3 +435,18 @@ def test_verify_row_argument_errors():
         verify_row("dejonquieres")
     with pytest.raises(ValueError, match="unknown case"):
         verify_row("dp2-p7")
+
+
+def test_no_assert_statements_in_src():
+    # ``python -O`` strips assert statements: every check in the package raises a typed error instead
+    import ast
+    from pathlib import Path
+
+    import glattice
+
+    sources = sorted(Path(glattice.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert statements at lines {found}"
