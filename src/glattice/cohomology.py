@@ -3,15 +3,18 @@
 A G-lattice is a free Z-module of finite rank on which a finite matrix group
 acts by unimodular integer matrices (acting on column vectors).
 
-Group elements are found by walking from the identity.  A ``list`` spec is
-proved closed by one walk (``_closed_walk``): greedy generators S are picked
-in list order, their span is grown by right multiplication, and every
-product must land in the list, O(|G| * |S|) products in all rather than
-the |G|^2 of the full multiplication table.  Orders come from residues
-mod 3 and one exact confirmation: by Minkowski's lemma the kernel of
-GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
-mod 3, and an infinite-order input is refused after a few cheap products
-instead of ``bound`` growing exact ones.
+Group elements are found by one walk from the identity (``_closed_walk``):
+breadth first by the listed generators of a ``generated`` spec, and by
+greedy generators S picked in list order for a ``list`` spec, whose every
+product must land in the list, O(|G| * |S|) products rather than the |G|^2
+of the full multiplication table.  Each spec keeps its walk, a Schreier
+table from which any group product is read by index (``_Walk.times``):
+nothing after the closure multiplies matrices, not even the walk of a
+generated group by its greedy generators (``_Walk.greedy``).  Orders come
+from residues mod 3 and one exact confirmation: by Minkowski's lemma the
+kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals
+the order mod 3, and an infinite-order input is refused after a few cheap
+products instead of ``bound`` growing exact ones.
 
 H^1 has one kernel, ``_h1_walk``: Fox calculus on the Schreier relators of
 a walk (Fox, "Free differential calculus I", Ann. Math. 57, 1953).  A
@@ -22,27 +25,30 @@ the cocycles Z^1.  H^1 is Z^1 modulo the coboundaries f(g) = g.m - m.  The
 walk of the greedy generators serves any finite group (``h1_cocycle``);
 the walk of a cyclic group <d> of order n is its list of powers, whose one
 relator d^n = 1 has Fox row -N for the norm N = 1 + d + ... + d^(n-1), so
-H^1 = ker(N)/eta(M) with eta = 1 - d (``h1_cyclic`` and the subgroups of
-``obstruction_scan``).  Either way the result is a :class:`FinAbGroup`; H^1
-of a finite group acting on a lattice is always finite and annihilated by
-the group order, which is asserted on every run.
+H^1 = ker(N)/eta(M) with eta = 1 - d (``h1_cyclic``, and
+``obstruction_scan`` once per conjugacy class of cyclic subgroups).  Either
+way the result is a :class:`FinAbGroup`; H^1 of a finite group acting on a
+lattice is always finite and annihilated by the group order, which is
+asserted on every run.
 
-Each :class:`GLattice` keeps its closure (default bound), its generator
-walk and its fixed lattice after first use, so ``obstruction_scan``,
-``h1_cocycle``, ``restrict_subgroup`` and ``invariants_h0`` walk a group
-once however often they are called.
+Each :class:`GLattice` keeps its closure (default bound), its walk and its
+fixed lattice after first use, so ``obstruction_scan``, ``h1_cocycle``,
+``restrict_subgroup`` and ``invariants_h0`` walk a group once however often
+they are called.
 
 All inputs and outputs are immutable; every function here is pure and safe
-for concurrent use.  The per-lattice cache, and what a spec keeps (an
-``Explicit`` spec's validation walk, the forms a spec has passed), are
-filled idempotently: a value computed twice by racing threads is the same
-value either way.
+for concurrent use.  The per-lattice cache, and what a spec keeps (its
+walk, the forms it has passed), are filled idempotently: a value computed
+twice by racing threads is the same value either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from functools import cached_property
+from itertools import chain
+from math import gcd
+from operator import add, matmul, sub
 from typing import Sequence
 
 from .intlinalg import (
@@ -103,6 +109,12 @@ class GroupSpec:
                 raise ValidationError(f"matrix {i} does not preserve the bilinear form")
         passed.add(form)
 
+    def _keep(self, walk: _Walk, form: IntMatrix | None) -> GroupSpec:
+        """Mark a spec built from checked ones as walked by ``walk`` and as preserving ``form``."""
+        self._walk = walk
+        self.__dict__["_passed"] = {None, form}
+        return self
+
 
 def _as_matrix_tuple(mats: Sequence[IntMatrix], what: str) -> tuple[IntMatrix, ...]:
     out = []
@@ -161,7 +173,7 @@ class Explicit(GroupSpec):
                 raise ValidationError("Explicit element list contains duplicates")
             if IntMatrix.identity(self.size) not in members:
                 raise ValidationError("Explicit element list is missing the identity")
-            walk = _closed_walk(elems, members)
+            walk = _closed_walk(members[IntMatrix.identity(self.size)], (), elems, members)
             if walk is None:
                 raise ValidationError("Explicit element list is not closed under products")
             self._walk = walk
@@ -180,16 +192,30 @@ class Explicit(GroupSpec):
 class Generated(GroupSpec):
     """Group given by generators; closed by multiplication on demand."""
 
-    __slots__ = ("generators", "closure_bound")
+    __slots__ = ("generators", "closure_bound", "_walk")
 
     def __init__(self, generators: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
         self.generators = _as_matrix_tuple(generators, "Generated")
         if closure_bound < 1:
             raise ValueError("closure bound must be positive")
         self.closure_bound = closure_bound
+        self._walk = None
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
         return self.generators
+
+    def _checked_walk(self, bound: int) -> _Walk:
+        """The walk of the listed generators, found once per spec, after each one's order."""
+        if self._walk is None:
+            try:
+                for g in self.generators:  # the closure holds every power of g
+                    matrix_order(g, bound)
+            except GroupTooLarge:
+                raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}") from None
+            self._walk = _closed_walk(IntMatrix.identity(self.size), self.generators, bound=bound)
+        if len(self._walk.elements) > bound:
+            raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
+        return self._walk
 
     def __eq__(self, other):
         return (
@@ -240,28 +266,10 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
 
 
 def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) -> list[IntMatrix]:
-    """Closure of the generators under multiplication, in breadth-first order."""
+    """Closure of the generators under multiplication, in breadth-first order: their walk's elements."""
     if not generators:
         raise ValueError("no generators")
-    ident = IntMatrix.identity(generators[0].rows)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                b = a @ g
-                if b not in seen:
-                    seen.add(b)
-                    elements.append(b)
-                    new.append(b)
-                    if len(elements) > bound:
-                        raise GroupTooLarge(
-                            f"group too large or infinite: closure exceeds {bound}"
-                        )
-        frontier = new
-    return elements
+    return list(_closed_walk(IntMatrix.identity(generators[0].rows), generators, bound=bound).elements)
 
 
 @dataclass(frozen=True)
@@ -270,54 +278,82 @@ class _Walk:
 
     ``elements`` lists the group in the order the walk reached it, the
     identity first.  Each ``(a, s, b)`` in ``edges`` is a product
-    ``elements[a] @ gens[s] == elements[b]``, in the order they were made.
-    The edge that first reaches an element (``b`` is then the number of
-    elements reached before it) belongs to the Schreier tree; every other
-    edge closes a relator.
+    ``elements[a] @ gens[s] == elements[b]``, in the order they were made;
+    every element meets every generator exactly once.  The edge that first
+    reaches an element (``b`` is then the number of elements reached before
+    it) belongs to the Schreier tree; every other edge closes a relator.
+
+    The edges are a Schreier table: ``table`` holds ``right[a][s] = b`` and
+    each element's word in the generators along the tree, so :meth:`times`
+    finds any product by index, with no matrix product.
     """
 
     elements: tuple[IntMatrix, ...]
     gens: tuple[IntMatrix, ...]
     edges: tuple[tuple[int, int, int], ...]
 
+    @cached_property
+    def table(self) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+        right = [[0] * len(self.gens) for _ in self.elements]
+        words: list[tuple[int, ...]] = [()]
+        for a, s, b in self.edges:
+            right[a][s] = b
+            if b == len(words):  # a tree edge
+                words.append(words[a] + (s,))
+        return right, words
 
-def _closed_walk(elements: Sequence[IntMatrix], members: dict[IntMatrix, IntMatrix]) -> _Walk | None:
-    """The walk of the greedy generators of ``elements``, or None if it leaves ``members``.
+    def times(self, x: int, y: int) -> int:
+        """The index of ``elements[x] @ elements[y]``: ``y``'s word followed from ``x``."""
+        right, words = self.table
+        for s in words[y]:
+            x = right[x][s]
+        return x
 
-    Generators are picked in list order: each is the first element the
-    walk has not reached yet.  The reached set starts at the identity and
-    grows by right-multiplying it by the generators; after a new generator
-    joins, elements reached before need only the product with it, while
-    newly reached ones take every generator, so a step costs at most
-    |reached| * |generators| products, and every element meets every
-    generator exactly once.  When every product stays inside ``members``
-    the reached set is the subgroup the generators span, and it contains
-    every listed element.  Otherwise the walk stops at the first product
-    outside ``members``; it never leaves that finite set, so it ends.
-    ``members`` maps each member to itself, so the walk keeps those objects.
+    @cached_property
+    def greedy(self) -> _Walk:
+        """The walk by the greedy generators of ``elements``, made by index: for a breadth-first
+        walk, the listed generators outside the span of those before them."""
+        w = _closed_walk(0, (), range(len(self.elements)), mul=self.times)
+        return _Walk(*[tuple([self.elements[i] for i in part]) for part in (w.elements, w.gens)], w.edges)
+
+
+def _closed_walk(one, gens: Sequence, candidates: Sequence = (), members: dict | None = None,
+                 bound: int | None = None, mul=matmul) -> _Walk | None:
+    """The walk from ``one`` by ``gens``, then by each of ``candidates`` it has not reached when it comes to it.
+
+    The reached set grows by right-multiplying it (``mul``) by the
+    generators, breadth first; the identity's row forms no product.  A
+    candidate joins as a generator (the greedy generators of a list);
+    elements reached before need only the product with it, newly reached
+    ones take every generator, so every element meets every generator once.
+    Without ``members`` a closure beyond ``bound`` raises GroupTooLarge.
+    ``members`` maps each member to itself, so the walk keeps those objects,
+    and it returns None at the first product outside them: so it ends.
     """
-    ident = members[IntMatrix.identity(elements[0].rows)]
-    reached = [ident]
-    index = {ident: 0}
-    gens: list[IntMatrix] = []
+    reached = [one]
+    index = {one: 0}
+    walk_gens: list = []
     edges: list[tuple[int, int, int]] = []
-    for g in elements:
-        if g in index:
-            continue
-        gens.append(g)
+    # the candidates are tested against ``index`` as the walk comes to them
+    for batch in chain([gens], ([g] for g in candidates if g not in index)):
+        first = len(walk_gens)
+        walk_gens.extend(batch)
         known = len(reached)
         for i, x in enumerate(reached):  # the list grows as it is read
-            for s in range(len(gens) - 1 if i < known else 0, len(gens)):
-                y = x @ gens[s]
+            for s in range(first if i < known else 0, len(walk_gens)):
+                y = walk_gens[s] if i == 0 else mul(x, walk_gens[s])
                 j = index.get(y)
                 if j is None:
-                    y = members.get(y)
-                    if y is None:
-                        return None
+                    if members is not None:
+                        y = members.get(y)
+                        if y is None:
+                            return None
+                    elif len(reached) == bound:
+                        raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
                     j = index[y] = len(reached)
                     reached.append(y)
                 edges.append((i, s, j))
-    return _Walk(tuple(reached), tuple(gens), tuple(edges))
+    return _Walk(tuple(reached), tuple(walk_gens), tuple(edges))
 
 
 def validate_and_close(
@@ -329,14 +365,13 @@ def validate_and_close(
 
     Checks that every listed matrix is unimodular and preserves ``form``
     when one is given, once per spec and form.  Cyclic specs are expanded
-    into the powers of the generator.  Generated specs first have each
-    generator's order checked (see :func:`matrix_order`), so an
-    infinite-order generator is refused after a few residue products, and
-    are then closed by ``mulclose`` at |G| * |generators| products.
-    Explicit specs are verified to contain the identity and be
-    product-closed by one generator walk (``_closed_walk``), O(|G| * |S|)
-    products for a greedy generating set S instead of the |G|^2 of the
-    full multiplication table; the spec keeps that walk.
+    into the powers of the generator, after its order (see
+    :func:`matrix_order`).  Generated specs first have each generator's
+    order checked, so an infinite-order generator is refused after a few
+    residue products, and are then walked breadth first at |G| *
+    |generators| products.  Explicit specs are verified to contain the
+    identity and be product-closed by one walk of greedy generators S,
+    O(|G| * |S|) products instead of |G|^2.  Either spec keeps its walk.
     """
     if order_bound is None:
         order_bound = spec.closure_bound if isinstance(spec, Generated) else DEFAULT_ORDER_BOUND
@@ -344,21 +379,9 @@ def validate_and_close(
         raise ValueError("order bound must be positive")
     spec._check(form)
     if isinstance(spec, Cyclic):
-        n = matrix_order(spec.generator, order_bound)
-        powers = [IntMatrix.identity(spec.size), spec.generator][:n]
-        while len(powers) < n:
-            powers.append(powers[-1] @ spec.generator)
-        return powers
+        return mulclose([spec.generator], matrix_order(spec.generator, order_bound))
     if isinstance(spec, Generated):
-        for g in spec.generators:
-            try:
-                matrix_order(g, order_bound)
-            except GroupTooLarge:
-                # the closure holds every power of g, so it exceeds the bound too
-                raise GroupTooLarge(
-                    f"group too large or infinite: closure exceeds {order_bound}"
-                ) from None
-        return mulclose(spec.generators, order_bound)
+        return list(spec._checked_walk(order_bound).elements)
     if isinstance(spec, Explicit):
         if len(spec.elements) > order_bound:
             raise GroupTooLarge(f"group too large or infinite: {len(spec.elements)} > {order_bound}")
@@ -419,13 +442,12 @@ class GLattice:
         return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
 
     def _walk(self) -> _Walk:
-        """The greedy generator walk over :meth:`_closure`; a list spec's is its validation walk."""
+        """The walk of :meth:`_closure` by its greedy generators (of its powers for a cyclic one)."""
 
         def walk():
-            elems = self._closure()
-            if isinstance(self.group, Explicit):
-                return self.group._checked_walk()
-            return _closed_walk(elems, dict(zip(elems, elems)))
+            elems = self._closure()  # validates the spec, which then keeps its walk
+            kept = _cyclic_walk(elems) if isinstance(self.group, Cyclic) else self.group._walk
+            return kept.greedy if isinstance(self.group, Generated) else kept
 
         return self._memo("_walked", walk)
 
@@ -532,13 +554,13 @@ def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
-    powers = m._closure()
-    h1, ker, b1 = _h1_walk(_cyclic_walk(powers), m.rank)
+    walk = m._walk()
+    h1, ker, b1 = _h1_walk(walk, m.rank)
     return CohomologyResult(
         h0_rank=invariants_h0(m).rows,
         h1=h1,
         method="cyclic",
-        group_order=len(powers),
+        group_order=len(walk.elements),
         # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
         witness=Witness(ker, -b1, "ker(N) basis and eta(M) generators") if witness else None,
     )
@@ -618,7 +640,9 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
 
     Both sides must present the same abstract group in the same way; the
     listed matrices are paired positionally.  A rank-0 summand is absorbed,
-    whatever its presentation, since only one group can act on 0.
+    whatever its presentation, since only one group can act on 0.  A list
+    or generated sum keeps the walk that proved the pairing, and the block
+    form its summands have passed, so it is not validated or walked again.
     """
     if m1.rank == 0:
         return m2
@@ -642,20 +666,22 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
         m2._closure()  # proves the second list a group as well
         if any(pair[walk.elements[a]] @ pair[walk.gens[s]] != pair[walk.elements[b]] for a, s, b in walk.edges):
             raise GroupMismatch("group mismatch: multiplication tables differ")
-        paired = [IntMatrix.block_diag(a, b) for a, b in zip(e1, e2)]
-        return GLattice(m1.rank + m2.rank, Explicit(paired), form)
+        block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
+        spec = Explicit([block[a] for a in e1])
+        paired = _Walk(tuple([block[a] for a in walk.elements]), tuple([block[s] for s in walk.gens]), walk.edges)
+        return GLattice(m1.rank + m2.rank, spec._keep(paired, form), form)
     if isinstance(m1.group, Generated):
         g1, g2 = m1.group.generators, m2.group.generators
         if len(g1) != len(g2):
             raise GroupMismatch("group mismatch: generator counts differ")
         bound = max(m1.group.closure_bound, m2.group.closure_bound)
-        paired = [IntMatrix.block_diag(a, b) for a, b in zip(g1, g2)]
-        n1 = len(mulclose(list(g1), bound))
-        n2 = len(mulclose(list(g2), bound))
-        n12 = len(mulclose(paired, bound))
-        if not (n1 == n2 == n12):
+        w1, w2 = m1.group._checked_walk(bound), m2.group._checked_walk(bound)
+        # the pairing extends to an isomorphism iff both walks trace one Cayley graph
+        if w1.edges != w2.edges:
             raise GroupMismatch("group mismatch: generator pairing is not an isomorphism")
-        return GLattice(m1.rank + m2.rank, Generated(paired, bound), form)
+        spec = Generated([IntMatrix.block_diag(a, b) for a, b in zip(g1, g2)], bound)
+        elements = tuple([IntMatrix.block_diag(a, b) for a, b in zip(w1.elements, w2.elements)])
+        return GLattice(m1.rank + m2.rank, spec._keep(_Walk(elements, spec.generators, w1.edges), form), form)
     raise TypeError(f"unknown group spec {m1.group!r}")
 
 
@@ -714,23 +740,47 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     report lists each witness.  Cyclic subgroups are deduplicated by the
     subgroup they generate, keeping the lowest generator index; entries come
     out sorted by that index.
+
+    Powers and conjugates are read off the walk's Schreier table: no matrix
+    product after the closure.  Conjugate subgroups have isomorphic H^1
+    (Brown, *Cohomology of Groups*, III.8), so the norm kernel runs once per
+    orbit of subgroups under x -> s^-1 x s by the walk's generators s.
     """
     elements = m._closure()
     full = h1(m)
-    ident = IntMatrix.identity(m.rank)
+    walk = m._walk()
+    (right, _), times = walk.table, walk.times
+    conjugations = []
+    for s in range(len(walk.gens)):
+        inverse = right[0][s]  # s, s^2, ... up to the power before the identity
+        while right[inverse][s]:
+            inverse = right[inverse][s]
+        conjugations.append([right[times(inverse, x)][s] for x in range(len(right))])
+    at = {x: i for i, x in enumerate(walk.elements)}
     entries: list[SubgroupEntry] = []
-    seen_subgroups: set[frozenset[IntMatrix]] = set()
+    known: dict[frozenset[int], FinAbGroup] = {}
+    covered: set[int] = set()  # the generators of the subgroups entered so far
     for idx, g in enumerate(elements):
-        powers = [ident]
-        power = g
-        while power != ident:
-            powers.append(power)
-            power = power @ g
-        key = frozenset(powers)
-        if key in seen_subgroups:
+        x = at[g]
+        if x in covered:
             continue
-        seen_subgroups.add(key)
-        entries.append(SubgroupEntry(idx, len(powers), _h1_walk(_cyclic_walk(powers), m.rank)[0]))
+        powers, p = [0], x
+        while p:  # index 0 is the identity
+            powers.append(p)
+            p = times(p, x)
+        n = len(powers)
+        covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
+        key = frozenset(powers)
+        if key not in known:
+            known[key] = _h1_walk(_cyclic_walk([walk.elements[i] for i in powers]), m.rank)[0]
+            orbit = [key]
+            for c in orbit:  # the list grows as it is read
+                for conj in conjugations:
+                    image = frozenset([conj[y] for y in c])
+                    if image not in known:
+                        known[image] = known[key]
+                        orbit.append(image)
+        entries.append(SubgroupEntry(idx, n, known[key]))
     witnesses = []
     if not full.h1.is_trivial:
         witnesses.append(f"full group: H^1 = {full.h1}")

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -333,3 +335,116 @@ def test_usage_error_maps_to_exit_1(capsys):
 
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
+
+
+# --- scan and compute reports ---------------------------------------------------
+
+
+def _perm_matrix(images, sign=1):
+    # column i carries basis vector i to images[i]
+    rows = [[0] * len(images) for _ in images]
+    for i, j in enumerate(images):
+        rows[j][i] = sign
+    return rows
+
+
+def _action(perm, pairs, signed):
+    """The matrix of a permutation of 0..n-1 on Z^n or on the unordered pairs, optionally times its sign."""
+    sign = 1
+    if signed:
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    if not pairs:
+        return _perm_matrix(perm, sign)
+    basis = list(itertools.combinations(range(len(perm)), 2))
+    where = {b: k for k, b in enumerate(basis)}
+    return _perm_matrix([where[tuple(sorted((perm[i], perm[j])))] for i, j in basis], sign)
+
+
+def _conjugator(n):
+    """A fixed unimodular P (unit upper triangular) and its inverse."""
+    p = [[1 if i == j else ((i + 2 * j) % 3 - 1 if j > i else 0) for j in range(n)] for i in range(n)]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):  # back substitution: P.inv = I row by row from the bottom
+        for j in range(i + 1, n):
+            inv[i] = [a - p[i][j] * b for a, b in zip(inv[i], inv[j])]
+    return p, inv
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# (degree, acts on pairs): S_4 and S_5 on Z^n, S_5 on the ten unordered pairs
+GOLDEN_GROUPS = {"S4": (4, False), "S5": (5, False), "S5pairs": (5, True)}
+
+
+def golden_doc(grp, signed, kind):
+    """A permutation module, or its sign twist, conjugated by a fixed unimodular matrix."""
+    degree, pairs = GOLDEN_GROUPS[grp]
+    if kind == "cyclic":  # a 4-cycle in S_4, (0 1)(2 3 4) of order 6 in S_5
+        perms = [(1, 2, 3, 0)] if degree == 4 else [(1, 0, 3, 4, 2)]
+    elif kind == "generated":  # a transposition and an n-cycle
+        perms = [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
+    else:
+        perms = list(itertools.permutations(range(degree)))
+        random.Random(degree).shuffle(perms)
+    mats = [_action(p, pairs, signed) for p in perms]
+    p, inv = _conjugator(len(mats[0]))
+    gram = _matmul(list(map(list, zip(*inv))), inv) if kind != "list" else None  # P^-T P^-1
+    return {
+        "rank": len(mats[0]),
+        "gram": gram,
+        "group": {"kind": kind, "matrices": [_matmul(_matmul(p, m), inv) for m in mats], "bound": None},
+    }
+
+
+# sha256 of the stdout of `compute` and `scan` with `--json` on each golden_doc,
+# taken before obstruction_scan read powers and conjugates off the walk's
+# table: the reports, subgroup entries and their order included, must stay
+# byte for byte as they were
+GOLDEN_SHA256 = {
+    ("compute", "S4", False, "cyclic"): "04a6a4586366875bc56af52ec29e98a153116aefbfe4788ecba36c1e7c707cb1",
+    ("compute", "S4", False, "generated"): "5ca081f09af31cf7e2f56886cf79db10c14193ec1b94dd05407cdf665f278f8a",
+    ("compute", "S4", False, "list"): "459e84722d1421b89797021659cffbfde2e503702c3ee5e6ad7b5248f4e0add4",
+    ("compute", "S4", True, "cyclic"): "283d126f024ac2aaa699f9eb3ea0003951ed054223fbf6b2544938657b71f983",
+    ("compute", "S4", True, "generated"): "e8912c75ed861f200c33738b68cc84a449722f9070872b0b7c85b83adc6fac0b",
+    ("compute", "S4", True, "list"): "ef759b9046cc333f77dd530971e32a17d36fe66aef9a1438781ae6342a0d1793",
+    ("compute", "S5", False, "cyclic"): "eb1f537e4cff5da9e899cdb4a614c74ec0a305cdfff43839bf53eb344da61312",
+    ("compute", "S5", False, "generated"): "871dd7cda68c371295f200f8795a6100807c687172fe82a2bf07f68aba3a2ae6",
+    ("compute", "S5", False, "list"): "1008c802823111f2aee8c0e33c4a4c7b253e910e474e541dc9710a090c55d8d2",
+    ("compute", "S5", True, "cyclic"): "4525e0b86b08e9fa0593a8678e3191f8420ecb19ceacbd12139bba83af4d8e76",
+    ("compute", "S5", True, "generated"): "802474da15c18cd83cfbe5f03c7ce3962b9107e82f39da62193d248a53d8742b",
+    ("compute", "S5", True, "list"): "c0b395dd7aac4fcf354d6a219d8dd07e44f0cbe9ad1e5a3b9e94f7f01b417ee9",
+    ("compute", "S5pairs", False, "cyclic"): "721ecbf2ab42db9ea61472fc5d64ee5b87435d74f723eb616803e7b71e7f6759",
+    ("compute", "S5pairs", False, "generated"): "b5c04dd2363343f4b8f2b990822a3c09c50aa57528e61e4619eddf255310412c",
+    ("compute", "S5pairs", False, "list"): "11f85539a62a433dc044a23586e6d7cbfa6a206d66c565617f99ef673a36bc03",
+    ("compute", "S5pairs", True, "cyclic"): "b4b199e24150b3b075b350f151185f6609439b8bdf979421a6867a4cad762762",
+    ("compute", "S5pairs", True, "generated"): "e632ed22a977ac2725fcb7623210ebc18a6b0d39ab51f2108788bbe80ac687aa",
+    ("compute", "S5pairs", True, "list"): "bd7009fbb14730cb2cb1cab6e20cc506f5bc6145fed3613c766484e422cb9823",
+    ("scan", "S4", False, "cyclic"): "74397cac18489e4237c61960a920c69d92bffd20c4f95afabf4a2958692a7ace",
+    ("scan", "S4", False, "generated"): "6fa4aa8410db73189aa803f5d5b2ed216e16e434054aaeff56989607f4839fd4",
+    ("scan", "S4", False, "list"): "b9cc50f92068d1080c411600d93978b64640765324d9c053df5de5d069f4d2a9",
+    ("scan", "S4", True, "cyclic"): "54f93e79c6f25b8bf694b8554d7d58e5a524eada849e37309e8706f63f565ed3",
+    ("scan", "S4", True, "generated"): "a978156fefab4db9120063078e5cfa6345307fd930be8f7f6c977d232bcaf7b8",
+    ("scan", "S4", True, "list"): "4b012fb46412fac9d20fe14077fec15e6ba05ece8209461cdee95a9a285de185",
+    ("scan", "S5", False, "cyclic"): "a047e68b5adbadf046b4599a93aeb8538ba8f5af7137fbbc95d725d330e9abae",
+    ("scan", "S5", False, "generated"): "7bd8331edf645dba469c2e7ac515f0c47502d707027df413e61359fb153f9534",
+    ("scan", "S5", False, "list"): "ddfdc4668d894d6936bd0716efb2fb817382306009d41bd4621d96ba0816b6fa",
+    ("scan", "S5", True, "cyclic"): "d6f547afaf465727f0b4950260b1ec1971667a2e0d4e2f79821dbe3e8ffb2883",
+    ("scan", "S5", True, "generated"): "1acd7bf636de22bd4da3c1b9d2c6ce509cf5a519a276cde9ecb88cdedd5326e7",
+    ("scan", "S5", True, "list"): "ed8ef9fde73376d1591997b198acf133d27d98597374464287403fc16bb75ddf",
+    ("scan", "S5pairs", False, "cyclic"): "aefb34175e413bb705891dd28f600395c7a284f1b920941b508bb6bb553fe4f1",
+    ("scan", "S5pairs", False, "generated"): "98355d536ac9b187d301bd9943029766f3484d6575cc7b0c5da9b7adfe1ee728",
+    ("scan", "S5pairs", False, "list"): "0ba1d3438bbd8b968bcd64adbd1f0c0e0534de2944ab47f7147ef1c845a6627f",
+    ("scan", "S5pairs", True, "cyclic"): "e11f6162899fca6878069e1076b731f813e365272a44aa2913d7b90fa27e4561",
+    ("scan", "S5pairs", True, "generated"): "a526297f88725d4d5969139d3f2bacc862a7c428d8ce02f51c899db391e9d20f",
+    ("scan", "S5pairs", True, "list"): "ae79908ae06fac1ebd004befeb5a4944174dabedafdf0e37dc30b356f05a4ca1",
+}
+
+
+@pytest.mark.parametrize("command, grp, signed, kind", sorted(GOLDEN_SHA256))
+def test_group_reports_are_byte_identical(command, grp, signed, kind, tmp_path, capsys):
+    path = write_doc(tmp_path, golden_doc(grp, signed, kind))
+    assert run_command([command, "--input", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command, grp, signed, kind]

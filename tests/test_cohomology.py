@@ -383,8 +383,9 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
             g = elements[e.generator_index]
             assert e.order == matrix_order(g)
             assert e.h1 == h1_cyclic(GLattice(m.rank, Cyclic(g), m.form)).h1
-        # on a fresh lattice the scan computes the full group's kernels and
-        # one norm kernel per subgroup: no fixed lattice per subgroup
+        # on a fresh lattice the scan computes the full group's kernels and one
+        # norm kernel per conjugacy class of cyclic subgroups: no fixed lattice
+        # per subgroup, and no kernel for a conjugate of a subgroup already done
         calls = []
         real = coh.kernel_basis
         monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
@@ -392,13 +393,122 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
         h1(fresh)
         full_calls = len(calls)
         obstruction_scan(GLattice(m.rank, m.group, m.form))
-        assert len(calls) == 2 * full_calls + len(report.subgroups)
+        assert len(calls) == 2 * full_calls + len(cyclic_subgroup_classes(elements))
         monkeypatch.undo()
     # subgroup entries assert what CohomologyResult asserts of H^1
     with pytest.raises(AssertionError, match="finite"):
         SubgroupEntry(0, 2, FinAbGroup((2,), 1))
     with pytest.raises(AssertionError, match="divide the group order"):
         SubgroupEntry(0, 2, FinAbGroup((3,), 0))
+
+
+def cyclic_subgroup_classes(elements):
+    """Conjugacy classes of the cyclic subgroups, by matrix products over the whole group."""
+
+    def powers(g):
+        out, p = [IntMatrix.identity(g.rows)], g
+        while p != out[0]:
+            out.append(p)
+            p = p @ g
+        return out
+
+    inverse = {g: powers(g)[-1] for g in elements}  # g^(n-1); the identity for n = 1
+    subgroups = {frozenset(powers(g)) for g in elements}
+    return {frozenset(frozenset(inverse[h] @ x @ h for x in c) for h in elements) for c in subgroups}
+
+
+def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
+    import glattice.cohomology as coh
+
+    for degree, subgroups, classes in ((4, 17, 5), (5, 67, 7)):
+        m = GLattice(degree, Generated(symmetric_group_generators(degree, True)))
+        h1(m)
+        calls = []
+        real = coh.kernel_basis
+        monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
+        report = obstruction_scan(m)
+        monkeypatch.undo()
+        assert len(report.subgroups) == subgroups
+        # the full group's cocycles (its fixed lattice is kept), then one norm kernel per class
+        assert len(calls) == 1 + classes
+    # two classes of order-2 subgroups with different H^1 on the sign-twisted
+    # permutation module: the value follows the class, not the order
+    m = GLattice(4, Generated(symmetric_group_generators(4, True)))
+    elements = m.elements()
+    by_generator = {elements[e.generator_index]: e for e in obstruction_scan(m).subgroups}
+    transposition = by_generator[perm_matrix((1, 0, 2, 3), True)]
+    double_transposition = by_generator[perm_matrix((1, 0, 3, 2), True)]
+    assert transposition.order == double_transposition.order == 2
+    assert transposition.h1 == FinAbGroup((2, 2))
+    assert double_transposition.h1.is_trivial
+
+
+def table_test_lattices():
+    rng = random.Random(13)
+    p, pinv = conjugator(rng, 4)
+    listed = [p @ g @ pinv for g in symmetric_group_module(4, True)]
+    rng.shuffle(listed)
+    transposition = perm_matrix((1, 0, 2, 3), False)
+    return [
+        GLattice(4, Explicit(listed)),
+        GLattice(4, Generated(symmetric_group_generators(4, False))),
+        # a listed generator repeating the one before it, which the cocycle walk drops
+        GLattice(4, Generated([transposition, transposition, perm_matrix((1, 2, 3, 0), True)])),
+        GLattice(3, Cyclic(random_finite_order_action(rng, 3, 6))),
+        GLattice(2, Cyclic(IntMatrix.identity(2))),
+    ]
+
+
+def test_walk_table_products_equal_matrix_products():
+    for m in table_test_lattices():
+        walk = m._walk()
+        assert set(walk.elements) == set(m.elements())
+        for x, a in enumerate(walk.elements):
+            for y, b in enumerate(walk.elements):
+                assert walk.elements[walk.times(x, y)] == a @ b
+        # H^1 does not depend on which generators the walk took
+        assert h1_cocycle(m).h1 == h1_cocycle(GLattice(m.rank, Explicit(m.elements()), m.form)).h1
+
+
+def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
+    import glattice.cohomology as coh
+
+    rng = random.Random(29)
+    every = symmetric_group_module(4, True)
+    listed = every + every[:5]  # all of S_4, five of them twice, the identity among them
+    rng.shuffle(listed)
+    transposition = perm_matrix((1, 0, 2, 3), True)
+    two = GLattice(4, Generated(symmetric_group_generators(4, True)))
+    widths = []
+    real = coh.kernel_basis
+    monkeypatch.setattr(coh, "kernel_basis", lambda a: widths.append(a.cols) or real(a))
+    for m, expected in (
+        (GLattice(4, Generated(listed)), h1_cocycle(two).h1),
+        (GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)])), FinAbGroup((2, 2))),
+    ):
+        # the greedy generators of the closure, found by closures of the ones kept
+        greedy, span = [], {IntMatrix.identity(4)}
+        for g in m.elements():
+            if g not in span:
+                greedy.append(g)
+                span = set(mulclose(greedy))
+        widths.clear()
+        assert h1_cocycle(m).h1 == expected
+        # one cocycle coordinate block per greedy generator, not per listed
+        # matrix (then the fixed lattice's kernel, of width rank)
+        assert widths == [len(greedy) * m.rank, m.rank]
+        assert len(greedy) <= 3
+
+
+def test_scan_forms_no_product_after_the_closure(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+    for m in table_test_lattices() + [permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")]:
+        m.elements()
+        monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
+        obstruction_scan(m)
+        monkeypatch.undo()
+        assert len(calls) == 0
 
 
 # --- properties -------------------------------------------------------------------
@@ -638,6 +748,10 @@ def test_matrix_order_matches_naive_powers():
     with pytest.raises(GroupTooLarge, match="order exceeds 3"):
         matrix_order(permutation_module([[1, 2, 3, 0]], kind="cyclic").group.generator, 3)
     assert matrix_order(permutation_module([[1, 2, 3, 0]], kind="cyclic").group.generator, 4) == 4
+    # an involution is settled by its exact square, within the bound as well
+    with pytest.raises(GroupTooLarge, match="order exceeds 1"):
+        matrix_order(SWAP, 1)
+    assert matrix_order(SWAP, 2) == 2
 
 
 def hyperbolic_plus_unipotent(rng, n):
@@ -788,8 +902,8 @@ def test_h1_cocycle_reuses_the_closure_walk(monkeypatch):
     # the list was walked when it was validated: no product is formed again
     assert len(calls) == 0
     assert h1_cocycle(generated).h1.is_trivial
-    # one walk of the closure by its two greedy generators
-    assert len(calls) <= 48
+    # the walk by greedy generators is read off the closure's table by index
+    assert len(calls) == 0
 
 
 def test_listed_matrices_checked_once_per_lattice(monkeypatch):
@@ -823,17 +937,55 @@ def test_cyclic_and_cocycle_methods_share_one_kernel():
 
 
 def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
-    calls = []
-    real = IntMatrix.__matmul__
+    calls, dets = [], []
+    real, real_det = IntMatrix.__matmul__, IntMatrix.det
     perms = [list(p) for p in itertools.permutations(range(4))]
     a = permutation_module(perms, kind="explicit")
     b = permutation_module(perms, kind="explicit")
     monkeypatch.setattr(IntMatrix, "__matmul__", lambda x, y: calls.append(1) or real(x, y))
+    monkeypatch.setattr(IntMatrix, "det", lambda x: dets.append(1) or real_det(x))
     s = direct_sum(a, b)
     # one product per edge of the first list's walk (24 elements by 3 greedy
     # generators), not the two full multiplication tables (2 * 24^2)
     assert len(calls) == 72
-    monkeypatch.undo()
+    # the sum keeps the pairing walk and the checks its summands passed
+    calls.clear()
     assert h1(s).h1.is_trivial
+    assert len(calls) == 0 and len(dets) == 0
+    monkeypatch.undo()
+    assert h1(s) == h1(GLattice(s.rank, Explicit(s.group.elements), s.form))
     with pytest.raises(GroupMismatch, match="tables"):
         direct_sum(a, permutation_module(perms[::-1], kind="explicit"))
+
+
+def test_direct_sum_keeps_the_generated_walk(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+    a = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    b = GLattice(4, Generated(symmetric_group_generators(4, True)))
+    a.elements(), b.elements()
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda x, y: calls.append(1) or real(x, y))
+    s = direct_sum(a, b)
+    assert h1(s).h1 == FinAbGroup((2,))
+    assert len(s.elements()) == 24
+    # the pairing is proved on the summands' walks, which the sum keeps
+    assert len(calls) == 0
+    monkeypatch.undo()
+    assert h1(s) == h1(GLattice(s.rank, Generated(s.group.generators), s.form))
+
+
+def test_direct_sum_generated_pairing_matches_closure_sizes():
+    # the pairing is an isomorphism iff the paired closure is no larger than either side
+    rng = random.Random(23)
+    for degree in (3, 4):
+        group = symmetric_group_module(degree, False)
+        for _ in range(12):
+            g1, g2 = rng.sample(group, 2), rng.sample(group, 2)
+            paired = [IntMatrix.block_diag(x, y) for x, y in zip(g1, g2)]
+            iso = len(mulclose(g1)) == len(mulclose(g2)) == len(mulclose(paired))
+            m1, m2 = GLattice(degree, Generated(g1)), GLattice(degree, Generated(g2))
+            if iso:
+                assert len(direct_sum(m1, m2).elements()) == len(mulclose(g1))
+            else:
+                with pytest.raises(GroupMismatch, match="isomorphism"):
+                    direct_sum(m1, m2)
