@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .cohomology import (
     Cyclic,
@@ -85,7 +86,9 @@ class InputDocument:
             return Explicit(self.matrices)
         return Generated(self.matrices, self.bound) if self.bound else Generated(self.matrices)
 
-    def to_glattice(self) -> GLattice:
+    @cached_property
+    def lattice(self) -> GLattice:
+        """The document's lattice, built (and so checked) once per document."""
         return GLattice(rank=self.rank, group=self.group_spec(), form=self.gram)
 
     def echo(self) -> dict:
@@ -128,7 +131,8 @@ def parse_input(text: str) -> InputDocument:
     Schema: ``{"rank": n, "gram": optional n x n matrix, "group": {"kind":
     "cyclic" | "list" | "generated", "matrices": [n x n integer matrices],
     "bound": optional positive integer}}``.  Every matrix must be unimodular
-    and preserve ``gram`` when given; errors carry the offending field.
+    and preserve ``gram`` when given, which the document's :class:`GLattice`
+    checks; errors carry the offending field.
     """
     try:
         doc = json.loads(text)
@@ -155,19 +159,28 @@ def parse_input(text: str) -> InputDocument:
         raise InputError("group.matrices: expected a nonempty list")
     if kind == "cyclic" and len(raw) != 1:
         raise InputError(f"group.matrices: cyclic kind takes exactly one matrix, got {len(raw)}")
-    matrices = []
-    for i, m in enumerate(raw):
-        where = f"group.matrices[{i}]"
-        mat = _parse_matrix(m, rank, where)
-        if not mat.is_unimodular():
-            raise InputError(f"{where}: not unimodular")
-        if gram is not None and mat.transpose() @ gram @ mat != gram:
-            raise InputError(f"{where}: does not preserve the gram form")
-        matrices.append(mat)
-    bound = None
-    if group.get("bound") is not None:
-        bound = _require_int(group["bound"], "group.bound", minimum=1)
-    return InputDocument(rank=rank, gram=gram, kind=kind, matrices=tuple(matrices), bound=bound)
+    matrices, bound, defect = [], None, None
+    try:
+        for i, m in enumerate(raw):
+            matrices.append(_parse_matrix(m, rank, f"group.matrices[{i}]"))
+        if group.get("bound") is not None:
+            bound = _require_int(group["bound"], "group.bound", minimum=1)
+    except InputError as e:  # reported after any defect of a matrix before it
+        defect = e
+    doc = InputDocument(rank=rank, gram=gram, kind=kind, matrices=tuple(matrices), bound=bound)
+    if matrices:
+        try:
+            doc.lattice  # GLattice checks every matrix, once
+        except ValidationError as e:
+            if e.reason not in _MATRIX_DEFECTS:
+                raise
+            raise InputError(f"group.matrices[{e.index}]: {_MATRIX_DEFECTS[e.reason]}") from None
+    if defect is not None:
+        raise defect
+    return doc
+
+
+_MATRIX_DEFECTS = {"unimodular": "not unimodular", "form": "does not preserve the gram form"}
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +272,7 @@ def _cmd_verify_table(args) -> int:
 def _cmd_compute(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = parse_input(fh.read())
-    m = doc.to_glattice()
+    m = doc.lattice
     t0 = time.perf_counter()
     res = h1(m)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -352,7 +365,7 @@ def _cmd_search(args) -> int:
 def _cmd_scan(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = parse_input(fh.read())
-    m = doc.to_glattice()
+    m = doc.lattice
     t0 = time.perf_counter()
     scan = obstruction_scan(m)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -385,6 +398,7 @@ def _cmd_scan(args) -> int:
 # argument parsing and dispatch
 
 
+@cache  # a parser is reused across calls: building one costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glattice",

@@ -16,25 +16,27 @@ kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals
 the order mod 3, and an infinite-order input is refused after a few cheap
 products instead of ``bound`` growing exact ones.
 
-H^1 has one kernel, ``_h1_walk``: Fox calculus on the Schreier relators of
-a walk (Fox, "Free differential calculus I", Ann. Math. 57, 1953).  A
-crossed homomorphism f(gh) = f(g) + g.f(h) is fixed by its values on the
-walk's generators; the walk's spanning tree writes every f(g) in terms of
-them, and each product off the tree is a relator whose Fox rows cut out
-the cocycles Z^1.  H^1 is Z^1 modulo the coboundaries f(g) = g.m - m.  The
-walk of the greedy generators serves any finite group (``h1_cocycle``);
-the walk of a cyclic group <d> of order n is its list of powers, whose one
-relator d^n = 1 has Fox row -N for the norm N = 1 + d + ... + d^(n-1), so
-H^1 = ker(N)/eta(M) with eta = 1 - d (``h1_cyclic``, and
-``obstruction_scan`` once per conjugacy class of cyclic subgroups).  Either
-way the result is a :class:`FinAbGroup`; H^1 of a finite group acting on a
-lattice is always finite and annihilated by the group order, which is
-asserted on every run.
+H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
+f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
+so the cocycles Z^1 form a saturated lattice in Z^(k * rank); the
+coboundaries f(s) = (s - 1)x span a sublattice B^1 of finite index, since
+H^1 of a finite group is finite.  So Z^1 is the saturation of B^1, and
+H^1 = Z^1/B^1 is the torsion of the cokernel of
+B = [(s_1 - 1)^T | ... | (s_k - 1)^T]: one ``subquotient`` of Z^rank by
+the rows of B^T, a Hermite elimination of its k * rank rows, then Smith on
+at most rank x rank entries.  ``h1_cocycle`` takes the greedy generators of
+the lattice's walk; ``h1_cyclic`` takes d for <d>, giving
+tors coker(d - 1) = ker(N)/eta(M) with N the norm and eta = 1 - d;
+``obstruction_scan`` takes one generator per conjugacy class of cyclic
+subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
+group acting on a lattice is always finite and annihilated by the group
+order, which is asserted on every run.
 
-Each :class:`GLattice` keeps its closure (default bound), its walk and its
-fixed lattice after first use, so ``obstruction_scan``, ``h1_cocycle``,
-``restrict_subgroup`` and ``invariants_h0`` walk a group once however often
-they are called.
+Each :class:`GLattice` keeps its closure (default bound) and its walk after
+first use, so ``h1``, ``obstruction_scan`` and ``restrict_subgroup`` close a
+group once however often they are called; the rank of M^G comes with each
+H^1 from the same subquotient.  Only ``invariants_h0`` needs a basis of
+M^G, which it computes once per lattice and keeps with the closure.
 
 All inputs and outputs are immutable; every function here is pure and safe
 for concurrent use.  The per-lattice cache, and what a spec keeps (its
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from operator import add, matmul, sub
+from operator import matmul
 from typing import Sequence
 
 from .intlinalg import (
@@ -60,12 +62,18 @@ from .intlinalg import (
 )
 
 DEFAULT_ORDER_BOUND = 10_000
-COCYCLE_ORDER_CAP = 200
-COCYCLE_RANK_CAP = 32
 
 
 class ValidationError(ValueError):
-    """An action matrix violates the G-lattice invariants."""
+    """An action matrix violates the G-lattice invariants.
+
+    When one listed matrix is at fault, ``index`` is its position and
+    ``reason`` names its defect: ``"unimodular"`` or ``"form"``.
+    """
+
+    def __init__(self, message: str, index: int | None = None, reason: str | None = None):
+        super().__init__(message)
+        self.index, self.reason = index, reason
 
 
 class GroupTooLarge(ValueError):
@@ -104,9 +112,9 @@ class GroupSpec:
             return
         for i, g in enumerate(self.listed_matrices()):
             if not g.is_unimodular():
-                raise ValidationError(f"matrix {i} is not unimodular")
+                raise ValidationError(f"matrix {i} is not unimodular", i, "unimodular")
             if form is not None and g.transpose() @ form @ g != form:
-                raise ValidationError(f"matrix {i} does not preserve the bilinear form")
+                raise ValidationError(f"matrix {i} does not preserve the bilinear form", i, "form")
         passed.add(form)
 
     def _keep(self, walk: _Walk, form: IntMatrix | None) -> GroupSpec:
@@ -496,97 +504,71 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     computed once per lattice and kept with its closure.
     """
     def fixed() -> IntMatrix:  # every spec lists a matrix; at rank 0 the kernel is the 0x0 identity
-        ident = IntMatrix.identity(m.rank)
-        return kernel_basis(IntMatrix.stack([g - ident for g in m.generator_matrices()]))
+        return kernel_basis(_stacked(m.generator_matrices(), IntMatrix.identity(m.rank)))
 
     return m._memo("_fixed", fixed)
 
 
-def _h1_walk(walk: _Walk, rank: int) -> tuple[FinAbGroup, IntMatrix, IntMatrix]:
-    """``(H^1, Z^1 basis, B^1 generators)`` of a walked group, in generator-value coordinates.
+def _h1(gens: Sequence[IntMatrix], rank: int) -> tuple[FinAbGroup, int]:
+    """``(H^1, rank of M^G)`` for the finite group generated by ``gens`` acting on Z^rank.
 
-    A cocycle f is fixed by its values on the walk's generators s_0, ...,
-    s_(k-1), and along a right walk f(a.s) = f(a) + a.f(s).  So f(a) =
-    T[a] . (f(s_0), ..., f(s_(k-1))) with T[1] = 0, where a tree edge gives
-    T[a.s] = T[a] + a.E_s: the matrix a added into the column block of s.
-    Each product a.s = b off the tree closes a Schreier relator, whose Fox
-    rows T[b] - T[a] - a.E_s vanish on exactly the cocycles; their kernel
-    is Z^1.  The coboundaries f(s) = (s - 1)x span B^1, one row per basis
-    vector x.  No matrix product is formed.
+    In generator-value coordinates Z^1 is saturated and B^1, the row lattice
+    of B = [(s_1 - 1)^T | ... | (s_k - 1)^T], has finite index in it, so H^1
+    is the torsion of coker(B) (Brown, *Cohomology of Groups*, III-IV).  B^T,
+    the blocks s - 1 stacked, has the same invariant factors and the kernel
+    M^G, so Z^rank modulo the rows of B^T is H^1 + Z^(rank M^G).
     """
-    width = len(walk.gens) * rank  # 0 for the trivial group or at rank 0, where Z^1 and B^1 are 0 x 0
-    elements = walk.elements
-
-    def step(t, a, s):
-        # the rows of T[a] + a.E_s, given the rows t of T[a]
-        lo, hi = s * rank, (s + 1) * rank
-        return [row[:lo] + tuple(map(add, row[lo:hi], a_row)) + row[hi:] for row, a_row in zip(t, elements[a])]
-
-    t = [((0,) * width,) * rank]
-    fox = []
-    for a, s, b in walk.edges:
-        image = step(t[a], a, s)
-        if b == len(t):  # a tree edge: the first to reach b
-            t.append(image)
-            continue
-        for row, image_row in zip(t[b], image):
-            if row != image_row:
-                fox.append(tuple(map(sub, row, image_row)))
-    z1 = kernel_basis(IntMatrix._from_rows(tuple(fox), width))
     ident = IntMatrix.identity(rank)
-    shifted = [(g - ident).transpose() for g in walk.gens]  # row i of (s - 1)^T is column i of s - 1
-    b1 = IntMatrix._from_rows(tuple([sum(parts, ()) for parts in zip(*shifted)]), width)
-    return subquotient(z1, b1), z1, b1
+    coker = subquotient(ident, _stacked(gens, ident))
+    return FinAbGroup(coker.invariant_factors), coker.free_rank
+
+
+def _stacked(gens: Sequence[IntMatrix], ident: IntMatrix) -> IntMatrix:
+    """B^T: the blocks g - 1 stacked, with no rows for no generators."""
+    return IntMatrix._from_rows(tuple([row for g in gens for row in g - ident]), ident.cols)
 
 
 def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
-    """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``: a chain
-    of powers closed by the one relator d^n = 1, whose Fox row is -N."""
+    """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``."""
     n = len(powers)
     return _Walk(tuple(powers), (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
 
 
-def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
-    """H^1 for a cyclic action, as ker(N) / eta(M).
+def _result(m: GLattice, method: str, witness: bool) -> CohomologyResult:
+    """H^1 of ``m`` on its walk's generators; a witness holds the rows of B,
+    one per basis vector x, and the Hermite basis of their saturation Z^1."""
+    walk = m._walk()
+    h1, h0_rank = _h1(walk.gens, m.rank)
+    cert = None
+    if witness:
+        b1 = _stacked(walk.gens, IntMatrix.identity(m.rank)).transpose()
+        z1 = kernel_basis(kernel_basis(b1))
+        if method == "cyclic":  # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
+            cert = Witness(z1, -b1, "ker(N) basis and eta(M) generators")
+        else:
+            cert = Witness(z1, b1, "cocycle and coboundary bases (generator-value coordinates)")
+    return CohomologyResult(h0_rank=h0_rank, h1=h1, method=method, group_order=len(walk.elements), witness=cert)
 
-    ``N`` is the norm 1 + d + ... + d^(n-1) of the generator d and
-    eta = 1 - d: the cocycles and coboundaries of the walk of powers.
+
+def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
+    """H^1 for a cyclic action <d>: the torsion of coker(d - 1), which is ker(N) / eta(M).
+
+    ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d: the cocycles
+    and coboundaries of the walk of powers, built only for a witness.
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
-    walk = m._walk()
-    h1, ker, b1 = _h1_walk(walk, m.rank)
-    return CohomologyResult(
-        h0_rank=invariants_h0(m).rows,
-        h1=h1,
-        method="cyclic",
-        group_order=len(walk.elements),
-        # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
-        witness=Witness(ker, -b1, "ker(N) basis and eta(M) generators") if witness else None,
-    )
+    return _result(m, "cyclic", witness)
 
 
 def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     """H^1 by crossed homomorphisms, for an arbitrary finite group.
 
     Cocycles are taken in the coordinates of their values on the greedy
-    generators of the lattice's walk, which ``_h1_walk`` turns into Z^1
-    and B^1.  Groups above ``COCYCLE_ORDER_CAP`` elements and lattices
-    above rank ``COCYCLE_RANK_CAP`` are refused with :class:`GroupTooLarge`.
+    generators of the lattice's walk (see ``_h1``); only the closure's
+    bound limits the group.
     """
-    order = len(m._closure())
-    if order > COCYCLE_ORDER_CAP:
-        raise GroupTooLarge(f"cocycle computation refused: group order {order} > {COCYCLE_ORDER_CAP}")
-    if m.rank > COCYCLE_RANK_CAP:
-        raise GroupTooLarge(f"cocycle computation refused: rank {m.rank} > {COCYCLE_RANK_CAP}")
-    h1, z1, b1 = _h1_walk(m._walk(), m.rank)
-    return CohomologyResult(
-        h0_rank=invariants_h0(m).rows,
-        h1=h1,
-        method="cocycle",
-        group_order=order,
-        witness=Witness(z1, b1, "cocycle and coboundary bases (generator-value coordinates)") if witness else None,
-    )
+    return _result(m, "cocycle", witness)
 
 
 def h1(m: GLattice, witness: bool = False) -> CohomologyResult:
@@ -743,7 +725,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
 
     Powers and conjugates are read off the walk's Schreier table: no matrix
     product after the closure.  Conjugate subgroups have isomorphic H^1
-    (Brown, *Cohomology of Groups*, III.8), so the norm kernel runs once per
+    (Brown, *Cohomology of Groups*, III.8), so ``_h1`` runs once per
     orbit of subgroups under x -> s^-1 x s by the walk's generators s.
     """
     elements = m._closure()
@@ -772,7 +754,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
         key = frozenset(powers)
         if key not in known:
-            known[key] = _h1_walk(_cyclic_walk([walk.elements[i] for i in powers]), m.rank)[0]
+            known[key] = _h1((walk.elements[x],), m.rank)[0]
             orbit = [key]
             for c in orbit:  # the list grows as it is read
                 for conj in conjugations:

@@ -659,12 +659,14 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
         if c is None:
             raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")
         coeff_rows.append(c)
-    # left-unimodular row operations, reordering among them, keep the
-    # invariant factors and the rank, so only the (at most r) nonzero
-    # Hermite rows go on to Smith
+    # unimodular row and column operations, and reordering, keep the
+    # invariant factors and the rank, so Smith gets the (at most r) nonzero
+    # Hermite rows, transposed and Hermite-reduced again: on the triangular
+    # remainders of H^1 this leaves it about half the clearing to do
     coeff_rows.sort(key=_fill_in_order)
     nonzero = len(_hnf(coeff_rows, r, None))
-    sf = smith_form(_matrix(coeff_rows[:nonzero], r))
+    cols = sorted([list(c) for c in zip(*coeff_rows[:nonzero])], key=_fill_in_order)
+    sf = smith_form(_matrix(cols[: len(_hnf(cols, nonzero, None))], nonzero))
     factors = tuple(f for f in sf.invariant_factors if f > 1)
     return FinAbGroup(factors, free_rank=r - len(sf.invariant_factors))
 

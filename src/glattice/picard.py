@@ -518,8 +518,8 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
         group=Cyclic(restrict_action(delta, q.basis)),
         form=q.gram_q,
     )
-    res = h1_cyclic(m, witness=True)
-    resq = h1_cyclic(mq, witness=True)
+    res = h1_cyclic(m)
+    resq = h1_cyclic(mq)
     expected = FinAbGroup((p,) * (2 * g))
     predicted = charpoly_order(m)
     j = 1 if d == p else 0
@@ -580,8 +580,8 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
 def _verify_conic_bundle(g: int) -> RowReport:
     cb = dejonquieres(g)
     m = cb.pic_glattice()
-    res = h1_cyclic(m, witness=True)
-    resq = h1_cyclic(cb.q_glattice(), witness=True)
+    res = h1_cyclic(m)
+    resq = h1_cyclic(cb.q_glattice())
     expected = FinAbGroup((2,) * (2 * g))
     expected_q = FinAbGroup((2,) * (2 * g + 1))
     fixed = invariants_h0(m)

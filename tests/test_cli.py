@@ -81,6 +81,29 @@ def test_parse_checks_form_preservation():
         parse_input(text)
 
 
+@pytest.mark.parametrize(
+    "matrices, bound, gram, message",
+    [
+        # a defective matrix is named before a malformed later one
+        ([[[2, 0], [0, 1]], [[1, 0]]], None, None, "group.matrices[0]: not unimodular"),
+        ([[[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1.5, 0], [0, 1]]], None, [[1, 0], [0, 1]],
+         "group.matrices[1]: does not preserve the gram form"),
+        # a malformed matrix is named before a defective later one
+        ([[[1, 0]], [[2, 0], [0, 1]]], None, None, "group.matrices[0]: expected 2 rows"),
+        # every matrix is named before the bound
+        ([[[1, 0], [0, 1]], [[2, 0], [0, 1]]], 0, None, "group.matrices[1]: not unimodular"),
+        ([[[1, 0], [0, 1]]], 0, None, "group.bound: must be at least 1"),
+    ],
+)
+def test_parse_reports_the_first_defect_in_document_order(matrices, bound, gram, message, capsys, tmp_path):
+    doc = {"rank": 2, "gram": gram, "group": {"kind": "generated", "matrices": matrices, "bound": bound}}
+    with pytest.raises(InputError) as err:
+        parse_input(json.dumps(doc))
+    assert str(err.value) == message
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- compute ---------------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glattice.cohomology import (
     Cyclic,
@@ -25,7 +27,7 @@ from glattice.cohomology import (
     restrict_subgroup,
     validate_and_close,
 )
-from glattice.intlinalg import FinAbGroup, IntMatrix, hermite_form, kernel_basis
+from glattice.intlinalg import FinAbGroup, IntMatrix, hermite_form, kernel_basis, subquotient
 
 SWAP = IntMatrix([[0, 1], [1, 0]])
 MINUS_I2 = IntMatrix([[-1, 0], [0, -1]])
@@ -196,12 +198,12 @@ def test_h1_cocycle_klein_four_sign_action():
     assert res.h1 == FinAbGroup((2, 2))
 
 
-def test_h1_cocycle_refuses_oversize():
-    s6 = permutation_module([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], kind="generated")
-    with pytest.raises(GroupTooLarge, match="group order 720 > 200"):
-        h1_cocycle(s6)
-    with pytest.raises(GroupTooLarge, match="rank 33 > 32"):
-        h1_cocycle(GLattice(33, Cyclic(IntMatrix.identity(33))))
+def test_h1_cocycle_has_no_order_or_rank_cap():
+    # Shapiro: H^1(S_6, Z[S_6/S_5]) = H^1(S_5, Z) = Hom(S_5, Z) = 0
+    s6 = h1_cocycle(permutation_module([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], kind="generated"))
+    assert (s6.group_order, s6.h0_rank, s6.h1) == (720, 1, FinAbGroup())
+    trivial = h1_cocycle(GLattice(33, Cyclic(IntMatrix.identity(33))))
+    assert (trivial.group_order, trivial.h0_rank, trivial.h1) == (1, 33, FinAbGroup())
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -383,17 +385,16 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
             g = elements[e.generator_index]
             assert e.order == matrix_order(g)
             assert e.h1 == h1_cyclic(GLattice(m.rank, Cyclic(g), m.form)).h1
-        # on a fresh lattice the scan computes the full group's kernels and one
-        # norm kernel per conjugacy class of cyclic subgroups: no fixed lattice
-        # per subgroup, and no kernel for a conjugate of a subgroup already done
+        # on a fresh lattice the scan computes the full group's H^1 and one per
+        # conjugacy class of cyclic subgroups: none for a conjugate of a
+        # subgroup already done
         calls = []
-        real = coh.kernel_basis
-        monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
-        fresh = GLattice(m.rank, m.group, m.form)
-        h1(fresh)
-        full_calls = len(calls)
+        real = coh._h1
+        monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
+        h1(GLattice(m.rank, m.group, m.form))
+        assert len(calls) == 1
         obstruction_scan(GLattice(m.rank, m.group, m.form))
-        assert len(calls) == 2 * full_calls + len(cyclic_subgroup_classes(elements))
+        assert len(calls) == 2 + len(cyclic_subgroup_classes(elements))
         monkeypatch.undo()
     # subgroup entries assert what CohomologyResult asserts of H^1
     with pytest.raises(AssertionError, match="finite"):
@@ -424,13 +425,16 @@ def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
         m = GLattice(degree, Generated(symmetric_group_generators(degree, True)))
         h1(m)
         calls = []
-        real = coh.kernel_basis
-        monkeypatch.setattr(coh, "kernel_basis", lambda a: calls.append(a) or real(a))
+        real = coh._h1
+        monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
         report = obstruction_scan(m)
         monkeypatch.undo()
         assert len(report.subgroups) == subgroups
-        # the full group's cocycles (its fixed lattice is kept), then one norm kernel per class
+        # the full group on its greedy generators, of width len(greedy) * rank,
+        # then one generator per conjugacy class of cyclic subgroups
         assert len(calls) == 1 + classes
+        assert calls[0] == m._walk().gens and len(calls[0]) == 2
+        assert all(len(gens) == 1 for gens in calls[1:])
     # two classes of order-2 subgroups with different H^1 on the sign-twisted
     # permutation module: the value follows the class, not the order
     m = GLattice(4, Generated(symmetric_group_generators(4, True)))
@@ -480,8 +484,8 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
     transposition = perm_matrix((1, 0, 2, 3), True)
     two = GLattice(4, Generated(symmetric_group_generators(4, True)))
     widths = []
-    real = coh.kernel_basis
-    monkeypatch.setattr(coh, "kernel_basis", lambda a: widths.append(a.cols) or real(a))
+    real = coh._h1
+    monkeypatch.setattr(coh, "_h1", lambda gens, rank: widths.append(len(gens) * rank) or real(gens, rank))
     for m, expected in (
         (GLattice(4, Generated(listed)), h1_cocycle(two).h1),
         (GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)])), FinAbGroup((2, 2))),
@@ -494,9 +498,8 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
                 span = set(mulclose(greedy))
         widths.clear()
         assert h1_cocycle(m).h1 == expected
-        # one cocycle coordinate block per greedy generator, not per listed
-        # matrix (then the fixed lattice's kernel, of width rank)
-        assert widths == [len(greedy) * m.rank, m.rank]
+        # one cocycle coordinate block per greedy generator, not per listed matrix
+        assert widths == [len(greedy) * m.rank]
         assert len(greedy) <= 3
 
 
@@ -822,6 +825,48 @@ def test_single_pass_cocycle_matches_two_pass_reference():
                 assert res.witness.numerator_basis == z1
                 assert res.witness.denominator_gens == b1
                 assert res.group_order == len(mats)
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    """A group of signed permutation matrices, unimodularly conjugated, as a list or by generators."""
+    degree = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(degree)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=degree, max_size=degree))
+        rows = [[0] * degree for _ in range(degree)]
+        for i in range(degree):
+            rows[perm[i]][i] = signs[i]
+        gens.append(IntMatrix(rows))
+    p, pinv = conjugator(random.Random(draw(st.integers(0, 2**16))), degree)
+    gens = [p @ g @ pinv for g in gens]
+    if draw(st.booleans()):
+        return GLattice(degree, Generated(gens))
+    return GLattice(degree, Explicit(mulclose(gens)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_permutation_groups())
+def test_cocycle_kernel_matches_fox_reference(m):
+    res = h1_cocycle(m, witness=True)
+    z1, b1 = two_pass_cocycle_bases(m)
+    assert res.h1 == subquotient(z1, b1)
+    assert res.witness.numerator_basis == z1
+    assert res.witness.denominator_gens == b1
+    assert res.h0_rank == invariants_h0(m).rows
+
+
+def test_weyl_d5_on_del_pezzo_4():
+    from glattice.picard import del_pezzo_pic, reflection, simple_roots
+
+    lat = del_pezzo_pic(4)
+    gens = [reflection(lat, a) for a in simple_roots(lat)]
+    # W(D5) fixes K; twisted by the sign character it fixes nothing, and H^1 = Z/2
+    for twisted, h0_rank, expected in ((False, 1, FinAbGroup()), (True, 0, FinAbGroup((2,)))):
+        m = GLattice(lat.rank, Generated([-g if twisted else g for g in gens]), lat.gram)
+        res = h1_cocycle(m)
+        assert (res.group_order, res.h0_rank, res.h1) == (1920, h0_rank, expected)
 
 
 def test_fixed_lattice_computed_once_per_row(monkeypatch):
