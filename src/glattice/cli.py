@@ -297,16 +297,15 @@ def _cmd_compute(args) -> int:
 def _cmd_builtin(args) -> int:
     t0 = time.perf_counter()
     predicted = None
-    if args.name == "geiser":
-        m = geiser_involution()
-        predicted = charpoly_order(m)
-    elif args.name == "bertini":
-        m = bertini_involution()
-        predicted = charpoly_order(m)
-    else:
+    if args.name == "dejonquieres":
         if args.genus is None:
             raise InputError("builtin dejonquieres needs --genus")
         m = dejonquieres(args.genus).pic_glattice()
+    else:
+        if args.genus is not None:
+            raise InputError(f"builtin {args.name} takes no --genus")
+        m = geiser_involution() if args.name == "geiser" else bertini_involution()
+        predicted = charpoly_order(m)
     res = h1(m)
     elapsed = (time.perf_counter() - t0) * 1000.0
     case = args.name if args.genus is None else f"{args.name}-g{args.genus}"
@@ -465,7 +464,7 @@ def run_command(argv: list[str] | None = None) -> int:
         GroupMismatch,
         NotSubgroup,
         NotSublattice,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,13 +4,14 @@ A G-lattice is a free Z-module of finite rank on which a finite matrix group
 acts by unimodular integer matrices (acting on column vectors).
 
 Group elements are found by one walk from the identity (``_closed_walk``):
-breadth first by the listed generators of a ``generated`` spec, and by
-greedy generators S picked in list order for a ``list`` spec, whose every
-product must land in the list, O(|G| * |S|) products rather than the |G|^2
-of the full multiplication table.  Each spec keeps its walk, a Schreier
-table from which any group product is read by index (``_Walk.times``):
-nothing after the closure multiplies matrices, not even the walk of a
-generated group by its greedy generators (``_Walk.greedy``).  Orders come
+by the powers of d for a ``cyclic`` spec <d>, breadth first by the listed
+generators of a ``generated`` spec, and by greedy generators S picked in
+list order for a ``list`` spec, whose every product must land in the list,
+O(|G| * |S|) products rather than the |G|^2 of the full multiplication
+table.  Each spec keeps the walk that closed it (``_checked_walk``), a
+Schreier table from which any group product is read by index
+(``_Walk.times``): it is the only group structure used after the closure,
+and nothing after the closure multiplies matrices.  Orders come
 from residues mod 3 and one exact confirmation: by Minkowski's lemma the
 kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals
 the order mod 3, and an infinite-order input is refused after a few cheap
@@ -24,8 +25,9 @@ H^1 of a finite group is finite.  So Z^1 is the saturation of B^1, and
 H^1 = Z^1/B^1 is the torsion of the cokernel of
 B = [(s_1 - 1)^T | ... | (s_k - 1)^T]: one ``subquotient`` of Z^rank by
 the rows of B^T, a Hermite elimination of its k * rank rows, then Smith on
-at most rank x rank entries.  ``h1_cocycle`` takes the greedy generators of
-the lattice's walk; ``h1_cyclic`` takes d for <d>, giving
+at most rank x rank entries.  ``h1_cocycle`` takes the generators of the
+lattice's walk, which for a generated lattice are its listed generators (a
+redundant one adds rank rows of B^T); ``h1_cyclic`` takes d for <d>, giving
 tors coker(d - 1) = ker(N)/eta(M) with N the norm and eta = 1 - d;
 ``obstruction_scan`` takes one generator per conjugacy class of cyclic
 subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from operator import matmul
 from typing import Sequence
 
 from .intlinalg import (
@@ -93,9 +94,16 @@ class NotSubgroup(ValueError):
 
 
 class GroupSpec:
-    """How the acting group is presented; see the concrete subclasses."""
+    """How the acting group is presented, with the walk that proved it a group; see the subclasses."""
+
+    closure_bound = DEFAULT_ORDER_BOUND
+    _walk: _Walk | None = None
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
+        raise NotImplementedError
+
+    def _checked_walk(self, bound: int) -> _Walk:
+        """The walk that proves the spec a group of at most ``bound`` elements, found once per spec."""
         raise NotImplementedError
 
     @property
@@ -142,13 +150,17 @@ def _as_matrix_tuple(mats: Sequence[IntMatrix], what: str) -> tuple[IntMatrix, .
 class Cyclic(GroupSpec):
     """Cyclic group presented by a single generator of finite order."""
 
-    __slots__ = ("generator",)
-
     def __init__(self, generator):
         (self.generator,) = _as_matrix_tuple([generator], "Cyclic")
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
         return (self.generator,)
+
+    def _checked_walk(self, bound: int) -> _Walk:
+        """The walk of the powers of the generator, after its order, which refuses one beyond ``bound``."""
+        if self._walk is None or len(self._walk.elements) > bound:
+            self._walk = _cyclic_walk(mulclose([self.generator], matrix_order(self.generator, bound)))
+        return self._walk
 
     def __eq__(self, other):
         return isinstance(other, Cyclic) and self.generator == other.generator
@@ -163,17 +175,16 @@ class Cyclic(GroupSpec):
 class Explicit(GroupSpec):
     """Full element list, closed under product and containing the identity."""
 
-    __slots__ = ("elements", "_walk")
-
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = _as_matrix_tuple(elements, "Explicit")
-        self._walk = None
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
         return self.elements
 
-    def _checked_walk(self) -> _Walk:
-        """The generator walk that proves the list a group, found once per spec."""
+    def _checked_walk(self, bound: int) -> _Walk:
+        """The walk by greedy generators that proves the list a group."""
+        if len(self.elements) > bound:
+            raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {bound}")
         if self._walk is None:
             elems = self.elements
             members = dict(zip(elems, elems))
@@ -200,20 +211,17 @@ class Explicit(GroupSpec):
 class Generated(GroupSpec):
     """Group given by generators; closed by multiplication on demand."""
 
-    __slots__ = ("generators", "closure_bound", "_walk")
-
     def __init__(self, generators: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
         self.generators = _as_matrix_tuple(generators, "Generated")
         if closure_bound < 1:
             raise ValueError("closure bound must be positive")
         self.closure_bound = closure_bound
-        self._walk = None
 
     def listed_matrices(self) -> tuple[IntMatrix, ...]:
         return self.generators
 
     def _checked_walk(self, bound: int) -> _Walk:
-        """The walk of the listed generators, found once per spec, after each one's order."""
+        """The breadth-first walk by the listed generators, after each one's order."""
         if self._walk is None:
             try:
                 for g in self.generators:  # the closure holds every power of g
@@ -317,23 +325,16 @@ class _Walk:
             x = right[x][s]
         return x
 
-    @cached_property
-    def greedy(self) -> _Walk:
-        """The walk by the greedy generators of ``elements``, made by index: for a breadth-first
-        walk, the listed generators outside the span of those before them."""
-        w = _closed_walk(0, (), range(len(self.elements)), mul=self.times)
-        return _Walk(*[tuple([self.elements[i] for i in part]) for part in (w.elements, w.gens)], w.edges)
-
 
 def _closed_walk(one, gens: Sequence, candidates: Sequence = (), members: dict | None = None,
-                 bound: int | None = None, mul=matmul) -> _Walk | None:
+                 bound: int | None = None) -> _Walk | None:
     """The walk from ``one`` by ``gens``, then by each of ``candidates`` it has not reached when it comes to it.
 
-    The reached set grows by right-multiplying it (``mul``) by the
-    generators, breadth first; the identity's row forms no product.  A
-    candidate joins as a generator (the greedy generators of a list);
-    elements reached before need only the product with it, newly reached
-    ones take every generator, so every element meets every generator once.
+    The reached set grows by right-multiplying it by the generators,
+    breadth first; the identity's row forms no product.  A candidate joins
+    as a generator (the greedy generators of a list); elements reached
+    before need only the product with it, newly reached ones take every
+    generator, so every element meets every generator once.
     Without ``members`` a closure beyond ``bound`` raises GroupTooLarge.
     ``members`` maps each member to itself, so the walk keeps those objects,
     and it returns None at the first product outside them: so it ends.
@@ -349,7 +350,7 @@ def _closed_walk(one, gens: Sequence, candidates: Sequence = (), members: dict |
         known = len(reached)
         for i, x in enumerate(reached):  # the list grows as it is read
             for s in range(first if i < known else 0, len(walk_gens)):
-                y = walk_gens[s] if i == 0 else mul(x, walk_gens[s])
+                y = walk_gens[s] if i == 0 else x @ walk_gens[s]
                 j = index.get(y)
                 if j is None:
                     if members is not None:
@@ -372,30 +373,23 @@ def validate_and_close(
     """Validate a group spec and return its full element list.
 
     Checks that every listed matrix is unimodular and preserves ``form``
-    when one is given, once per spec and form.  Cyclic specs are expanded
-    into the powers of the generator, after its order (see
-    :func:`matrix_order`).  Generated specs first have each generator's
-    order checked, so an infinite-order generator is refused after a few
-    residue products, and are then walked breadth first at |G| *
-    |generators| products.  Explicit specs are verified to contain the
-    identity and be product-closed by one walk of greedy generators S,
-    O(|G| * |S|) products instead of |G|^2.  Either spec keeps its walk.
+    when one is given, once per spec and form, then walks the group once per
+    spec, which keeps its walk.  A cyclic spec is walked by the powers of
+    its generator, after its order (see :func:`matrix_order`).  A generated
+    spec first has each generator's order checked, so an infinite-order
+    generator is refused after a few residue products, and is then walked
+    breadth first at |G| * |generators| products.  An explicit list is
+    proved to contain the identity and be product-closed by one walk of
+    greedy generators S, O(|G| * |S|) products instead of |G|^2, and comes
+    back in its own order.
     """
     if order_bound is None:
-        order_bound = spec.closure_bound if isinstance(spec, Generated) else DEFAULT_ORDER_BOUND
+        order_bound = spec.closure_bound
     if order_bound < 1:
         raise ValueError("order bound must be positive")
     spec._check(form)
-    if isinstance(spec, Cyclic):
-        return mulclose([spec.generator], matrix_order(spec.generator, order_bound))
-    if isinstance(spec, Generated):
-        return list(spec._checked_walk(order_bound).elements)
-    if isinstance(spec, Explicit):
-        if len(spec.elements) > order_bound:
-            raise GroupTooLarge(f"group too large or infinite: {len(spec.elements)} > {order_bound}")
-        spec._checked_walk()
-        return list(spec.elements)
-    raise TypeError(f"unknown group spec {spec!r}")
+    walk = spec._checked_walk(order_bound)
+    return list(spec.elements if isinstance(spec, Explicit) else walk.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +444,11 @@ class GLattice:
         return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
 
     def _walk(self) -> _Walk:
-        """The walk of :meth:`_closure` by its greedy generators (of its powers for a cyclic one)."""
-
-        def walk():
-            elems = self._closure()  # validates the spec, which then keeps its walk
-            kept = _cyclic_walk(elems) if isinstance(self.group, Cyclic) else self.group._walk
-            return kept.greedy if isinstance(self.group, Generated) else kept
-
-        return self._memo("_walked", walk)
+        """The walk that closed the group, kept by its spec: by the powers of a
+        cyclic generator, the listed generators of a generated group, or the
+        greedy generators of a list."""
+        self._closure()  # validates the spec, which then keeps its walk
+        return self.group._walk
 
     def generator_matrices(self) -> tuple[IntMatrix, ...]:
         return self.group.listed_matrices()
@@ -469,7 +460,8 @@ class Witness:
 
     For the cyclic method the numerator is a basis of ker(N) and the
     denominator generates eta(M); for the cocycle method they are bases of
-    the cocycles and coboundaries in generator-value coordinates.
+    the cocycles and coboundaries in generator-value coordinates, on the
+    generators of the lattice's walk (the listed ones of a generated lattice).
     """
 
     numerator_basis: IntMatrix
@@ -564,9 +556,11 @@ def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
 def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     """H^1 by crossed homomorphisms, for an arbitrary finite group.
 
-    Cocycles are taken in the coordinates of their values on the greedy
-    generators of the lattice's walk (see ``_h1``); only the closure's
-    bound limits the group.
+    Cocycles are taken in the coordinates of their values on the generators
+    of the lattice's walk (see ``_h1``): the listed generators of a
+    generated lattice, the greedy generators of a list.  A redundant listed
+    generator adds ``rank`` rows of B^T and changes neither H^1 nor the
+    rank of M^G.  Only the closure's bound limits the group.
     """
     return _result(m, "cocycle", witness)
 
@@ -623,7 +617,9 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     Both sides must present the same abstract group in the same way; the
     listed matrices are paired positionally.  A rank-0 summand is absorbed,
     whatever its presentation, since only one group can act on 0.  A list
-    or generated sum keeps the walk that proved the pairing, and the block
+    or generated pairing is proved on the summands' kept walks, with no
+    matrix product: both must trace one Cayley graph and pair the listed
+    matrices as the lists do.  The sum keeps the paired walk and the block
     form its summands have passed, so it is not validated or walked again.
     """
     if m1.rank == 0:
@@ -638,33 +634,26 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     if isinstance(m1.group, Cyclic):
         gen = IntMatrix.block_diag(m1.group.generator, m2.group.generator)
         return GLattice(m1.rank + m2.rank, Cyclic(gen), form)
-    if isinstance(m1.group, Explicit):
-        e1, e2 = m1.group.elements, m2.group.elements
-        if len(e1) != len(e2):
-            raise GroupMismatch("group mismatch: element counts differ")
-        # the pairing is a homomorphism, so the tables agree, iff it respects each
-        # product a.s of m1's walk: every element meets every walk generator once
-        walk, pair = m1._walk(), dict(zip(e1, e2))
-        m2._closure()  # proves the second list a group as well
-        if any(pair[walk.elements[a]] @ pair[walk.gens[s]] != pair[walk.elements[b]] for a, s, b in walk.edges):
-            raise GroupMismatch("group mismatch: multiplication tables differ")
-        block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
-        spec = Explicit([block[a] for a in e1])
-        paired = _Walk(tuple([block[a] for a in walk.elements]), tuple([block[s] for s in walk.gens]), walk.edges)
-        return GLattice(m1.rank + m2.rank, spec._keep(paired, form), form)
-    if isinstance(m1.group, Generated):
-        g1, g2 = m1.group.generators, m2.group.generators
-        if len(g1) != len(g2):
-            raise GroupMismatch("group mismatch: generator counts differ")
+    explicit = isinstance(m1.group, Explicit)
+    if explicit:
+        bound, counts, tables = DEFAULT_ORDER_BOUND, "element counts differ", "multiplication tables differ"
+    else:
         bound = max(m1.group.closure_bound, m2.group.closure_bound)
-        w1, w2 = m1.group._checked_walk(bound), m2.group._checked_walk(bound)
-        # the pairing extends to an isomorphism iff both walks trace one Cayley graph
-        if w1.edges != w2.edges:
-            raise GroupMismatch("group mismatch: generator pairing is not an isomorphism")
-        spec = Generated([IntMatrix.block_diag(a, b) for a, b in zip(g1, g2)], bound)
-        elements = tuple([IntMatrix.block_diag(a, b) for a, b in zip(w1.elements, w2.elements)])
-        return GLattice(m1.rank + m2.rank, spec._keep(_Walk(elements, spec.generators, w1.edges), form), form)
-    raise TypeError(f"unknown group spec {m1.group!r}")
+        counts, tables = "generator counts differ", "generator pairing is not an isomorphism"
+    listed = m1.group.listed_matrices(), m2.group.listed_matrices()
+    if len(listed[0]) != len(listed[1]):
+        raise GroupMismatch(f"group mismatch: {counts}")
+    w1, w2 = m1.group._checked_walk(bound), m2.group._checked_walk(bound)
+    # with equal edges w1.elements[k] -> w2.elements[k] is an isomorphism:
+    # it maps the identity to the identity and respects each product a.s
+    pair = dict(zip(w1.elements, w2.elements))
+    if w1.edges != w2.edges or any(pair[a] != b for a, b in zip(*listed)):
+        raise GroupMismatch(f"group mismatch: {tables}")
+    block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
+    paired = [block[a] for a in listed[0]]
+    spec = Explicit(paired) if explicit else Generated(paired, bound)
+    walk = _Walk(tuple(block.values()), tuple([block[s] for s in w1.gens]), w1.edges)
+    return GLattice(m1.rank + m2.rank, spec._keep(walk, form), form)
 
 
 def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) -> GLattice:
@@ -681,11 +670,13 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
     for g in subset:
         if g not in full:
             raise NotSubgroup("subset not a subgroup: element does not belong to the group")
+    if not subset:
+        raise NotSubgroup("subset not a subgroup: the empty set has no identity")
     if len(subset) == 1:
         return GLattice(m.rank, Cyclic(subset[0]), m.form)
     spec = Explicit(subset)
     try:
-        spec._checked_walk()  # kept by the spec, so the restricted lattice does not walk again
+        spec._checked_walk(len(subset))  # kept by the spec, so the restricted lattice does not walk again
     except ValidationError as e:
         raise NotSubgroup(f"subset not a subgroup: {e}") from None
     return GLattice(m.rank, spec, m.form)
@@ -733,7 +724,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     walk = m._walk()
     (right, _), times = walk.table, walk.times
     conjugations = []
-    for s in range(len(walk.gens)):
+    for s in {right[0][s]: s for s in range(len(walk.gens))}.values():  # one per distinct generator
         inverse = right[0][s]  # s, s^2, ... up to the power before the identity
         while right[inverse][s]:
             inverse = right[inverse][s]

@@ -157,6 +157,20 @@ def test_compute_missing_file_exits_1(capsys):
     assert run_command(["compute", "--input", "/does/not/exist.json"]) == 1
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys):
+    missing = "/does/not/exist.json"
+    assert run_command(["compute", "--input", missing]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    # a directory, and a path through a regular file: typed refusals, not tracebacks
+    through_file = os.path.join(write_doc(tmp_path, SWAP_DOC), "input.json")
+    for command in ("compute", "scan"):
+        for path in (str(tmp_path), through_file):
+            assert run_command([command, "--input", path, "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: [Errno ") and path in captured.err
+
+
 # --- builtin ---------------------------------------------------------------------
 
 
@@ -177,6 +191,14 @@ def test_builtin_geiser(capsys):
 
 def test_builtin_dejonquieres_needs_genus(capsys):
     assert run_command(["builtin", "dejonquieres"]) == 1
+
+
+def test_builtin_refuses_genus_for_geiser_and_bertini(capsys):
+    for name in ("geiser", "bertini"):
+        assert run_command(["builtin", name, "--genus", "3", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: builtin {name} takes no --genus\n"
 
 
 def test_builtin_output_feeds_compute(tmp_path, capsys):

@@ -333,6 +333,12 @@ def test_restrict_rejects_non_subgroups():
         restrict_subgroup(full, IntMatrix([[0, -1], [1, 0]]))
 
 
+def test_restrict_rejects_the_empty_set():
+    full = GLattice(2, Explicit([IntMatrix.identity(2), MINUS_I2]))
+    with pytest.raises(NotSubgroup, match="no identity"):
+        restrict_subgroup(full, [])
+
+
 # --- obstruction scan -------------------------------------------------------------
 
 
@@ -430,7 +436,7 @@ def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
         report = obstruction_scan(m)
         monkeypatch.undo()
         assert len(report.subgroups) == subgroups
-        # the full group on its greedy generators, of width len(greedy) * rank,
+        # the full group on its listed generators, of width len(generators) * rank,
         # then one generator per conjugacy class of cyclic subgroups
         assert len(calls) == 1 + classes
         assert calls[0] == m._walk().gens and len(calls[0]) == 2
@@ -456,7 +462,7 @@ def table_test_lattices():
     return [
         GLattice(4, Explicit(listed)),
         GLattice(4, Generated(symmetric_group_generators(4, False))),
-        # a listed generator repeating the one before it, which the cocycle walk drops
+        # a listed generator repeating the one before it, which the walk keeps
         GLattice(4, Generated([transposition, transposition, perm_matrix((1, 2, 3, 0), True)])),
         GLattice(3, Cyclic(random_finite_order_action(rng, 3, 6))),
         GLattice(2, Cyclic(IntMatrix.identity(2))),
@@ -483,9 +489,9 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
     rng.shuffle(listed)
     transposition = perm_matrix((1, 0, 2, 3), True)
     two = GLattice(4, Generated(symmetric_group_generators(4, True)))
-    widths = []
+    calls = []
     real = coh._h1
-    monkeypatch.setattr(coh, "_h1", lambda gens, rank: widths.append(len(gens) * rank) or real(gens, rank))
+    monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
     for m, expected in (
         (GLattice(4, Generated(listed)), h1_cocycle(two).h1),
         (GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)])), FinAbGroup((2, 2))),
@@ -496,11 +502,17 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
             if g not in span:
                 greedy.append(g)
                 span = set(mulclose(greedy))
-        widths.clear()
-        assert h1_cocycle(m).h1 == expected
-        # one cocycle coordinate block per greedy generator, not per listed matrix
-        assert widths == [len(greedy) * m.rank]
+        calls.clear()
+        res = h1_cocycle(m, witness=True)
+        assert res.h1 == expected
+        # the kernel takes the listed generators: each redundant one adds rank rows of B^T
+        assert calls == [m.generator_matrices()]
         assert len(greedy) <= 3
+        # yet they add no cocycle coordinate: the rank of Z^1, H^1 and the rank of
+        # M^G are those of the lattice on the greedy generators
+        ref = h1_cocycle(GLattice(4, Generated(greedy)), witness=True)
+        assert (res.h1, res.h0_rank) == (ref.h1, ref.h0_rank)
+        assert res.witness.numerator_basis.rows == ref.witness.numerator_basis.rows
 
 
 def test_scan_forms_no_product_after_the_closure(monkeypatch):
@@ -778,34 +790,39 @@ def test_matrix_order_refuses_infinite_order():
         validate_and_close(Generated([inputs[-1], IntMatrix.identity(16)]))
 
 
-def two_pass_cocycle_bases(m):
-    """Z^1 and B^1 the way they were built before the single-pass walk."""
+def two_pass_cocycle_bases(m, gens=None):
+    """Z^1 and B^1 the way they were built before the single-pass walk.
+
+    Cocycles are taken by their values on ``gens``, the greedy generators of
+    the closure by default; a generator may repeat or be redundant.
+    """
     elements = m.elements()
-    gens = []
-    known = {IntMatrix.identity(m.rank)}
-    for g in elements:
-        if g not in known:
-            gens.append(g)
-            known = set(mulclose(gens, len(elements)))
+    if gens is None:
+        gens = []
+        known = {IntMatrix.identity(m.rank)}
+        for g in elements:
+            if g not in known:
+                gens.append(g)
+                known = set(mulclose(gens, len(elements)))
     r, s = m.rank, len(gens)
     ident = IntMatrix.identity(r)
-    slot = {}
-    for k, g in enumerate(gens):
+    slot = []
+    for k in range(s):
         e = IntMatrix.zeros(r, s * r).tolists()
         for i in range(r):
             e[i][k * r + i] = 1
-        slot[g] = IntMatrix(e, cols=s * r)
+        slot.append(IntMatrix(e, cols=s * r))
     t = {ident: IntMatrix.zeros(r, s * r)}
     frontier = [ident]
     while frontier:
         new = []
         for h in frontier:
-            for g in gens:
+            for k, g in enumerate(gens):
                 if g @ h not in t:
-                    t[g @ h] = slot[g] + g @ t[h]
+                    t[g @ h] = slot[k] + g @ t[h]
                     new.append(g @ h)
         frontier = new
-    rows = [row for g in gens for h in elements for row in t[g @ h] - slot[g] - g @ t[h] if any(row)]
+    rows = [row for k, g in enumerate(gens) for h in elements for row in t[g @ h] - slot[k] - g @ t[h] if any(row)]
     z1 = kernel_basis(IntMatrix(rows, cols=s * r))
     b1 = IntMatrix([[x for g in gens for x in (g - ident).column(i)] for i in range(r)], cols=s * r)
     return z1, b1
@@ -829,7 +846,11 @@ def test_single_pass_cocycle_matches_two_pass_reference():
 
 @st.composite
 def signed_permutation_groups(draw):
-    """A group of signed permutation matrices, unimodularly conjugated, as a list or by generators."""
+    """A group of signed permutation matrices, unimodularly conjugated, as a list or by generators.
+
+    A generated group may also list redundant matrices: a repeat, the
+    identity and a product of two drawn generators.
+    """
     degree = draw(st.integers(1, 4))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -842,6 +863,14 @@ def signed_permutation_groups(draw):
     p, pinv = conjugator(random.Random(draw(st.integers(0, 2**16))), degree)
     gens = [p @ g @ pinv for g in gens]
     if draw(st.booleans()):
+        for redundant in draw(st.lists(st.sampled_from(("repeat", "identity", "product")), max_size=3)):
+            if redundant == "repeat":
+                extra = draw(st.sampled_from(gens))
+            elif redundant == "identity":
+                extra = IntMatrix.identity(degree)
+            else:
+                extra = draw(st.sampled_from(gens)) @ draw(st.sampled_from(gens))
+            gens.insert(draw(st.integers(0, len(gens))), extra)
         return GLattice(degree, Generated(gens))
     return GLattice(degree, Explicit(mulclose(gens)))
 
@@ -850,7 +879,7 @@ def signed_permutation_groups(draw):
 @given(signed_permutation_groups())
 def test_cocycle_kernel_matches_fox_reference(m):
     res = h1_cocycle(m, witness=True)
-    z1, b1 = two_pass_cocycle_bases(m)
+    z1, b1 = two_pass_cocycle_bases(m, m._walk().gens)
     assert res.h1 == subquotient(z1, b1)
     assert res.witness.numerator_basis == z1
     assert res.witness.denominator_gens == b1
@@ -947,8 +976,31 @@ def test_h1_cocycle_reuses_the_closure_walk(monkeypatch):
     # the list was walked when it was validated: no product is formed again
     assert len(calls) == 0
     assert h1_cocycle(generated).h1.is_trivial
-    # the walk by greedy generators is read off the closure's table by index
+    # the walk that closed the group is the one H^1 takes
     assert len(calls) == 0
+
+
+def test_each_lattice_is_walked_once(monkeypatch):
+    import glattice.cohomology as coh
+
+    calls = []
+    real = coh._closed_walk
+    monkeypatch.setattr(coh, "_closed_walk", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    perms = [list(p) for p in itertools.permutations(range(4))]
+    for make in (
+        lambda: permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated"),
+        lambda: permutation_module(perms, kind="explicit"),
+        lambda: permutation_module([[1, 2, 3, 0]], kind="cyclic"),
+    ):
+        calls.clear()
+        m = make()
+        h1(m)
+        obstruction_scan(m)
+        restrict_subgroup(m, [IntMatrix.identity(4)])
+        # the spec keeps the walk that closed it, and H^1 and the scan run on it
+        assert len(calls) == 1
+        assert m._walk() is m.group._walk and set(m._walk().elements) == set(m.elements())
+        assert len(calls) == 1
 
 
 def test_listed_matrices_checked_once_per_lattice(monkeypatch):
@@ -990,9 +1042,9 @@ def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__matmul__", lambda x, y: calls.append(1) or real(x, y))
     monkeypatch.setattr(IntMatrix, "det", lambda x: dets.append(1) or real_det(x))
     s = direct_sum(a, b)
-    # one product per edge of the first list's walk (24 elements by 3 greedy
-    # generators), not the two full multiplication tables (2 * 24^2)
-    assert len(calls) == 72
+    # the pairing is read off the two lists' kept walks: no product, against one per
+    # edge of a walk (24 elements by 3 greedy generators) or two tables of 24^2
+    assert len(calls) == 0
     # the sum keeps the pairing walk and the checks its summands passed
     calls.clear()
     assert h1(s).h1.is_trivial
@@ -1034,3 +1086,74 @@ def test_direct_sum_generated_pairing_matches_closure_sizes():
             else:
                 with pytest.raises(GroupMismatch, match="isomorphism"):
                     direct_sum(m1, m2)
+
+
+def products_along_the_first_walk(m1, m2):
+    """Reference pairing proof: every product a.s of ``m1``'s walk, paired, must be formed in ``m2``.
+
+    A list pairs its elements as listed; a generated pairing maps each
+    element along ``m1``'s tree to the paired product, which must be well
+    defined and one-to-one.
+    """
+    walk = m1._walk()
+    if isinstance(m1.group, Explicit):
+        m2.elements()  # the second list is a group as well
+        pair = dict(zip(m1.group.elements, m2.group.elements))
+        image = [pair[x] for x in walk.elements]
+        gens = [pair[s] for s in walk.gens]
+    else:
+        assert walk.gens == m1.group.generators  # a generated group is walked by its listed generators
+        image, gens = [IntMatrix.identity(m2.rank)], m2.group.generators
+    for a, s, b in walk.edges:
+        product = image[a] @ gens[s]
+        if b == len(image):  # a tree edge
+            image.append(product)
+        elif product != image[b]:
+            return False
+    return len(set(image)) == len(image)
+
+
+def test_direct_sum_walk_pairing_matches_products_along_the_first_walk():
+    rng = random.Random(41)
+    outcomes = []
+    for degree in (3, 4):
+        perms = list(itertools.permutations(range(degree)))
+        for signed1, signed2 in ((False, False), (False, True), (True, True)):
+            p1, p1inv = conjugator(rng, degree)
+            p2, p2inv = conjugator(rng, degree)
+            group1 = [p1 @ perm_matrix(q, signed1) @ p1inv for q in perms]
+            group2 = [p2 @ perm_matrix(q, signed2) @ p2inv for q in perms]
+            pairs = []
+            for trial in range(6):
+                # the same permutations, conjugated by c (an automorphism of S_n), then
+                # perhaps two of them swapped or all shuffled
+                c = rng.choice(perms)
+                order = list(range(len(perms)))
+                rng.shuffle(order)
+                image = [perms.index(tuple(c[q[c.index(i)]] for i in range(degree))) for q in perms]
+                if trial % 3 == 1:
+                    i, j = rng.sample(range(len(perms)), 2)
+                    image[i], image[j] = image[j], image[i]
+                elif trial % 3 == 2:
+                    rng.shuffle(image)
+                listed1 = [group1[k] for k in order]
+                listed2 = [group2[image[k]] for k in order]
+                pairs.append((Explicit(listed1), Explicit(listed2)))
+                g1, g2 = rng.sample(range(len(perms)), 2), rng.sample(range(len(perms)), 2)
+                if trial % 2 == 0:
+                    g2 = [image[k] for k in g1]
+                pairs.append((Generated([group1[k] for k in g1]), Generated([group2[k] for k in g2])))
+            for spec1, spec2 in pairs:
+                m1, m2 = GLattice(degree, spec1), GLattice(degree, spec2)
+                expected = products_along_the_first_walk(m1, m2)
+                try:
+                    s = direct_sum(m1, m2)
+                except GroupMismatch:
+                    accepted = False
+                else:
+                    accepted = True
+                    assert len(s.elements()) == len(m1.elements())
+                assert accepted is expected
+                outcomes.append((type(spec1), accepted))
+    # both kinds were both accepted and refused
+    assert set(outcomes) == {(kind, ok) for kind in (Explicit, Generated) for ok in (True, False)}
