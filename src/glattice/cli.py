@@ -34,17 +34,14 @@ from .cohomology import (
     Explicit,
     Generated,
     GLattice,
-    GroupMismatch,
     GroupSpec,
-    GroupTooLarge,
-    NotSubgroup,
     ValidationError,
     h1,
     obstruction_scan,
 )
-from .intlinalg import FinAbGroup, IntMatrix, NotSublattice
+from .intlinalg import FinAbGroup, IntMatrix
 from .picard import (
-    CASE_PARAMS,
+    DEL_PEZZO_CASES,
     SearchExhausted,
     WeylSearchConfig,
     bertini_involution,
@@ -81,10 +78,14 @@ class InputDocument:
 
     def group_spec(self) -> GroupSpec:
         if self.kind == "cyclic":
-            return Cyclic(self.matrices[0])
-        if self.kind == "list":
-            return Explicit(self.matrices)
-        return Generated(self.matrices, self.bound) if self.bound else Generated(self.matrices)
+            spec = Cyclic(self.matrices[0])
+        elif self.kind == "list":
+            spec = Explicit(self.matrices)
+        else:
+            spec = Generated(self.matrices)
+        if self.bound is not None:
+            spec.closure_bound = self.bound  # every kind's walk refuses a larger group
+        return spec
 
     @cached_property
     def lattice(self) -> GLattice:
@@ -219,7 +220,7 @@ def _glattice_echo(m: GLattice) -> dict:
 def _cmd_verify_table(args) -> int:
     cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
     cases = [("dejonquieres", g) for g in range(1, args.max_genus + 1)]
-    cases += [(c, None) for c in ("geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5")]
+    cases += [(c, None) for c in DEL_PEZZO_CASES]
     rows = []
     t0 = time.perf_counter()
     for case, genus in cases:
@@ -457,16 +458,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except SearchExhausted as e:
         print(f"search exhausted: {e}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (
-        InputError,
-        ValidationError,
-        GroupTooLarge,
-        GroupMismatch,
-        NotSubgroup,
-        NotSublattice,
-        OSError,
-        ValueError,
-    ) as e:
+    except (OSError, ValueError) as e:  # InputError and every refusal of the library are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -153,6 +153,45 @@ def test_compute_refuses_generated_unipotent(tmp_path, capsys):
     assert "group too large or infinite: closure exceeds 10000" in captured.err
 
 
+QUARTER_TURN = [[0, -1], [1, 0]]  # order 4
+
+
+@pytest.mark.parametrize(
+    "kind, matrices, message",
+    [
+        ("cyclic", [QUARTER_TURN], "order exceeds 3"),
+        ("list", [[[1, 0], [0, 1]], [[-1, 0], [0, -1]], QUARTER_TURN, [[0, 1], [-1, 0]]], "4 > 3"),
+        ("generated", [QUARTER_TURN], "closure exceeds 3"),
+    ],
+)
+def test_group_bound_is_honoured_for_every_kind(kind, matrices, message, tmp_path, capsys):
+    doc = {"rank": 2, "gram": None, "group": {"kind": kind, "matrices": matrices, "bound": 3}}
+    for command in ("compute", "scan"):
+        assert run_command([command, "--input", write_doc(tmp_path, doc), "--json"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: group too large or infinite: {message}\n"
+    # the order itself is within the bound
+    doc["group"]["bound"] = 4
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc), "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_order"] == 4 and report["input"] == doc
+
+
+def test_group_bound_above_the_default_admits_a_larger_group(tmp_path, capsys):
+    # the signed permutation matrices of S_7 x {+-1}: 10080 elements, above the default 10000
+    n = 7
+    swap = [[int(i == (1 - j if j < 2 else j)) for j in range(n)] for i in range(n)]
+    cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    minus = [[-int(i == j) for j in range(n)] for i in range(n)]
+    doc = {"rank": n, "gram": None, "group": {"kind": "generated", "matrices": [swap, cycle, minus]}}
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc), "--json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: group too large or infinite: closure exceeds 10000\n"
+    doc["group"]["bound"] = 20000
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc), "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["group_order"] == 10080
+
+
 def test_compute_missing_file_exits_1(capsys):
     assert run_command(["compute", "--input", "/does/not/exist.json"]) == 1
 
