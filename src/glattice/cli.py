@@ -28,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
     Cyclic,
@@ -192,11 +193,41 @@ def _h1_json(g: FinAbGroup) -> dict:
     return {"invariant_factors": list(g.invariant_factors), "free_rank": g.free_rank}
 
 
+def _indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string keys, lists, tuples and scalars.
+
+    ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is
+    set.  Here keys and strings go through the C
+    ``encode_basestring_ascii``, and a list of plain ints, such as a matrix
+    row, is one ``str.join``.  ``pad`` is the line break and indentation
+    that close ``obj``.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all([type(x) is int for x in obj]):
+            items = map(str, obj)
+        else:
+            items = [_indented_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    return json.dumps(obj)  # a float, a boolean or None
+
+
 def _emit(report: dict, as_json: bool, timing_ms: float, with_timing: bool, human: str) -> None:
     if as_json:
         if with_timing:
             report["timing_ms"] = round(timing_ms, 3)
-        print(json.dumps(report, indent=2))
+        print(_indented_json(report))
     else:
         print(human.rstrip())
         print(f"done in {timing_ms:.0f} ms")

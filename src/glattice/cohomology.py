@@ -8,14 +8,24 @@ by the powers of d for a ``cyclic`` spec <d>, breadth first by the listed
 generators of a ``generated`` spec, and by greedy generators S picked in
 list order for a ``list`` spec, whose every product must land in the list,
 O(|G| * |S|) products rather than the |G|^2 of the full multiplication
-table.  Each spec keeps the walk that closed it (``_checked_walk``), a
-Schreier table from which any group product is read by index
-(``_Walk.times``): it is the only group structure used after the closure,
-and nothing after the closure multiplies matrices.  Orders come
-from residues mod 3 and one exact confirmation: by Minkowski's lemma the
-kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals
-the order mod 3, and an infinite-order input is refused after a few cheap
-products instead of ``bound`` growing exact ones.
+table.  The walk multiplies no matrices.  It acts on Ω, a finite set of
+vectors that starts with the standard basis and spans Z^rank: the union of
+the basis vectors' orbits under the generators, or the distinct columns of
+a list.  An element is a permutation of Ω, known by its images of the
+basis, which are its columns; a product is one composition of permutations,
+done in C in time linear in |Ω|, where an exact matrix product costs up to
+rank^3 Python-level multiply-adds.  The arithmetic left is one sparse
+matrix-vector product per point of Ω and generator (|Ω| <= rank * |G|, and
+a basis vector's image is read off as a column); matrices are built from
+their columns once the walk is done.  As Ω spans, G acts on it faithfully,
+so Ω is finite exactly when G is, and an orbit beyond the bound refuses a
+group before it is walked.  Each spec keeps the walk that closed it
+(``_checked_walk``), a Schreier table from which any group product is read
+by index (``_Walk.times``): it is the only group structure used after the
+closure.  Orders come from residues mod 3 and one exact confirmation: by
+Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a
+finite order equals the order mod 3, and an infinite-order input is refused
+after a few cheap products instead of ``bound`` growing exact ones.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -27,7 +37,8 @@ B = [(s_1 - 1)^T | ... | (s_k - 1)^T]: one ``subquotient`` of Z^rank by
 the rows of B^T, a Hermite elimination of its k * rank rows, then Smith on
 at most rank x rank entries.  ``h1_cocycle`` takes the generators of the
 lattice's walk, which for a generated lattice are its listed generators (a
-redundant one adds rank rows of B^T); ``h1_cyclic`` takes d for <d>, giving
+repeat or the identity adds no rows, any other redundant one rank rows of
+B^T); ``h1_cyclic`` takes d for <d>, giving
 tors coker(d - 1) = ker(N)/eta(M) with N the norm and eta = 1 - d;
 ``obstruction_scan`` takes one generator per conjugacy class of cyclic
 subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
@@ -50,8 +61,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 from .intlinalg import (
@@ -186,13 +198,12 @@ class Explicit(GroupSpec):
         if len(self.elements) > bound:
             raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {bound}")
         if self._walk is None:
-            elems = self.elements
-            members = dict(zip(elems, elems))
-            if len(members) != len(elems):
+            members = set(self.elements)
+            if len(members) != len(self.elements):
                 raise ValidationError("Explicit element list contains duplicates")
             if IntMatrix.identity(self.size) not in members:
                 raise ValidationError("Explicit element list is missing the identity")
-            walk = _closed_walk(members[IntMatrix.identity(self.size)], (), elems, members)
+            walk = _closed_walk((), self.elements)
             if walk is None:
                 raise ValidationError("Explicit element list is not closed under products")
             self._walk = walk
@@ -228,7 +239,7 @@ class Generated(GroupSpec):
                     matrix_order(g, bound)
             except GroupTooLarge:
                 raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}") from None
-            self._walk = _closed_walk(IntMatrix.identity(self.size), self.generators, bound=bound)
+            self._walk = _closed_walk(self.generators, bound=bound)
         if len(self._walk.elements) > bound:
             raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
         return self._walk
@@ -285,7 +296,7 @@ def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) 
     """Closure of the generators under multiplication, in breadth-first order: their walk's elements."""
     if not generators:
         raise ValueError("no generators")
-    return list(_closed_walk(IntMatrix.identity(generators[0].rows), generators, bound=bound).elements)
+    return list(_closed_walk(generators, bound=bound).elements)
 
 
 @dataclass(frozen=True)
@@ -301,7 +312,9 @@ class _Walk:
 
     The edges are a Schreier table: ``table`` holds ``right[a][s] = b`` and
     each element's word in the generators along the tree, so :meth:`times`
-    finds any product by index, with no matrix product.
+    finds any product by index, with no matrix product.  The walk that made
+    them composed permutations of a spanning set Ω (``_closed_walk``); of
+    it only the matrices, the generators and the edges are kept.
     """
 
     elements: tuple[IntMatrix, ...]
@@ -326,43 +339,137 @@ class _Walk:
         return x
 
 
-def _closed_walk(one, gens: Sequence, candidates: Sequence = (), members: dict | None = None,
+def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                  bound: int | None = None) -> _Walk | None:
-    """The walk from ``one`` by ``gens``, then by each of ``candidates`` it has not reached when it comes to it.
+    """The walk from the identity by ``gens``, then by each of ``members`` it has not reached when it comes to it.
+
+    Every element is walked as a permutation of Ω, a finite set of vectors
+    that starts with the standard basis and is stable under the group: the
+    union of the orbits of the basis vectors under ``gens`` (``_orbits``),
+    or the distinct columns of ``members``, which a group's own columns
+    are.  As g.e_j is column j of g, an element is known by its first rank
+    images, the indices of its columns in Ω, and its matrix is built from
+    them with no product once the walk is done.  A product is one
+    composition of permutations in C: ``bytes.translate`` on tables padded
+    to 256 entries when |Ω| <= 256, an ``itemgetter`` otherwise.
 
     The reached set grows by right-multiplying it by the generators,
-    breadth first; the identity's row forms no product.  A candidate joins
-    as a generator (the greedy generators of a list); elements reached
-    before need only the product with it, newly reached ones take every
-    generator, so every element meets every generator once.
-    Without ``members`` a closure beyond ``bound`` raises GroupTooLarge.
-    ``members`` maps each member to itself, so the walk keeps those objects,
-    and it returns None at the first product outside them: so it ends.
+    breadth first.  A member joins as a generator (the greedy generators of
+    a list); elements reached before need only the product with it, newly
+    reached ones take every generator, so every element meets every
+    generator once.  Without ``members`` a closure beyond ``bound`` raises
+    GroupTooLarge.  With them the walk keeps the member objects and returns
+    None at the first product outside them, or at a generator's first image
+    outside Ω, which the columns of a group contain: so it ends.
     """
+    n = (gens or members)[0].rows
+    ident = IntMatrix.identity(n)
+    points = list(ident)  # Ω, the basis first
+    where = dict(zip(points, range(n)))
+    for v in chain.from_iterable(zip(*g) for g in members):
+        if v not in where:
+            where[v] = len(points)
+            points.append(v)
+    perms = dict(zip(gens, _orbits(gens, points, where, bound)))
+    size = len(points)
+    if size <= 256:
+        pad = bytes(range(size, 256))
+        pack, one = bytes, bytes(range(256))
+
+        def move(images):  # x -> x @ g, which takes point i where x takes g's image of it: x[images[i]]
+            return (bytes(images) + pad).translate
+    else:
+        pack, one = tuple, tuple(range(size))
+
+        def move(images):  # the same, by an itemgetter
+            return itemgetter(*images)
+    keys = {g: pack([where[v] for v in zip(*g)]) for g in members}
+    listed = {key: g for g, key in keys.items()}
     reached = [one]
-    index = {one: 0}
-    walk_gens: list = []
+    index = {one[:n]: 0}
+    walk_gens: list[IntMatrix] = []
+    moves: list = []
     edges: list[tuple[int, int, int]] = []
-    # the candidates are tested against ``index`` as the walk comes to them
-    for batch in chain([gens], ([g] for g in candidates if g not in index)):
-        first = len(walk_gens)
-        walk_gens.extend(batch)
+    # the members are tested against ``index`` as the walk comes to them
+    for batch in chain([gens], ([g] for g in members if keys[g] not in index)):
+        first = len(moves)
+        for g in batch:
+            images = perms[g] if g in perms else _images(g, points, where)
+            if images is None:
+                return None
+            walk_gens.append(g)
+            moves.append(move(images))
         known = len(reached)
         for i, x in enumerate(reached):  # the list grows as it is read
-            for s in range(first if i < known else 0, len(walk_gens)):
-                y = walk_gens[s] if i == 0 else x @ walk_gens[s]
-                j = index.get(y)
+            for s in range(first if i < known else 0, len(moves)):
+                y = moves[s](x)
+                key = y[:n]
+                j = index.get(key)
                 if j is None:
-                    if members is not None:
-                        y = members.get(y)
-                        if y is None:
+                    if members:
+                        if key not in listed:
                             return None
                     elif len(reached) == bound:
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
-                    j = index[y] = len(reached)
+                    j = index[key] = len(reached)
                     reached.append(y)
                 edges.append((i, s, j))
-    return _Walk(tuple(reached), tuple(walk_gens), tuple(edges))
+            if not members:  # one batch: a row done is not read again
+                reached[i] = None
+    del reached  # the permutations go before the matrices come
+    if members:
+        elements = [listed[key] for key in index]
+    else:  # the identity and the generators as they are; any other element by its columns, Ω[key[j]]
+        elements = [ident]
+        given = {pack(perms[g][:n]): g for g in gens}
+        rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rows are shared
+        for key in islice(index, 1, None):
+            g = given.get(key)
+            if g is None:
+                g = IntMatrix._from_rows(tuple([rows.setdefault(r, r) for r in zip(*[points[c] for c in key])]), n)
+            elements.append(g)
+    return _Walk(tuple(elements), tuple(walk_gens), tuple(edges))
+
+
+def _orbits(gens: Sequence[IntMatrix], points: list, where: dict, bound: int | None) -> list[list[int]]:
+    """Grow ``points`` from the standard basis into Ω, the union of its orbits; each generator's images of Ω.
+
+    Images are indices into ``points`` (``where`` maps each point to its
+    index).  Ω is found breadth first, a layer of new points at a time: a
+    basis vector's image is a column, read with no arithmetic, and a later
+    layer's images are one ``matmul_rows`` of its points with a generator's
+    columns.  Ω spans Z^rank, so the group acts on it faithfully, and it is
+    finite exactly when the group is.  A new point is counted to the basis
+    vector in whose orbit it was found; no orbit is larger than the group,
+    so more than ``bound`` points counted to one basis vector refuse the
+    group before it is walked.
+    """
+    n = len(points)
+    columns = [tuple(zip(*g)) for g in gens]
+    images: list[list[int]] = [[] for _ in gens]
+    owner = list(range(n))  # the basis vector from whose orbit each point was found
+    found = [1] * n  # the points found so far in each basis vector's orbit
+    done = 0
+    while done < len(points):
+        start, done = done, len(points)
+        for cols, image in zip(columns, images):
+            for i, v in enumerate(matmul_rows(points[start:done], cols, n) if start else cols, start):
+                k = where.setdefault(v, len(points))
+                if k == len(points):
+                    points.append(v)
+                    owner.append(owner[i])
+                    found[owner[i]] += 1
+                    if found[owner[i]] > bound:
+                        raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
+                image.append(k)
+    return images
+
+
+def _images(g: IntMatrix, points: list, where: dict) -> list[int] | None:
+    """The indices of g's images of Ω, or None when one lies outside it."""
+    cols = tuple(zip(*g))
+    images = [where.get(v) for v in chain(cols, matmul_rows(points[len(cols):], cols, len(cols)))]
+    return None if None in images else images
 
 
 def validate_and_close(
@@ -377,11 +484,17 @@ def validate_and_close(
     spec, which keeps its walk.  A cyclic spec is walked by the powers of
     its generator, after its order (see :func:`matrix_order`).  A generated
     spec first has each generator's order checked, so an infinite-order
-    generator is refused after a few residue products, and is then walked
-    breadth first at |G| * |generators| products.  An explicit list is
-    proved to contain the identity and be product-closed by one walk of
-    greedy generators S, O(|G| * |S|) products instead of |G|^2, and comes
-    back in its own order.
+    generator is refused after a few residue products.  The orbits of the
+    basis vectors then give Ω at |Ω| * |generators| matrix-vector
+    products; Ω is finite exactly when the group is, and an orbit beyond
+    the bound refuses it.  The group is then walked breadth first at
+    |G| * |generators| compositions of permutations of Ω.  An explicit list
+    is proved to contain the identity and be product-closed by one walk of
+    greedy generators S: Ω is the set of its columns, found with no
+    arithmetic, each of S maps Ω into itself at |Ω| matrix-vector products
+    (an image outside Ω proves the list not closed), and the walk takes
+    O(|G| * |S|) compositions where the full table takes |G|^2 products.
+    The list comes back in its own order.
     """
     if order_bound is None:
         order_bound = spec.closure_bound
@@ -508,10 +621,12 @@ def _h1(gens: Sequence[IntMatrix], rank: int) -> tuple[FinAbGroup, int]:
     of B = [(s_1 - 1)^T | ... | (s_k - 1)^T], has finite index in it, so H^1
     is the torsion of coker(B) (Brown, *Cohomology of Groups*, III-IV).  B^T,
     the blocks s - 1 stacked, has the same invariant factors and the kernel
-    M^G, so Z^rank modulo the rows of B^T is H^1 + Z^(rank M^G).
+    M^G, so Z^rank modulo the rows of B^T is H^1 + Z^(rank M^G).  A repeated
+    generator or the identity adds no row to that lattice, so its block is
+    left out.
     """
     ident = IntMatrix.identity(rank)
-    coker = subquotient(ident, _stacked(gens, ident))
+    coker = subquotient(ident, _stacked([g for g in dict.fromkeys(gens) if g != ident], ident))
     return FinAbGroup(coker.invariant_factors), coker.free_rank
 
 
@@ -558,9 +673,9 @@ def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
 
     Cocycles are taken in the coordinates of their values on the generators
     of the lattice's walk (see ``_h1``): the listed generators of a
-    generated lattice, the greedy generators of a list.  A redundant listed
-    generator adds ``rank`` rows of B^T and changes neither H^1 nor the
-    rank of M^G.  Only the closure's bound limits the group.
+    generated lattice, the greedy generators of a list.  A repeated listed
+    generator or the identity adds no rows of B^T; any other redundant one
+    adds ``rank`` and changes neither H^1 nor the rank of M^G.  Only the closure's bound limits the group.
     """
     return _result(m, "cocycle", witness)
 

@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import glattice
 import glattice.cli as cli
 from glattice.cli import InputError, parse_input, run_command
 from glattice.intlinalg import IntMatrix
@@ -532,3 +535,50 @@ def test_group_reports_are_byte_identical(command, grp, signed, kind, tmp_path, 
     assert run_command([command, "--input", path, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command, grp, signed, kind]
+
+
+# sha256 of the exit code, stdout and stderr of each of the 240 `groups`
+# benchmark ops (five passes of its 48-op template) at seeds 1 and 11, taken
+# before the walk composed permutations: every report and refusal must stay
+# byte for byte as it was
+GROUPS_OPS_SHA256 = {
+    1: "382cf50d11fcbb7cb78bdb0522480cb3d9aa8b9e19e3daaebaf0ccce277c8982",
+    11: "a68d2f966d67323ef8f041fc3ea7c1808083bede80b9d51994a43f89c322e6ea",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GROUPS_OPS_SHA256))
+def test_groups_benchmark_outcomes_are_byte_identical(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    ops = workloads.WORKLOADS["groups"].make_ops(glattice, seed, 0, 240, tmp_path)
+    digest = hashlib.sha256()
+    for op in ops:
+        rc, out, err = op.call()
+        digest.update(json.dumps([rc, out, err]).encode("utf-8"))
+    assert len(ops) == 240
+    assert digest.hexdigest() == GROUPS_OPS_SHA256[seed]
+
+
+WEYL_E6_DOC = Path(__file__).resolve().parent / "data" / "weyl_e6_generated.json"
+
+
+def test_weyl_e6_document_closes(capsys):
+    # the six simple reflections of E_6 on Pic of a cubic surface, with bound 60000
+    assert run_command(["compute", "--input", str(WEYL_E6_DOC), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["group_order"], report["h0_rank"], report["h1"]) == (
+        51840, 1, {"invariant_factors": [], "free_rank": 0})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(st.integers()),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_indented_json_matches_json_dumps(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)

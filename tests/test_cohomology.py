@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -1157,3 +1158,97 @@ def test_direct_sum_walk_pairing_matches_products_along_the_first_walk():
                 outcomes.append((type(spec1), accepted))
     # both kinds were both accepted and refused
     assert set(outcomes) == {(kind, ok) for kind in (Explicit, Generated) for ok in (True, False)}
+
+
+# --- the permutation walk -------------------------------------------------------
+
+
+def matrix_walk(gens, members=()):
+    """Reference walk by exact matrix products: breadth first from the identity by
+    ``gens``, then by each of ``members`` not reached when the walk comes to it."""
+    one = IntMatrix.identity((gens or members)[0].rows)
+    reached, index, walk_gens, edges = [one], {one: 0}, [], []
+    for batch in itertools.chain([list(gens)], ([g] for g in members if g not in index)):
+        first = len(walk_gens)
+        walk_gens.extend(batch)
+        known = len(reached)
+        for i, x in enumerate(reached):  # the list grows as it is read
+            for s in range(first if i < known else 0, len(walk_gens)):
+                y = x @ walk_gens[s]
+                if y not in index:
+                    index[y] = len(reached)
+                    reached.append(y)
+                edges.append((i, s, index[y]))
+    return reached, walk_gens, edges
+
+
+def pairs_matrix(perm):
+    """The permutation of 0..n-1 acting on the unordered pairs, as a permutation matrix."""
+    pairs = list(itertools.combinations(range(len(perm)), 2))
+    return perm_matrix([pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in pairs], False)
+
+
+def omega_size(elements):
+    """|Ω|: the orbits of the basis vectors are the columns of the group's elements."""
+    return len({column for g in elements for column in zip(*g)})
+
+
+def test_permutation_walk_matches_matrix_products():
+    rng = random.Random(20)  # |Ω| is 590 on the pairs
+    p4, p4inv = conjugator(rng, 4)
+    p10, p10inv = conjugator(rng, 10)
+    s4 = [p4 @ g @ p4inv for g in symmetric_group_generators(4, True)]
+    s5_pairs = [p10 @ pairs_matrix(q) @ p10inv for q in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    for gens, order, small in ((s4, 24, True), (s5_pairs, 120, False)):
+        walk = Generated(gens)._checked_walk(10_000)
+        assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk(gens)
+        assert len(walk.elements) == order
+        # both compositions are taken: translated bytes up to 256 points, an itemgetter beyond
+        assert (omega_size(walk.elements) <= 256) is small
+    # a cyclic walk: the powers of (0 1)(2 3 4) on the pairs
+    g = p10 @ pairs_matrix((1, 0, 3, 4, 2)) @ p10inv
+    walk = Cyclic(g)._checked_walk(10_000)
+    assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk([g])
+    assert len(walk.elements) == 6
+    # a list, walked by its greedy generators, keeps the listed objects
+    listed = [p4 @ g @ p4inv for g in symmetric_group_module(4, False)]
+    rng.shuffle(listed)
+    walk = Explicit(listed)._checked_walk(10_000)
+    assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk((), listed)
+    assert all(any(x is y for y in listed) for x in walk.elements)
+
+
+def test_walk_refusals_keep_their_text():
+    # two integer reflections with a unipotent product: the infinite dihedral
+    # group, also beside 38 fixed basis vectors: only the orbit that grows counts
+    reflections = [IntMatrix([[-1, 0], [0, 1]]), IntMatrix([[-1, 2], [0, 1]])]
+    for fixed in (0, 38):
+        gens = [IntMatrix.block_diag(r, IntMatrix.identity(fixed)) for r in reflections]
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge, match="closure exceeds 10000$"):
+            GLattice(2 + fixed, Generated(gens)).elements()
+        assert time.perf_counter() - start < 1
+    with pytest.raises(GroupTooLarge, match="closure exceeds 100$"):
+        GLattice(5, Generated(symmetric_group_generators(5, False), closure_bound=100)).elements()
+    rng = random.Random(19)
+    p, pinv = conjugator(rng, 5)
+    listed = [p @ g @ pinv for g in symmetric_group_module(5, True)]
+    listed.remove(rng.choice(listed[1:]))
+    with pytest.raises(ValidationError, match="not closed under products"):
+        validate_and_close(Explicit(listed))
+
+
+def test_h1_stacks_each_distinct_generator_once(monkeypatch):
+    import glattice.cohomology as coh
+
+    rows = []
+    real = coh.subquotient
+    monkeypatch.setattr(coh, "subquotient", lambda a, b: rows.append(b.rows) or real(a, b))
+    transposition = perm_matrix((1, 0, 2, 3), True)
+    m = GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)]))
+    res = h1_cocycle(m, witness=True)
+    assert res.h1 == FinAbGroup((2, 2))
+    # one block of rank rows for the one distinct generator that is not the identity
+    assert rows == [4]
+    # the witness keeps a coordinate block for each listed generator
+    assert res.witness.denominator_gens.cols == 51 * 4
