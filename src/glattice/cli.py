@@ -249,6 +249,8 @@ def _glattice_echo(m: GLattice) -> dict:
 
 
 def _cmd_verify_table(args) -> int:
+    if args.max_genus < 0:  # range() would drop every conic-bundle row and report a pass
+        raise InputError(f"verify-table --max-genus must be at least 0, got {args.max_genus}")
     cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
     cases = [("dejonquieres", g) for g in range(1, args.max_genus + 1)]
     cases += [(c, None) for c in DEL_PEZZO_CASES]
@@ -438,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-table", help="verify every built-in case")
-    p.add_argument("--max-genus", type=int, default=5, help="verify conic bundles up to this genus")
+    p.add_argument("--max-genus", type=int, default=5, help="verify conic bundles up to this genus (0: del Pezzo rows only)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.add_argument("--json", action="store_true")

@@ -330,6 +330,21 @@ def test_verify_table_json(capsys):
     assert geiser["h1"]["invariant_factors"] == [2] * 6
 
 
+def test_verify_table_refuses_a_negative_max_genus(capsys):
+    for argv in (["--max-genus", "-3"], ["--max-genus", "-1", "--json"]):
+        assert run_command(["verify-table", *argv]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify-table --max-genus must be at least 0, got {argv[1]}\n"
+
+
+def test_verify_table_max_genus_0_runs_the_del_pezzo_rows_only(capsys):
+    assert run_command(["verify-table", "--max-genus", "0", "--json"]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_passed"] is True
+    assert [r["case"] for r in out["rows"]] == ["geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5"]
+
+
 # sha256 of the stdout of `verify-table --max-genus 20 --json --seed s`, taken
 # before the sparse-aware elimination kernels (zero-skipping row and column
 # operations, Bareiss row skips, Hermite reduction before Smith) were

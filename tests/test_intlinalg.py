@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -805,3 +806,77 @@ def test_subquotient_matches_smith_of_raw_coefficients():
     a = IntMatrix([[2, 0], [0, 1]])
     b = IntMatrix([[2, 0], [2, 0], [4, 2], [0, 6], [0, 0]])
     assert subquotient(a, b) == smith_of_raw_coefficients(a, b) == FinAbGroup((2,), 0)
+
+
+def smith_pin_family():
+    """Named groups of inputs whose Smith transforms are pinned by sha256."""
+    dense16 = [random_matrix(random.Random(s), 16, 16) for s in range(10)]
+    dense30 = [random_matrix(random.Random(s), 30, 30) for s in (1, 2, 3)]
+    dejonquieres_family = []
+    for g in range(1, 21):
+        m = dejonquieres(g).delta - IntMatrix.identity(2 * g + 4)
+        dejonquieres_family += [m, m.transpose()]
+    rng = random.Random(41)
+    misc = [
+        IntMatrix([[2, 0], [0, 3]]),  # the pivot 2 does not divide 3: the offender path
+        IntMatrix.diagonal([6, 4, 9]),
+        IntMatrix.diagonal([0, 10, 0, 4, 15]),
+        IntMatrix([[4, 6, 0], [6, 9, 2], [0, 2, 5]]),
+        IntMatrix([[6, 0, 2], [0, 6, 0], [-4, 0, 0]]),  # a row swap after the offender step
+        IntMatrix.zeros(3, 5),
+        IntMatrix([], cols=4),
+        IntMatrix([[], [], []], cols=0),
+    ]
+    for _ in range(40):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        misc.append(sparse_matrix(rng, m, n))
+        misc.append(sparse_matrix(rng, m, n, entries=(0, 0, 0, 2, -4, 6, 9, -15)))
+    for _ in range(300):  # small pivots that rarely divide the rest: many offender steps
+        misc.append(sparse_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), entries=(0, 0, 2, 3, 4, 6, -6, 12)))
+    return {"dense16": dense16, "dense30": dense30, "dejonquieres": dejonquieres_family, "misc": misc}
+
+
+SMITH_PINS = {
+    "dense16": "01b8ad166cdf03cb8db9e69602b8413f98f7ec4d9d04fbf1e0618eb97598149a",
+    "dense30": "f36334a4e0ed014c9e9ea2bfa987c3ece9445f4c7647c0fcd0c76e5e7c3c8651",
+    "dejonquieres": "e6235527495df9fee4322ead6c94cdee9b5dd1bd68d2534803867662a0daf00d",
+    "misc": "bf69d2e7ccabdaa53be5b659c8b02d394bfa8e5accfe4f13a071a20aa36ef4e2",
+}
+
+
+def smith_digest(cases):
+    hasher = hashlib.sha256()
+    for a in cases:
+        sf = smith_form(a)
+        for t in (sf.U, sf.D, sf.V):
+            hasher.update(repr((t.rows, t.cols, t.tolists())).encode())
+    return hasher.hexdigest()
+
+
+def test_smith_transforms_are_pinned():
+    # U, D and V depend on the pivot order, not only on the input: these
+    # digests fix the pivot rule (first entry of least |value|, row by row)
+    for name, cases in smith_pin_family().items():
+        assert smith_digest(cases) == SMITH_PINS[name], name
+
+
+def test_subquotient_of_the_identity_basis_matches_the_general_path(monkeypatch):
+    solves = []
+    solve = intlinalg._solve_against_hnf
+    monkeypatch.setattr(intlinalg, "_solve_against_hnf", lambda *args: solves.append(1) or solve(*args))
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        b = sparse_matrix(rng, rng.randint(1, 6), n) if rng.random() < 0.5 else random_matrix(rng, rng.randint(1, 6), n, -6, 6)
+        more = sparse_matrix(rng, b.rows + rng.randint(1, 3), b.rows) @ b  # dependent rows
+        for gens in (b, more, IntMatrix.stack([b, b, IntMatrix.zeros(2, n)]), IntMatrix([], cols=n)):
+            ident, u = IntMatrix.identity(n), random_unimodular(rng, n)
+            solves.clear()
+            fast = subquotient(ident, gens)
+            assert not solves  # the identity is not solved against
+            general = subquotient(u, gens)
+            assert len(solves) == (gens.rows if u != ident else 0)
+            assert fast == general == smith_of_raw_coefficients(ident, gens)
+    assert subquotient(IntMatrix.identity(3), IntMatrix.zeros(2, 3)) == FinAbGroup((), 3)
+    assert subquotient(IntMatrix.identity(2), IntMatrix([[2, 0], [0, 6], [2, 6]])) == FinAbGroup((2, 6), 0)
+    assert subquotient(IntMatrix.identity(0), IntMatrix([], cols=0)) == FinAbGroup()
