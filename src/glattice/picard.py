@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
+from operator import mul
 
 from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0
 from .intlinalg import (
@@ -33,7 +35,6 @@ from .intlinalg import (
     char_poly,
     express_in_row_basis,
     kernel_basis,
-    matmul_rows,
     poly_eval,
     poly_pow,
     poly_str,
@@ -154,26 +155,82 @@ def simple_roots(p: PicardLattice) -> list[tuple[int, ...]]:
     return out
 
 
-def roots(p: PicardLattice) -> list[tuple[int, ...]]:
-    """All roots, as the reflection closure of the simple roots.
+@dataclass(frozen=True)
+class RootSystem:
+    """The roots of a degree-d del Pezzo lattice, with its Weyl group acting on them.
+
+    ``roots`` is sorted.  ``reflections[i]`` is the reflection in
+    ``roots[i]`` as a permutation of the roots: a 256-byte table whose entry
+    j is the index of the image of ``roots[j]``, padded with the identity
+    (there are at most 240 roots).  ``a.translate(b)`` is then a followed
+    by b.  ``simple[k]`` is the index of the k-th simple root, and
+    ``coords[i]`` are the coordinates of ``roots[i]`` in the simple roots.
+    ``q`` is K^perp.
+    """
+
+    lattice: PicardLattice
+    q: QLattice
+    roots: tuple[tuple[int, ...], ...]
+    simple: tuple[int, ...]
+    coords: tuple[tuple[int, ...], ...]
+    reflections: tuple[bytes, ...]
+
+
+@cache
+def root_system(d: int) -> RootSystem:
+    """The root system of the degree-d del Pezzo lattice, built once per process.
 
     Every root is conjugate to a simple one under the Weyl group, so the
     orbit of the simple roots under the simple reflections is the whole
-    system.  The list is deduplicated and sorted for reproducibility.
+    system.  It is found breadth first, and each simple reflection's image
+    of every root is kept.  A root first reached as ``s_k x`` has the
+    coordinates of ``x`` plus ``x.alpha_k`` in place k, and the reflection
+    ``s_k s_x s_k``: two translates of tables already built.
     """
-    simples = simple_roots(p)
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for x in frontier:
-            for a in simples:
-                y = _reflect(p, x, a)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return sorted(seen)
+    lat = del_pezzo_pic(d)
+    simples = simple_roots(lat)
+    n = len(simples)
+    found = list(simples)
+    where = {x: i for i, x in enumerate(found)}
+    coords = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    reached_by: list[tuple[int, int]] = []  # entry t is (k, i) when found[n + t] is s_k found[i]
+    images: list[list[int]] = [[] for _ in simples]  # images[k][i]: the index of s_k found[i]
+    pairings = list(IntMatrix(simples) @ lat.gram)  # row k: x -> x.alpha_k
+    for i, x in enumerate(found):  # the list grows as it is read
+        for k, (a, pairing) in enumerate(zip(simples, pairings)):
+            c = sum(map(mul, x, pairing))
+            if not c:  # s_k fixes x
+                images[k].append(i)
+                continue
+            y = tuple([u + c * v for u, v in zip(x, a)])
+            j = where.get(y)
+            if j is None:
+                j = where[y] = len(found)
+                found.append(y)
+                coords.append(coords[i][:k] + (coords[i][k] + c,) + coords[i][k + 1:])
+                reached_by.append((k, i))
+            images[k].append(j)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = [0] * len(found)
+    for r, i in enumerate(order):
+        rank[i] = r
+    pad = bytes(range(len(found), 256))
+    tables = [bytes([rank[image[i]] for i in order]) + pad for image in images]
+    for k, i in reached_by:
+        tables.append(tables[k].translate(tables[i]).translate(tables[k]))
+    return RootSystem(
+        lattice=lat,
+        q=q_sublattice(lat),
+        roots=tuple([found[i] for i in order]),
+        simple=tuple(rank[:n]),
+        coords=tuple([coords[i] for i in order]),
+        reflections=tuple([tables[i] for i in order]),
+    )
+
+
+def roots(p: PicardLattice) -> list[tuple[int, ...]]:
+    """All roots, sorted: the reflection closure of the simple roots."""
+    return list(root_system(p.degree).roots)
 
 
 def reflection(p: PicardLattice, alpha) -> IntMatrix:
@@ -186,22 +243,6 @@ def reflection(p: PicardLattice, alpha) -> IntMatrix:
         e = tuple(1 if i == j else 0 for i in range(p.rank))
         cols.append(_reflect(p, e, alpha))
     return IntMatrix(cols).transpose()
-
-
-def q_reflections(q: QLattice, alphas) -> list[IntMatrix]:
-    """Matrices on Q-coordinates of the reflections in the given roots.
-
-    With ``a`` the Q-coordinates of a root, the reflection
-    x -> x + (x.alpha) alpha acts on Q as ``I + a (G_q a)^T``, the same
-    matrix as ``restrict_action(reflection(p, alpha), q.basis)``.
-    """
-    coords = express_in_row_basis(q.basis, IntMatrix(alphas, cols=q.parent.rank))
-    n = q.rank
-    out = []
-    for a, ga in zip(coords, coords @ q.gram_q):  # the form is symmetric: row i is G_q a_i
-        rows = [tuple([(1 if i == j else 0) + a[i] * ga[j] for j in range(n)]) for i in range(n)]
-        out.append(IntMatrix._from_rows(tuple(rows), n))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +389,25 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
     practical: words rarely land in the target class directly, but words of
     order divisible by p are plentiful.
 
+    A trial forms no matrix.  The roots span Q, so the Weyl group acts
+    faithfully on them, and an element is known by its permutation of the
+    roots (``root_system``).  There are at most 240 roots, so a permutation
+    is a 256-byte table and a product is one ``bytes.translate`` in C; the
+    order is found by powering the word's table.  Only a power u of order
+    p becomes a matrix: column j is the coordinate vector, in the simple
+    roots, of the root u sends the j-th simple root to.  The simple roots
+    are a basis of Q over the rationals, so this matrix is similar over Q to
+    u's matrix on the basis of Q, and the trace and characteristic
+    polynomial tests decide as they would there.  The accepted word's
+    matrix on Pic is then formed once, from its reflections.
+
     Deterministic for a fixed seed.  Raises :class:`SearchExhausted` after
     max_trials misses; parameter errors are ordinary ValueErrors.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    lat = del_pezzo_pic(d)
+    system = root_system(d)
+    lat = system.lattice
     if (9 - d) % (p - 1) != 0:
         raise ValueError(f"(9-d) = {9 - d} is not divisible by (p-1) = {p - 1}")
     mult = (9 - d) // (p - 1)
@@ -364,41 +418,38 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
     if cfg is None:
         cfg = WeylSearchConfig()
 
-    q = q_sublattice(lat)
-    all_roots = roots(lat)
-    qdim = q.rank
-    refl_q = [list(m) for m in q_reflections(q, all_roots)]
     target = poly_pow((1,) * p, s)
     target_trace = -s  # s copies of the primitive p-th roots of unity summed
-
+    tables = system.reflections
+    coords = system.coords
+    simple = system.simple
     rng = random.Random(cfg.seed)
-    nroots = len(all_roots)
-    rrange = range(qdim)
-    ident = list(IntMatrix.identity(qdim))
+    nroots = len(tables)
+    ident = bytes(range(256))
 
     for _ in range(cfg.max_trials):
         length = rng.randint(cfg.word_min, cfg.word_max)
         word = [rng.randrange(nroots) for _ in range(length)]
-        w = refl_q[word[0]]
-        for idx in range(1, length):
-            w = matmul_rows(w, refl_q[word[idx]], qdim)
-        # order of the word on Q; K^perp determines the order on all of Pic
+        w = tables[word[-1]]
+        for idx in reversed(word[:-1]):  # the word acts on a root from its right end
+            w = w.translate(tables[idx])
         powers = [ident]
         cur = w
         while cur != ident and len(powers) <= _MAX_WEYL_ORDER:
             powers.append(cur)
-            cur = matmul_rows(cur, w, qdim)
+            cur = cur.translate(w)
         order = len(powers)
         if cur != ident or order % p != 0:
             continue
         u = powers[order // p]
-        if sum(u[i][i] for i in rrange) != target_trace:
+        columns = [coords[u[j]] for j in simple]
+        if sum(col[j] for j, col in enumerate(columns)) != target_trace:
             continue
-        if char_poly(IntMatrix(u)) != target:
+        if char_poly(IntMatrix(columns).transpose()) != target:
             continue
-        full = reflection(lat, all_roots[word[0]])
+        full = reflection(lat, system.roots[word[0]])
         for idx in word[1:]:
-            full = full @ reflection(lat, all_roots[idx])
+            full = full @ reflection(lat, system.roots[idx])
         found = full
         for _ in range(order // p - 1):
             found = found @ full
@@ -435,7 +486,7 @@ def charpoly_order(m: GLattice) -> int:
         raise ValueError(f"the generator must have prime order, got {n}")
     if invariants_h0(m).rows != 1:
         raise ValueError(f"fixed sublattice has rank {invariants_h0(m).rows}, expected 1")
-    q = q_sublattice(lat)
+    q = root_system(d).q
     chi = char_poly(restrict_action(m.group.generator, q.basis))
     value = abs(poly_eval(chi, 1))
     if value % d != 0:
@@ -510,9 +561,9 @@ def _check(name: str, ok: bool, detail: str) -> Check:
 def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     p, g, d = CASE_PARAMS[case]
     m = build_case(case, cfg)
-    lat = del_pezzo_pic(d)
+    system = root_system(d)
+    lat, q = system.lattice, system.q
     delta = m.group.generator
-    q = q_sublattice(lat)
     mq = GLattice(
         rank=q.rank,
         group=Cyclic(restrict_action(delta, q.basis)),

@@ -377,6 +377,12 @@ SEARCH_SHA256 = {
     (1, 5, 0): "7a6ffe5527bb8370b83e715e52a299e3680f9986c66a105c088d554ac6622784",
     (1, 5, 1): "4c27b3116d7e644f12abd8e46d16789e6014267e65065ad3450ead85b7581e78",
     (1, 5, 2): "74469adff9e3b3785ee6d17bcbfd41de92e921fc4865329e9f76561b5898f510",
+    (2, 2, 0): "d68e1e4dcf61e711cbed660d018e242defbc0efc3fe391216854cb0036fba7e6",
+    (2, 2, 1): "785e3c07c1be6c8680d398b8eb2dbd80b8952cd34db8758ca34b4b99edc24847",
+    (2, 2, 2): "46e85431e39a87bf591a83a58773820d385e1a5101ca1031067ae83430e6515a",
+    (5, 5, 0): "d5a1da69e764ef6195619d9932437c36b64e0d7e647088c2e8ac47491ffc93f5",
+    (5, 5, 1): "b0660e9b18e13e4835a8716ef0ff0d325c90c2b97f6817029ca0d28b58c01529",
+    (5, 5, 2): "7aab594e26741bc9276d74f16f68553da832fdd0b21d0435c55ba80aaca73321",
 }
 
 

@@ -15,10 +15,10 @@ from glattice.picard import (
     dejonquieres,
     del_pezzo_pic,
     geiser_involution,
-    q_reflections,
     q_sublattice,
     reflection,
     restrict_action,
+    root_system,
     roots,
     simple_roots,
     verify_row,
@@ -134,14 +134,24 @@ def test_reflection_is_involution_and_isometry():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_q_reflections_match_restricted_reflections(d):
+def test_root_system_permutes_the_roots_by_their_reflections(d):
     p = del_pezzo_pic(d)
-    q = q_sublattice(p)
-    all_roots = roots(p)
-    closed = q_reflections(q, all_roots)
-    assert len(closed) == len(all_roots)
-    for alpha, r in zip(all_roots, closed):
-        assert r == restrict_action(reflection(p, alpha), q.basis)
+    system = root_system(d)
+    all_roots = system.roots
+    count = {1: 240, 2: 126, 3: 72, 4: 40, 5: 20, 6: 8}[d]
+    assert len(all_roots) == count
+    assert list(all_roots) == roots(p)
+    index = {beta: i for i, beta in enumerate(all_roots)}
+    for alpha, table in zip(all_roots, system.reflections):
+        assert len(table) == 256
+        assert table[count:] == bytes(range(count, 256))
+        for beta, image in zip(all_roots, table):
+            c = p.dot(beta, alpha)
+            assert image == index[tuple(b + c * a for b, a in zip(beta, alpha))]
+    simples = simple_roots(p)
+    assert [all_roots[i] for i in system.simple] == simples
+    for beta, coords in zip(all_roots, system.coords):
+        assert tuple(sum(c * a[j] for c, a in zip(coords, simples)) for j in range(p.rank)) == beta
 
 
 def test_reflection_quadratic_transformation():
