@@ -31,6 +31,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
+    DEFAULT_ORDER_BOUND,
     Cyclic,
     Explicit,
     Generated,
@@ -78,15 +79,10 @@ class InputDocument:
     bound: int | None
 
     def group_spec(self) -> GroupSpec:
+        bound = DEFAULT_ORDER_BOUND if self.bound is None else self.bound  # every kind refuses a larger group
         if self.kind == "cyclic":
-            spec = Cyclic(self.matrices[0])
-        elif self.kind == "list":
-            spec = Explicit(self.matrices)
-        else:
-            spec = Generated(self.matrices)
-        if self.bound is not None:
-            spec.closure_bound = self.bound  # every kind's walk refuses a larger group
-        return spec
+            return Cyclic(self.matrices[0], bound)
+        return (Explicit if self.kind == "list" else Generated)(self.matrices, bound)
 
     @cached_property
     def lattice(self) -> GLattice:
@@ -116,15 +112,13 @@ def _require_int(value, where, minimum=None):
 def _parse_matrix(value, rank, where) -> IntMatrix:
     if not isinstance(value, list) or len(value) != rank:
         raise InputError(f"{where}: expected {rank} rows")
-    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != rank:
             raise InputError(f"{where}: row {i} must have {rank} entries")
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InputError(f"{where}: row {i} has a non-integer entry {x!r}")
-        rows.append(row)
-    return IntMatrix(rows, cols=rank)
+    return IntMatrix._from_rows(tuple(map(tuple, value)), rank)  # every entry is checked above
 
 
 def parse_input(text: str) -> InputDocument:
@@ -234,7 +228,7 @@ def _emit(report: dict, as_json: bool, timing_ms: float, with_timing: bool, huma
 
 
 def _glattice_echo(m: GLattice) -> dict:
-    gen = m.group.listed_matrices()[0]
+    gen = m.group.matrices[0]
     return InputDocument(
         rank=m.rank,
         gram=m.form,
@@ -389,7 +383,7 @@ def _cmd_search(args) -> int:
         f"found an order-{args.prime} isometry on the degree-{args.degree} lattice "
         f"(seed {args.seed})\n"
         f"H^1 = {res.h1}; predicted order {predicted}\n"
-        f"generator:\n" + "\n".join(str(list(row)) for row in m.group.listed_matrices()[0])
+        f"generator:\n" + "\n".join(str(list(row)) for row in m.group.matrices[0])
     )
     _emit(report, args.json, elapsed, args.timing, human)
     return EXIT_OK

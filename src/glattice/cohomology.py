@@ -1,7 +1,11 @@
 """Finite group actions on integer lattices and their first cohomology.
 
 A G-lattice is a free Z-module of finite rank on which a finite matrix group
-acts by unimodular integer matrices (acting on column vectors).
+acts by unimodular integer matrices (acting on column vectors).  The group
+is given by a spec, ``Cyclic``, ``Explicit`` or ``Generated``, built from its
+listed matrices and a bound on the group's size (``closure_bound``, default
+10,000): the bound is part of the spec from its construction, every kind's
+walk refuses a larger group, and specs that differ in it are unequal.
 
 Group elements are found by one walk from the identity (``_closed_walk``):
 by the powers of d for a ``cyclic`` spec <d>, breadth first by the listed
@@ -45,11 +49,12 @@ subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
 group acting on a lattice is always finite and annihilated by the group
 order, which is asserted on every run.
 
-Each :class:`GLattice` keeps its closure (default bound) and its walk after
-first use, so ``h1``, ``obstruction_scan`` and ``restrict_subgroup`` close a
-group once however often they are called; the rank of M^G comes with each
-H^1 from the same subquotient.  Only ``invariants_h0`` needs a basis of
-M^G, which it computes once per lattice and keeps with the closure.
+Each :class:`GLattice` keeps its closure (within its spec's bound) and its
+walk after first use, so ``h1``, ``obstruction_scan`` and
+``restrict_subgroup`` close a group once however often they are called; the
+rank of M^G comes with each H^1 from the same subquotient.  Only
+``invariants_h0`` needs a basis of M^G, which it computes once per lattice
+and keeps with the closure.
 
 All inputs and outputs are immutable; every function here is pure and safe
 for concurrent use.  The per-lattice cache, and what a spec keeps (its
@@ -106,23 +111,54 @@ class NotSubgroup(ValueError):
 
 
 class GroupSpec:
-    """How the acting group is presented, with the walk that proved it a group; see the subclasses."""
+    """A finite matrix group as presented: its listed matrices and the bound on its size.
 
-    closure_bound = DEFAULT_ORDER_BOUND
+    Every kind is built, compared and hashed here, on its listed matrices
+    and its bound; a subclass says only how its kind is walked
+    (``_walk_group``), and keeps the walk that proved it a group.
+    """
+
     _walk: _Walk | None = None
 
-    def listed_matrices(self) -> tuple[IntMatrix, ...]:
-        raise NotImplementedError
+    def __init__(self, matrices: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
+        what = type(self).__name__
+        self.matrices = tuple([m if isinstance(m, IntMatrix) else IntMatrix(m) for m in matrices])
+        if not self.matrices:
+            raise ValueError(f"{what} requires at least one matrix")
+        n = self.size
+        if any(not m.is_square or m.rows != n for m in self.matrices):
+            raise ValidationError(f"{what}: matrices must all be square of the same size")
+        if closure_bound < 1:
+            raise ValueError("closure bound must be positive")
+        self.closure_bound = closure_bound
 
-    def _checked_walk(self, bound: int) -> _Walk:
-        """The walk that proves the spec a group of at most ``bound`` elements, found once per spec."""
-        raise NotImplementedError
+    def __eq__(self, other):
+        return (
+            type(self) is type(other)
+            and self.matrices == other.matrices
+            and self.closure_bound == other.closure_bound
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.matrices, self.closure_bound))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.matrices!r}, closure_bound={self.closure_bound})"
 
     @property
     def size(self) -> int:
         """Matrix dimension (the lattice rank the spec acts on)."""
-        mats = self.listed_matrices()
-        return mats[0].rows if mats else 0
+        return self.matrices[0].rows
+
+    def _walk_group(self, bound: int) -> _Walk:
+        """The walk that proves the spec a group of at most ``bound`` elements."""
+        raise NotImplementedError
+
+    def _checked_walk(self) -> _Walk:
+        """The walk within ``closure_bound``, found once per spec."""
+        if self._walk is None:
+            self._walk = self._walk_group(self.closure_bound)
+        return self._walk
 
     def _check(self, form: IntMatrix | None) -> None:
         """Raise ValidationError unless every listed matrix is unimodular and
@@ -130,7 +166,7 @@ class GroupSpec:
         passed = self.__dict__.setdefault("_passed", set())
         if form in passed:
             return
-        for i, g in enumerate(self.listed_matrices()):
+        for i, g in enumerate(self.matrices):
             if not g.is_unimodular():
                 raise ValidationError(f"matrix {i} is not unimodular", i, "unimodular")
             if form is not None and g.transpose() @ form @ g != form:
@@ -144,118 +180,58 @@ class GroupSpec:
         return self
 
 
-def _as_matrix_tuple(mats: Sequence[IntMatrix], what: str) -> tuple[IntMatrix, ...]:
-    out = []
-    for m in mats:
-        if not isinstance(m, IntMatrix):
-            m = IntMatrix(m)
-        out.append(m)
-    if not out:
-        raise ValueError(f"{what} requires at least one matrix")
-    n = out[0].rows
-    for m in out:
-        if not m.is_square or m.rows != n:
-            raise ValidationError(f"{what}: matrices must all be square of the same size")
-    return tuple(out)
-
-
 class Cyclic(GroupSpec):
     """Cyclic group presented by a single generator of finite order."""
 
-    def __init__(self, generator):
-        (self.generator,) = _as_matrix_tuple([generator], "Cyclic")
+    def __init__(self, generator, closure_bound: int = DEFAULT_ORDER_BOUND):
+        super().__init__([generator], closure_bound)
 
-    def listed_matrices(self) -> tuple[IntMatrix, ...]:
-        return (self.generator,)
+    @property
+    def generator(self) -> IntMatrix:
+        return self.matrices[0]
 
-    def _checked_walk(self, bound: int) -> _Walk:
+    def _walk_group(self, bound: int) -> _Walk:
         """The walk of the powers of the generator, after its order, which refuses one beyond ``bound``."""
-        if self._walk is None or len(self._walk.elements) > bound:
-            self._walk = _cyclic_walk(mulclose([self.generator], matrix_order(self.generator, bound)))
-        return self._walk
-
-    def __eq__(self, other):
-        return isinstance(other, Cyclic) and self.generator == other.generator
-
-    def __hash__(self):
-        return hash(("Cyclic", self.generator))
-
-    def __repr__(self):
-        return f"Cyclic({self.generator!r})"
+        return _cyclic_walk(mulclose([self.generator], matrix_order(self.generator, bound)))
 
 
 class Explicit(GroupSpec):
     """Full element list, closed under product and containing the identity."""
 
-    def __init__(self, elements: Sequence[IntMatrix]):
-        self.elements = _as_matrix_tuple(elements, "Explicit")
+    @property
+    def elements(self) -> tuple[IntMatrix, ...]:
+        return self.matrices
 
-    def listed_matrices(self) -> tuple[IntMatrix, ...]:
-        return self.elements
-
-    def _checked_walk(self, bound: int) -> _Walk:
+    def _walk_group(self, bound: int) -> _Walk:
         """The walk by greedy generators that proves the list a group."""
         if len(self.elements) > bound:
             raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {bound}")
-        if self._walk is None:
-            members = set(self.elements)
-            if len(members) != len(self.elements):
-                raise ValidationError("Explicit element list contains duplicates")
-            if IntMatrix.identity(self.size) not in members:
-                raise ValidationError("Explicit element list is missing the identity")
-            walk = _closed_walk((), self.elements)
-            if walk is None:
-                raise ValidationError("Explicit element list is not closed under products")
-            self._walk = walk
-        return self._walk
-
-    def __eq__(self, other):
-        return isinstance(other, Explicit) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(("Explicit", self.elements))
-
-    def __repr__(self):
-        return f"Explicit({len(self.elements)} elements)"
+        members = set(self.elements)
+        if len(members) != len(self.elements):
+            raise ValidationError("Explicit element list contains duplicates")
+        if IntMatrix.identity(self.size) not in members:
+            raise ValidationError("Explicit element list is missing the identity")
+        walk = _closed_walk((), self.elements)
+        if walk is None:
+            raise ValidationError("Explicit element list is not closed under products")
+        return walk
 
 
 class Generated(GroupSpec):
     """Group given by generators; closed by multiplication on demand."""
 
-    def __init__(self, generators: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
-        self.generators = _as_matrix_tuple(generators, "Generated")
-        if closure_bound < 1:
-            raise ValueError("closure bound must be positive")
-        self.closure_bound = closure_bound
+    @property
+    def generators(self) -> tuple[IntMatrix, ...]:
+        return self.matrices
 
-    def listed_matrices(self) -> tuple[IntMatrix, ...]:
-        return self.generators
-
-    def _checked_walk(self, bound: int) -> _Walk:
+    def _walk_group(self, bound: int) -> _Walk:
         """The breadth-first walk by the listed generators, after each one's order."""
-        if self._walk is None:
-            try:
-                for g in self.generators:  # the closure holds every power of g
-                    matrix_order(g, bound)
-            except GroupTooLarge:
-                raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}") from None
-            self._walk = _closed_walk(self.generators, bound=bound)
-        if len(self._walk.elements) > bound:
-            raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
-        return self._walk
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Generated)
-            and self.generators == other.generators
-            and self.closure_bound == other.closure_bound
-        )
-
-    def __hash__(self):
-        return hash(("Generated", self.generators, self.closure_bound))
-
-    def __repr__(self):
-        return f"Generated({len(self.generators)} generators, bound={self.closure_bound})"
+        try:
+            for g in self.generators:  # the closure holds every power of g
+                matrix_order(g, bound)
+        except GroupTooLarge:
+            raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}") from None
+        return _closed_walk(self.generators, bound=bound)
 
 
 def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -472,36 +448,29 @@ def _images(g: IntMatrix, points: list, where: dict) -> list[int] | None:
     return None if None in images else images
 
 
-def validate_and_close(
-    spec: GroupSpec,
-    order_bound: int | None = None,
-    form: IntMatrix | None = None,
-) -> list[IntMatrix]:
+def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[IntMatrix]:
     """Validate a group spec and return its full element list.
 
-    Checks that every listed matrix is unimodular and preserves ``form``
-    when one is given, once per spec and form, then walks the group once per
-    spec, which keeps its walk.  A cyclic spec is walked by the powers of
-    its generator, after its order (see :func:`matrix_order`).  A generated
-    spec first has each generator's order checked, so an infinite-order
-    generator is refused after a few residue products.  The orbits of the
-    basis vectors then give Ω at |Ω| * |generators| matrix-vector
-    products; Ω is finite exactly when the group is, and an orbit beyond
-    the bound refuses it.  The group is then walked breadth first at
-    |G| * |generators| compositions of permutations of Ω.  An explicit list
-    is proved to contain the identity and be product-closed by one walk of
-    greedy generators S: Ω is the set of its columns, found with no
-    arithmetic, each of S maps Ω into itself at |Ω| matrix-vector products
-    (an image outside Ω proves the list not closed), and the walk takes
-    O(|G| * |S|) compositions where the full table takes |G|^2 products.
-    The list comes back in its own order.
+    A group larger than the spec's own bound, the ``closure_bound`` it was
+    built with, is refused with GroupTooLarge.  Checks that every listed
+    matrix is unimodular and preserves ``form`` when one is given, once per
+    spec and form, then walks the group once per spec, which keeps its walk.
+    A cyclic spec is walked by the powers of its generator, after its order
+    (see :func:`matrix_order`).  A generated spec first has each generator's
+    order checked, so an infinite-order generator is refused after a few
+    residue products.  The orbits of the basis vectors then give Ω at
+    |Ω| * |generators| matrix-vector products; Ω is finite exactly when the
+    group is, and an orbit beyond the bound refuses it.  The group is then walked
+    breadth first at |G| * |generators| compositions of permutations of Ω.
+    An explicit list is proved to contain the identity and be product-closed
+    by one walk of greedy generators S: Ω is the set of its columns, found
+    with no arithmetic, each of S maps Ω into itself at |Ω| matrix-vector
+    products (an image outside Ω proves the list not closed), and the walk
+    takes O(|G| * |S|) compositions where the full table takes |G|^2
+    products.  The list comes back in its own order.
     """
-    if order_bound is None:
-        order_bound = spec.closure_bound
-    if order_bound < 1:
-        raise ValueError("order bound must be positive")
     spec._check(form)
-    walk = spec._checked_walk(order_bound)
+    walk = spec._checked_walk()
     return list(spec.elements if isinstance(spec, Explicit) else walk.elements)
 
 
@@ -529,14 +498,11 @@ class GLattice:
                 raise ValidationError("form has the wrong shape")
             if self.form != self.form.transpose():
                 raise ValidationError("form is not symmetric")
-        for i, g in enumerate(self.group.listed_matrices()):
-            if g.rows != self.rank or g.cols != self.rank:
-                raise ValidationError(f"matrix {i} is not {self.rank}x{self.rank}")
+        if self.group.size != self.rank:  # the spec's matrices are square and of one size
+            raise ValidationError(f"matrix 0 is not {self.rank}x{self.rank}")
         self.group._check(self.form)
 
-    def elements(self, order_bound: int | None = None) -> list[IntMatrix]:
-        if order_bound is not None:
-            return validate_and_close(self.group, order_bound, self.form)
+    def elements(self) -> list[IntMatrix]:
         return list(self._closure())
 
     def _memo(self, key: str, compute):
@@ -553,8 +519,8 @@ class GLattice:
         return memo[key]
 
     def _closure(self) -> tuple[IntMatrix, ...]:
-        """The group elements with the default bound, validated once."""
-        return self._memo("_elements", lambda: tuple(validate_and_close(self.group, None, self.form)))
+        """The group elements within the spec's bound, validated once."""
+        return self._memo("_elements", lambda: tuple(validate_and_close(self.group, self.form)))
 
     def _walk(self) -> _Walk:
         """The walk that closed the group, kept by its spec: by the powers of a
@@ -562,9 +528,6 @@ class GLattice:
         greedy generators of a list."""
         self._closure()  # validates the spec, which then keeps its walk
         return self.group._walk
-
-    def generator_matrices(self) -> tuple[IntMatrix, ...]:
-        return self.group.listed_matrices()
 
 
 @dataclass(frozen=True)
@@ -609,7 +572,7 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     computed once per lattice and kept with its closure.
     """
     def fixed() -> IntMatrix:  # every spec lists a matrix; at rank 0 the kernel is the 0x0 identity
-        return kernel_basis(_stacked(m.generator_matrices(), IntMatrix.identity(m.rank)))
+        return kernel_basis(_stacked(m.group.matrices, IntMatrix.identity(m.rank)))
 
     return m._memo("_fixed", fixed)
 
@@ -735,7 +698,8 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     or generated pairing is proved on the summands' kept walks, with no
     matrix product: both must trace one Cayley graph and pair the listed
     matrices as the lists do.  The sum keeps the paired walk and the block
-    form its summands have passed, so it is not validated or walked again.
+    form its summands have passed, so it is not validated or walked again;
+    its bound is the larger of the summands' bounds.
     """
     if m1.rank == 0:
         return m2
@@ -746,19 +710,18 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     form = None
     if m1.form is not None and m2.form is not None:
         form = IntMatrix.block_diag(m1.form, m2.form)
+    bound = max(m1.group.closure_bound, m2.group.closure_bound)
     if isinstance(m1.group, Cyclic):
         gen = IntMatrix.block_diag(m1.group.generator, m2.group.generator)
-        return GLattice(m1.rank + m2.rank, Cyclic(gen), form)
-    explicit = isinstance(m1.group, Explicit)
-    if explicit:
-        bound, counts, tables = DEFAULT_ORDER_BOUND, "element counts differ", "multiplication tables differ"
+        return GLattice(m1.rank + m2.rank, Cyclic(gen, bound), form)
+    if isinstance(m1.group, Explicit):
+        counts, tables = "element counts differ", "multiplication tables differ"
     else:
-        bound = max(m1.group.closure_bound, m2.group.closure_bound)
         counts, tables = "generator counts differ", "generator pairing is not an isomorphism"
-    listed = m1.group.listed_matrices(), m2.group.listed_matrices()
+    listed = m1.group.matrices, m2.group.matrices
     if len(listed[0]) != len(listed[1]):
         raise GroupMismatch(f"group mismatch: {counts}")
-    w1, w2 = m1.group._checked_walk(bound), m2.group._checked_walk(bound)
+    w1, w2 = m1.group._checked_walk(), m2.group._checked_walk()
     # with equal edges w1.elements[k] -> w2.elements[k] is an isomorphism:
     # it maps the identity to the identity and respects each product a.s
     pair = dict(zip(w1.elements, w2.elements))
@@ -766,7 +729,7 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
         raise GroupMismatch(f"group mismatch: {tables}")
     block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
     paired = [block[a] for a in listed[0]]
-    spec = Explicit(paired) if explicit else Generated(paired, bound)
+    spec = type(m1.group)(paired, bound)
     walk = _Walk(tuple(block.values()), tuple([block[s] for s in w1.gens]), w1.edges)
     return GLattice(m1.rank + m2.rank, spec._keep(walk, form), form)
 
@@ -787,11 +750,12 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
             raise NotSubgroup("subset not a subgroup: element does not belong to the group")
     if not subset:
         raise NotSubgroup("subset not a subgroup: the empty set has no identity")
+    bound = m.group.closure_bound  # a subgroup is no larger than the group
     if len(subset) == 1:
-        return GLattice(m.rank, Cyclic(subset[0]), m.form)
-    spec = Explicit(subset)
+        return GLattice(m.rank, Cyclic(subset[0], bound), m.form)
+    spec = Explicit(subset, bound)
     try:
-        spec._checked_walk(len(subset))  # kept by the spec, so the restricted lattice does not walk again
+        spec._checked_walk()  # kept by the spec, so the restricted lattice does not walk again
     except ValidationError as e:
         raise NotSubgroup(f"subset not a subgroup: {e}") from None
     return GLattice(m.rank, spec, m.form)

@@ -96,7 +96,7 @@ def test_close_generated_dihedral_like():
 
 def test_close_rejects_infinite_order():
     with pytest.raises(GroupTooLarge, match="exceed"):
-        validate_and_close(Cyclic(IntMatrix([[1, 1], [0, 1]])), order_bound=50)
+        validate_and_close(Cyclic(IntMatrix([[1, 1], [0, 1]]), closure_bound=50))
 
 
 def test_close_rejects_non_unimodular():
@@ -117,6 +117,42 @@ def test_explicit_closure_checks():
         validate_and_close(Explicit([IntMatrix.identity(2), SWAP, MINUS_I2]))
     elems = validate_and_close(Explicit([IntMatrix.identity(2), MINUS_I2]))
     assert len(elems) == 2
+
+
+QUARTER_TURN = IntMatrix([[0, -1], [1, 0]])
+# each kind's spec of the order-4 group of quarter turns, by its bound, with its text for a bound of 3
+QUARTER_TURN_SPECS = {
+    "cyclic": (lambda b: Cyclic(QUARTER_TURN, b), "order exceeds 3"),
+    "list": (lambda b: Explicit(mulclose([QUARTER_TURN]), b), "4 > 3"),
+    "generated": (lambda b: Generated([QUARTER_TURN], b), "closure exceeds 3"),
+}
+
+
+@pytest.mark.parametrize("spec, message", QUARTER_TURN_SPECS.values(), ids=QUARTER_TURN_SPECS.keys())
+def test_each_kind_is_closed_within_its_own_bound(spec, message):
+    with pytest.raises(GroupTooLarge, match=f"^group too large or infinite: {message}$"):
+        validate_and_close(spec(3))
+    assert len(validate_and_close(spec(4))) == 4
+    with pytest.raises(ValueError, match="closure bound must be positive"):
+        spec(0)
+
+
+def test_specs_are_equal_only_with_equal_bounds():
+    for make, _ in QUARTER_TURN_SPECS.values():
+        assert make(4) != make(5)
+        assert make(4) == make(4) and hash(make(4)) == hash(make(4))
+        assert GLattice(2, make(4)) != GLattice(2, make(5))
+    # one kind's matrices are not another's, whatever the bound
+    assert Explicit([QUARTER_TURN]) != Generated([QUARTER_TURN])
+
+
+def test_direct_sum_takes_the_larger_bound():
+    a = GLattice(1, Explicit([IntMatrix([[1]]), IntMatrix([[-1]])], 50))
+    b = GLattice(2, Explicit([IntMatrix.identity(2), MINUS_I2], 60))
+    assert direct_sum(a, b).group.closure_bound == 60
+    assert direct_sum(b, a).group.closure_bound == 60
+    c = GLattice(1, Cyclic(IntMatrix([[-1]]), 50))
+    assert direct_sum(c, GLattice(2, Cyclic(MINUS_I2, 60))).group.closure_bound == 60
 
 
 # --- H^0 -----------------------------------------------------------------------
@@ -380,7 +416,7 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
         permutation_module(s4, kind="generated"),
         permutation_module([[1, 2, 0]], kind="cyclic"),
         GLattice(4, Explicit(permutation_module(s4, kind="generated").elements())),
-        GLattice(4, Generated([-g for g in permutation_module(s4, kind="generated").generator_matrices()])),
+        GLattice(4, Generated([-g for g in permutation_module(s4, kind="generated").group.matrices])),
         GLattice(3, Cyclic(random_finite_order_action(rng, 3, 6))),
         GLattice(4, Explicit(GLattice(4, Cyclic(random_finite_order_action(rng, 4, 4))).elements())),
     ]
@@ -507,7 +543,7 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
         res = h1_cocycle(m, witness=True)
         assert res.h1 == expected
         # the kernel takes the listed generators: each redundant one adds rank rows of B^T
-        assert calls == [m.generator_matrices()]
+        assert calls == [m.group.matrices]
         assert len(greedy) <= 3
         # yet they add no cocycle coordinate: the rank of Z^1, H^1 and the rank of
         # M^G are those of the lattice on the greedy generators
@@ -713,9 +749,10 @@ def test_closure_is_cached_per_lattice(monkeypatch):
     assert m == permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
     assert hash(m) == hash(permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated"))
     assert repr(m) == repr(GLattice(m.rank, m.group, m.form))
-    assert len(m.elements(order_bound=24)) == 24
+    # the bound is the spec's: the same generators with a bound of 24 close, with 23 are refused
+    assert len(GLattice(4, Generated(m.group.matrices, closure_bound=24)).elements()) == 24
     with pytest.raises(GroupTooLarge):
-        m.elements(order_bound=23)
+        GLattice(4, Generated(m.group.matrices, closure_bound=23)).elements()
 
 
 def test_closure_cache_shared_between_threads():
@@ -1200,20 +1237,20 @@ def test_permutation_walk_matches_matrix_products():
     s4 = [p4 @ g @ p4inv for g in symmetric_group_generators(4, True)]
     s5_pairs = [p10 @ pairs_matrix(q) @ p10inv for q in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
     for gens, order, small in ((s4, 24, True), (s5_pairs, 120, False)):
-        walk = Generated(gens)._checked_walk(10_000)
+        walk = Generated(gens)._checked_walk()
         assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk(gens)
         assert len(walk.elements) == order
         # both compositions are taken: translated bytes up to 256 points, an itemgetter beyond
         assert (omega_size(walk.elements) <= 256) is small
     # a cyclic walk: the powers of (0 1)(2 3 4) on the pairs
     g = p10 @ pairs_matrix((1, 0, 3, 4, 2)) @ p10inv
-    walk = Cyclic(g)._checked_walk(10_000)
+    walk = Cyclic(g)._checked_walk()
     assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk([g])
     assert len(walk.elements) == 6
     # a list, walked by its greedy generators, keeps the listed objects
     listed = [p4 @ g @ p4inv for g in symmetric_group_module(4, False)]
     rng.shuffle(listed)
-    walk = Explicit(listed)._checked_walk(10_000)
+    walk = Explicit(listed)._checked_walk()
     assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk((), listed)
     assert all(any(x is y for y in listed) for x in walk.elements)
 
