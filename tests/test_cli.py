@@ -231,6 +231,26 @@ def test_builtin_geiser(capsys):
     assert out["predicted_h1_order"] == 64
 
 
+# sha256 of the stdout of `builtin <name> --json`, taken while each constructor
+# still checked its own action: the reports must not change now that GLattice
+# and the closure are the only checks
+BUILTIN_SHA256 = {
+    ("geiser",): "a2d3ea27821f50472652ab6e86ae28b981b97570821a39d0e2195e3f120e813c",
+    ("bertini",): "9d82221f2c3fe93a166fd2443ff4e6ca491ad6afb1e4398288a1476d14498b3d",
+    ("dejonquieres", "--genus", "1"): "3149c788662b9c10366be0ac1682f56e2950702eee24caecbd64bd33a4a9e55a",
+    ("dejonquieres", "--genus", "2"): "c5f4a72710939a36cdd7b0a0aac95861de31cfd119ef6ce279a524c7b4e694be",
+    ("dejonquieres", "--genus", "3"): "513849096d3bdd22686414d5dce99860f6f25cb58b1d90054b11de4d5ead66ab",
+    ("dejonquieres", "--genus", "4"): "81d94595ebb6dfac51636fbd789377b261b2cb96286e5dfd57d289df76011306",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BUILTIN_SHA256))
+def test_builtin_report_is_byte_identical(args, capsys):
+    assert run_command(["builtin", *args, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BUILTIN_SHA256[args]
+
+
 def test_builtin_dejonquieres_needs_genus(capsys):
     assert run_command(["builtin", "dejonquieres"]) == 1
 
@@ -279,6 +299,16 @@ def test_search_exhaustion_exit_code(capsys):
 
 def test_search_invalid_parameters_exit_1(capsys):
     assert run_command(["search", "--degree", "2", "--prime", "3"]) == 1
+
+
+def test_search_refuses_a_large_prime_without_trial_division(capsys):
+    # a 61-bit Mersenne prime: p - 1 exceeds 9 - d, so it is refused before any primality test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["search", "--degree", "1", "--prime", "2305843009213693951"]
+    proc = subprocess.run([sys.executable, "-m", "glattice", *argv], capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 1
+    assert "is not divisible" in proc.stderr
 
 
 # --- scan ------------------------------------------------------------------------

@@ -379,7 +379,8 @@ def test_weyl_search_parameter_errors():
 
 
 def test_search_results_preserve_everything():
-    for case in ("dp3-p3", "dp1-p3", "dp1-p5"):
+    # the constructors do not check these facts themselves: GLattice, the closure and the rows do
+    for case in ("geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5"):
         p, g, d = CASE_PARAMS[case]
         m = build_case(case, WeylSearchConfig(seed=0))
         lat = del_pezzo_pic(d)
@@ -445,6 +446,30 @@ def test_verify_row_argument_errors():
         verify_row("dejonquieres")
     with pytest.raises(ValueError, match="unknown case"):
         verify_row("dp2-p7")
+
+
+def test_verify_row_reports_a_broken_construction(monkeypatch, capsys):
+    # delta preserves every multiple of the form, so GLattice accepts a doubled gram;
+    # the row's determinant check is what catches it, without raising
+    import dataclasses
+
+    import glattice.picard as picard
+    from glattice.cli import EXIT_VERIFY, run_command
+
+    real = picard.dejonquieres
+
+    def doubled(g, section_square=-1):
+        cb = real(g, section_square)
+        return dataclasses.replace(cb, gram=IntMatrix([[2 * x for x in row] for row in cb.gram]))
+
+    monkeypatch.setattr(picard, "dejonquieres", doubled)
+    r = verify_row("dejonquieres", genus=1)
+    assert not r.passed
+    check = next(c for c in r.checks if c.name.startswith("lattice is unimodular"))
+    assert not check.passed
+    assert check.detail == f"|det gram| = {2 ** r.generator.rows}"
+    assert run_command(["verify-table", "--max-genus", "1"]) == EXIT_VERIFY
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_no_assert_statements_in_src():
