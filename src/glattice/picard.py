@@ -23,7 +23,9 @@ Each fact about an action built here is checked once.  :class:`GLattice`
 checks unimodularity and the form, as for a user's document; the closure
 confirms the order exactly (``matrix_order``), which a row reads as
 ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
-checked only by the row.
+checked only by the row.  Matrices written here skip the per-entry check
+(their arguments are checked up front); a conic bundle's Q action is a
+leading block, whose span ``q_glattice`` checks is invariant.
 """
 
 from __future__ import annotations
@@ -150,6 +152,16 @@ def _reflect(p: PicardLattice, x, alpha):
     return tuple(a + c * b for a, b in zip(x, alpha))
 
 
+def _word_matrix(p: PicardLattice, word) -> IntMatrix:
+    """Product of the reflections in the roots of ``word``; its last root acts first."""
+    cols = []
+    for x in IntMatrix.identity(p.rank):  # column j: e_j reflected along the word
+        for alpha in reversed(word):
+            x = _reflect(p, x, alpha)
+        cols.append(x)
+    return IntMatrix._from_rows(tuple(cols), p.rank).transpose()
+
+
 def simple_roots(p: PicardLattice) -> list[tuple[int, ...]]:
     """H - E1 - E2 - E3 followed by the differences E_i - E_{i+1}."""
     n = p.rank
@@ -244,11 +256,7 @@ def reflection(p: PicardLattice, alpha) -> IntMatrix:
     alpha = tuple(alpha)
     if p.dot(alpha, alpha) != -2 or p.dot(alpha, p.k) != 0:
         raise ValueError(f"not a root: {alpha}")
-    cols = []
-    for j in range(p.rank):
-        e = tuple(1 if i == j else 0 for i in range(p.rank))
-        cols.append(_reflect(p, e, alpha))
-    return IntMatrix(cols).transpose()
+    return _word_matrix(p, [alpha])
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +316,20 @@ class ConicBundlePic:
 
     def q_basis(self) -> IntMatrix:
         """Basis of the rank-(2g+3) sublattice spanned by F and the F_i'."""
-        n = 2 * self.genus + 3
-        return IntMatrix([[1 if j == i else 0 for j in range(self.rank)] for i in range(n)])
+        return IntMatrix._from_rows(IntMatrix.identity(self.rank)[:2 * self.genus + 3], self.rank)
 
     def q_glattice(self) -> GLattice:
-        basis = self.q_basis()
-        action = restrict_action(self.delta, basis)
-        form = basis @ self.gram @ basis.transpose()
-        return GLattice(rank=basis.rows, group=Cyclic(action), form=form)
+        """The leading blocks of ``delta`` and ``gram``, on F and the F_i'.
+
+        Their span is invariant when the S row of ``delta`` is zero on it;
+        :class:`GLattice` checks that the block is unimodular and keeps the form.
+        """
+        n = 2 * self.genus + 3
+        if any(self.delta[n][:n]):
+            raise ConstructionError("the span of F and the F_i' is not invariant under the involution")
+        action = IntMatrix._from_rows(tuple([row[:n] for row in self.delta[:n]]), n)
+        form = IntMatrix._from_rows(tuple([row[:n] for row in self.gram[:n]]), n)
+        return GLattice(rank=n, group=Cyclic(action), form=form)
 
 
 def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:
@@ -326,31 +340,19 @@ def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:
     involution's matrix is the same for every choice, and downstream
     cohomology does not depend on it.
     """
+    if isinstance(g, bool) or not isinstance(g, int):
+        raise TypeError(f"genus must be an integer, got {g!r}")
+    if isinstance(section_square, bool) or not isinstance(section_square, int):
+        raise TypeError(f"integer entry required, got {section_square!r}")
     if g < 1:
         raise ValueError(f"genus must be at least 1, got {g}")
-    n = 2 * g + 4
-    fibers = range(1, 2 * g + 3)
-    s = n - 1
-    gram = [[0] * n for _ in range(n)]
-    for i in fibers:
-        gram[i][i] = -1
-    gram[s][s] = section_square
-    gram[0][s] = gram[s][0] = 1
-    cols = []
-    cols.append([1] + [0] * (n - 1))  # F is fixed
-    for i in fibers:  # F_i' -> F - F_i'
-        col = [0] * n
-        col[0] = 1
-        col[i] = -1
-        cols.append(col)
-    col = [0] * n  # S -> S - sum(F_i') + (g+1) F
-    col[0] = g + 1
-    for i in fibers:
-        col[i] = -1
-    col[s] = 1
-    cols.append(col)
-    delta = IntMatrix(cols).transpose()
-    return ConicBundlePic(genus=g, rank=n, gram=IntMatrix(gram), delta=delta, section_square=section_square)
+    m, n = 2 * g + 2, 2 * g + 4  # the F_i', the rank
+    minus = [(0,) * i + (-1,) + (0,) * (m - i - 1) for i in range(m)]  # -F_i' in the F_i' coordinates
+    # columns: F is fixed, F_i' -> F - F_i', S -> (g+1) F - sum(F_i') + S
+    delta = ((1,) * (m + 1) + (g + 1,), *[(0,) + r + (-1,) for r in minus], (0,) * (m + 1) + (1,))
+    gram = ((0,) * (m + 1) + (1,), *[(0,) + r + (0,) for r in minus], (1,) + (0,) * m + (section_square,))
+    gram, delta = IntMatrix._from_rows(gram, n), IntMatrix._from_rows(delta, n)
+    return ConicBundlePic(genus=g, rank=n, gram=gram, delta=delta, section_square=section_square)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,8 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
     are a basis of Q over the rationals, so this matrix is similar over Q to
     u's matrix on the basis of Q, and the trace and characteristic
     polynomial tests decide as they would there.  The accepted word's
-    matrix on Pic is then formed once, from its reflections.
+    matrix on Pic is then formed once, by reflecting each basis vector
+    along the word.
 
     Deterministic for a fixed seed.  Raises :class:`SearchExhausted` after
     max_trials misses; parameter errors are ordinary ValueErrors.
@@ -445,9 +448,7 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
             continue
         if char_poly(IntMatrix(columns).transpose()) != target:
             continue
-        full = reflection(lat, system.roots[word[0]])
-        for idx in word[1:]:
-            full = full @ reflection(lat, system.roots[idx])
+        full = _word_matrix(lat, [system.roots[idx] for idx in word])
         found = full
         for _ in range(order // p - 1):
             found = found @ full
@@ -559,11 +560,7 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     system = root_system(d)
     lat, q = system.lattice, system.q
     delta = m.group.generator
-    mq = GLattice(
-        rank=q.rank,
-        group=Cyclic(restrict_action(delta, q.basis)),
-        form=q.gram_q,
-    )
+    mq = GLattice(rank=q.rank, group=Cyclic(restrict_action(delta, q.basis)), form=q.gram_q)
     res = h1_cyclic(m)
     resq = h1_cyclic(mq)
     expected = FinAbGroup((p,) * (2 * g))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
     ConicBundlePic,
+    ConstructionError,
     SearchExhausted,
     WeylSearchConfig,
     bertini_involution,
@@ -23,6 +25,7 @@ from glattice.picard import (
     simple_roots,
     verify_row,
     weyl_search,
+    _word_matrix,
 )
 
 
@@ -168,6 +171,24 @@ def test_reflection_rejects_non_roots():
         reflection(p, (1, 0, 0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_word_matrix_is_the_product_of_its_reflections(d):
+    import random
+
+    p = del_pezzo_pic(d)
+    all_roots = roots(p)
+    rng = random.Random(d)
+    for _ in range(50):
+        word = [rng.choice(all_roots) for _ in range(rng.randint(1, 16))]
+        product = reflection(p, word[0])
+        for alpha in word[1:]:
+            product = product @ reflection(p, alpha)
+        assert _word_matrix(p, word) == product
+    bad = (1,) + (0,) * (p.rank - 1)
+    with pytest.raises(ValueError, match=f"^not a root: {re.escape(str(bad))}$"):
+        reflection(p, bad)
+
+
 def test_simple_roots_are_roots():
     p = del_pezzo_pic(1)
     for alpha in simple_roots(p):
@@ -294,6 +315,38 @@ def test_dejonquieres_canonical_class():
 def test_dejonquieres_rejects_genus_zero():
     with pytest.raises(ValueError):
         dejonquieres(0)
+
+
+def test_dejonquieres_rejects_non_integer_arguments():
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError, match=f"^integer entry required, got {re.escape(repr(bad))}$"):
+            dejonquieres(1, section_square=bad)
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(TypeError, match="genus must be an integer"):
+            dejonquieres(bad)
+
+
+def test_q_glattice_is_the_restricted_action():
+    for g in range(1, 9):
+        for section_square in (-1, 0, 1):
+            cb = dejonquieres(g, section_square)
+            basis = cb.q_basis()
+            q = cb.q_glattice()
+            assert q.rank == 2 * g + 3
+            assert q.group.generator == restrict_action(cb.delta, basis)
+            assert q.form == basis @ cb.gram @ basis.transpose()
+
+
+def test_q_glattice_refuses_a_span_that_is_not_invariant():
+    import dataclasses
+
+    cb = dejonquieres(2)
+    for j in range(cb.rank - 1):
+        rows = cb.delta.tolists()
+        rows[-1][j] = 1
+        broken = dataclasses.replace(cb, delta=IntMatrix(rows))
+        with pytest.raises(ConstructionError, match="not invariant"):
+            broken.q_glattice()
 
 
 def test_dejonquieres_alternative_completion_same_h1():
