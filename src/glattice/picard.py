@@ -20,8 +20,8 @@ This module constructs:
   along with the order bookkeeping that links H^1(G, Q) and H^1(G, Pic).
 
 Each fact about an action built here is checked once.  :class:`GLattice`
-checks unimodularity and the form, as for a user's document; the closure
-confirms the order exactly (``matrix_order``), which a row reads as
+checks unimodularity and the form, as for a user's document; the cyclic
+spec confirms the order exactly (``matrix_order``), which a row reads as
 ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
 checked only by the row.  Matrices written here skip the per-entry check
 (their arguments are checked up front); a conic bundle's Q action is a
@@ -314,10 +314,6 @@ class ConicBundlePic:
     def pic_glattice(self) -> GLattice:
         return GLattice(rank=self.rank, group=Cyclic(self.delta), form=self.gram)
 
-    def q_basis(self) -> IntMatrix:
-        """Basis of the rank-(2g+3) sublattice spanned by F and the F_i'."""
-        return IntMatrix._from_rows(IntMatrix.identity(self.rank)[:2 * self.genus + 3], self.rank)
-
     def q_glattice(self) -> GLattice:
         """The leading blocks of ``delta`` and ``gram``, on F and the F_i'.
 
@@ -477,7 +473,7 @@ def charpoly_order(m: GLattice) -> int:
     lat = del_pezzo_pic(d)  # rejects ranks outside the del Pezzo range
     if m.form != lat.gram:
         raise ValueError("the lattice does not carry the del Pezzo intersection form")
-    n = len(m._closure())
+    n = m.group._order
     if not _is_prime(n):
         raise ValueError(f"the generator must have prime order, got {n}")
     if invariants_h0(m).rows != 1:

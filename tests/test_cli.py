@@ -375,6 +375,31 @@ def test_verify_table_max_genus_0_runs_the_del_pezzo_rows_only(capsys):
     assert [r["case"] for r in out["rows"]] == ["geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5"]
 
 
+def test_genus_above_the_cap_is_an_input_error(capsys):
+    assert cli.MAX_GENUS >= 60  # CI runs verify-table --max-genus 60
+    over = str(cli.MAX_GENUS + 1)
+    for argv, flag in (
+        (["verify-table", "--max-genus", over, "--json"], "verify-table --max-genus"),
+        (["builtin", "dejonquieres", "--genus", over, "--json"], "builtin dejonquieres --genus"),
+    ):
+        assert run_command(argv) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at most {cli.MAX_GENUS}, got {over}\n"
+
+
+def test_builtin_dejonquieres_runs_at_the_genus_cap(capsys):
+    assert run_command(["builtin", "dejonquieres", "--genus", str(cli.MAX_GENUS), "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["h1"]["invariant_factors"] == [2] * (2 * cli.MAX_GENUS)
+
+
+def test_help_states_the_genus_cap(capsys):
+    for command in ("verify-table", "builtin"):
+        assert run_command([command, "--help"]) == cli.EXIT_OK
+        assert f"at most {cli.MAX_GENUS}" in " ".join(capsys.readouterr().out.split())
+
+
 # sha256 of the stdout of `verify-table --max-genus 20 --json --seed s`, taken
 # before the sparse-aware elimination kernels (zero-skipping row and column
 # operations, Bareiss row skips, Hermite reduction before Smith) were
@@ -621,6 +646,21 @@ def test_weyl_e6_document_closes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert (report["group_order"], report["h0_rank"], report["h1"]) == (
         51840, 1, {"invariant_factors": [], "free_rank": 0})
+
+
+CYCLIC_RANK81_DOC = Path(__file__).resolve().parent / "data" / "cyclic_rank81_order3603600.json"
+
+
+def test_large_cyclic_order_is_refused_quickly():
+    # a rank-81 permutation matrix with cycles 16, 9, 25, 7, 11 and 13, of order 3,603,600: refused at the
+    # default bound after 10,000 packed residue products, about 0.2 s on 2 x86_64 cores (8 s with residue
+    # matrix products); the timeout fails a return to that cost only on a much slower machine
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["compute", "--input", str(CYCLIC_RANK81_DOC), "--json"]
+    proc = subprocess.run([sys.executable, "-m", "glattice", *argv], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: group too large or infinite: order exceeds 10000\n"
 
 
 JSON_VALUES = st.recursive(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glattice.cohomology import (
+    DEFAULT_ORDER_BOUND,
     Cyclic,
     Explicit,
     Generated,
@@ -782,12 +783,24 @@ def test_closure_cache_shared_between_threads():
     assert results[0][2] == expected and len(results[0][0]) == 24
 
 
-def naive_order(g):
+def naive_order_within(g, bound):
+    """The order of ``g`` by repeated exact products, or None beyond ``bound``."""
     ident = IntMatrix.identity(g.rows)
-    p, k = g, 1
-    while p != ident:
-        p, k = p @ g, k + 1
-    return k
+    p = g
+    for k in range(1, bound + 1):
+        if p == ident:
+            return k
+        p = p @ g
+    return None
+
+
+def assert_order_matches_exact_powers(g, bound):
+    expected = naive_order_within(g, bound)
+    if expected is None:
+        with pytest.raises(GroupTooLarge, match=f"^group too large or infinite: order exceeds {bound}$"):
+            matrix_order(g, bound)
+    else:
+        assert matrix_order(g, bound) == expected
 
 
 def test_matrix_order_matches_naive_powers():
@@ -795,7 +808,7 @@ def test_matrix_order_matches_naive_powers():
     for _ in range(60):
         rank = rng.randint(1, 7)
         g = random_finite_order_action(rng, rank, 60)
-        assert matrix_order(g) == naive_order(g)
+        assert_order_matches_exact_powers(g, DEFAULT_ORDER_BOUND)
     assert matrix_order(IntMatrix([[1]])) == 1
     assert matrix_order(IntMatrix([], cols=0)) == 1
     with pytest.raises(GroupTooLarge, match="order exceeds 3"):
@@ -817,13 +830,56 @@ def hyperbolic_plus_unipotent(rng, n):
     return p @ IntMatrix(rows) @ pinv
 
 
+def test_packed_order_matches_exact_powers_on_permutation_modules():
+    # every element of S3, S4, S5 and S5 on unordered pairs, plain and sign-twisted, unimodularly conjugated
+    rng = random.Random(17)
+    for degree, on_pairs in ((3, False), (4, False), (5, False), (5, True)):
+        points = list(itertools.combinations(range(degree), 2)) if on_pairs else [(i,) for i in range(degree)]
+        for signed in (False, True):
+            p, pinv = conjugator(rng, len(points))
+            for perm in itertools.permutations(range(degree)):
+                moved = tuple(points.index(tuple(sorted(perm[x] for x in q))) for q in points)
+                odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(degree), 2)) % 2
+                g = p @ perm_matrix(moved, False) @ pinv
+                if signed and odd:
+                    g = -g
+                assert_order_matches_exact_powers(g, DEFAULT_ORDER_BOUND)
+
+
+def test_packed_order_matches_exact_powers_on_signed_permutations():
+    rng = random.Random(23)
+    for rank in range(1, 41):
+        for bound in (rank, 4 * rank):
+            perm = list(range(rank))
+            rng.shuffle(perm)
+            rows = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                rows[perm[i]][i] = rng.choice((1, -1))
+            assert_order_matches_exact_powers(IntMatrix(rows), bound)
+
+
+def test_packed_order_matches_exact_powers_on_weyl_elements():
+    from glattice.picard import reflection, restrict_action, root_system
+
+    rng = random.Random(29)
+    for d in range(1, 7):
+        system = root_system(d)
+        for _ in range(8):
+            g = IntMatrix.identity(system.lattice.rank)
+            for _ in range(rng.randint(1, 12)):
+                g = g @ reflection(system.lattice, rng.choice(system.roots))
+            for m in (g, restrict_action(g, system.q.basis)):
+                assert_order_matches_exact_powers(m, 60)
+
+
 def test_matrix_order_refuses_infinite_order():
     rng = random.Random(12)
-    inputs = [IntMatrix([[1, 1], [0, 1]]), IntMatrix([[2, 1], [1, 1]])]
+    inputs = [IntMatrix([[1, 1], [0, 1]]), IntMatrix([[2, 1], [1, 1]]), unipotent(5)]
     inputs += [hyperbolic_plus_unipotent(rng, n) for n in (12, 16)]
     for g in inputs:
-        with pytest.raises(GroupTooLarge, match="exceeds"):
-            matrix_order(g)
+        for bound in (1, 2, 50, DEFAULT_ORDER_BOUND):
+            with pytest.raises(GroupTooLarge, match=f"^group too large or infinite: order exceeds {bound}$"):
+                matrix_order(g, bound)
     with pytest.raises(GroupTooLarge, match="closure exceeds 10000"):
         validate_and_close(Generated([inputs[-1], IntMatrix.identity(16)]))
 
@@ -995,6 +1051,48 @@ def test_cyclic_order_found_once(monkeypatch):
     h1(m)
     obstruction_scan(m)
     assert len(calls) == 1
+
+
+def test_cyclic_h1_reads_the_order_and_takes_no_walk(monkeypatch):
+    import glattice.cohomology as coh
+    from glattice.picard import charpoly_order, geiser_involution, verify_row
+
+    walks, orders = [], []
+    real_walk, real_order = coh._closed_walk, coh.matrix_order
+    monkeypatch.setattr(coh, "_closed_walk", lambda *a, **kw: walks.append(a) or real_walk(*a, **kw))
+    monkeypatch.setattr(coh, "matrix_order", lambda *a: orders.append(a) or real_order(*a))
+    geiser = geiser_involution()
+    res = h1_cyclic(geiser)
+    assert (res.group_order, res.h0_rank, res.h1) == (2, 1, FinAbGroup((2,) * 6))
+    assert charpoly_order(geiser) == 64
+    assert verify_row("dejonquieres", genus=3).passed
+    # one order per lattice (Geiser, then the conic bundle's Pic and Q), kept by the spec; no walk
+    assert len(orders) == 3 and walks == []
+    assert geiser.group._walk is None and "_elements" not in geiser.__dict__
+
+    # the closure and the scan still walk the powers, on the order already found
+    g = -permutation_module([[1, 2, 0, 4, 3]], kind="cyclic").group.generator
+    m = GLattice(5, Cyclic(g))
+    res = h1_cyclic(m)
+    assert (res.group_order, res.h0_rank, res.h1, len(orders), walks) == (6, 1, FinAbGroup((2,)), 4, [])
+    powers = [IntMatrix.identity(5)]
+    for _ in range(5):
+        powers.append(powers[-1] @ g)
+    assert m.elements() == powers
+    scan = obstruction_scan(m)
+    assert (len(orders), len(walks)) == (4, 1)
+    assert scan.full_group == res
+    assert scan.subgroups == (
+        SubgroupEntry(0, 1, FinAbGroup(())),
+        SubgroupEntry(1, 6, FinAbGroup((2,))),
+        SubgroupEntry(2, 3, FinAbGroup(())),
+        SubgroupEntry(3, 2, FinAbGroup((2, 2, 2))),
+    )
+    assert scan.witnesses == (
+        "full group: H^1 = (Z/2)",
+        "cyclic subgroup of element 1 (order 6): H^1 = (Z/2)",
+        "cyclic subgroup of element 3 (order 2): H^1 = (Z/2)^3",
+    )
 
 
 def test_h1_cocycle_reuses_the_closure_walk(monkeypatch):

@@ -291,6 +291,11 @@ def test_dejonquieres_section_image_genus_1():
     assert cb.delta.column(cb.rank - 1) == expected
 
 
+def q_reference_basis(cb):
+    """F and the F_i' as rows: the first 2g+3 standard basis vectors of the conic-bundle lattice."""
+    return IntMatrix([[int(i == j) for j in range(cb.rank)] for i in range(2 * cb.genus + 3)])
+
+
 def test_dejonquieres_defining_constraints():
     for g in (1, 2, 3):
         cb = dejonquieres(g)
@@ -300,7 +305,9 @@ def test_dejonquieres_defining_constraints():
         assert cb.delta.transpose() @ cb.gram @ cb.delta == cb.gram
         assert cb.gram.det() in (1, -1)
         assert cb.delta.column(0) == tuple(1 if i == 0 else 0 for i in range(n))
-        assert cb.q_basis().rows == 2 * g + 3
+        basis = q_reference_basis(cb)
+        assert basis.rows == 2 * g + 3
+        assert [cb.labels[row.index(1)] for row in basis] == list(cb.labels[:-1])  # every class but S
 
 
 def test_dejonquieres_canonical_class():
@@ -330,7 +337,7 @@ def test_q_glattice_is_the_restricted_action():
     for g in range(1, 9):
         for section_square in (-1, 0, 1):
             cb = dejonquieres(g, section_square)
-            basis = cb.q_basis()
+            basis = q_reference_basis(cb)
             q = cb.q_glattice()
             assert q.rank == 2 * g + 3
             assert q.group.generator == restrict_action(cb.delta, basis)
