@@ -38,12 +38,14 @@ so the cocycles Z^1 form a saturated lattice in Z^(k * rank); the
 coboundaries f(s) = (s - 1)x span a sublattice B^1 of finite index, since
 H^1 of a finite group is finite.  So Z^1 is the saturation of B^1, and
 H^1 = Z^1/B^1 is the torsion of the cokernel of
-B = [(s_1 - 1)^T | ... | (s_k - 1)^T]: one ``subquotient`` of Z^rank by
-the rows of B^T, a Hermite elimination of its k * rank rows, then Smith on
-at most rank x rank entries.  ``h1_cocycle`` takes the generators of the
-lattice's walk, which for a generated lattice are its listed generators (a
-repeat or the identity adds no rows, any other redundant one rank rows of
-B^T); ``h1_cyclic`` takes d for <d> and its order, walking nothing:
+B = [(s_1 - 1)^T | ... | (s_k - 1)^T].  For a prime order p, as in every
+row of the paper's table, that is (Z/p)^(rank_Q B - rank_Fp B); any other
+order takes one ``subquotient`` of Z^rank by the rows of B^T, a Hermite
+elimination of its k * rank rows, then Smith on at most rank x rank
+entries.  ``h1_cocycle`` takes the generators of the lattice's walk, which
+for a generated lattice are its listed generators (a repeat or the
+identity adds no rows, any other redundant one rank rows of B^T);
+``h1_cyclic`` takes d for <d> and its order, walking nothing:
 tors coker(d - 1) = ker(N)/eta(M) with N the norm and eta = 1 - d;
 ``obstruction_scan`` takes one generator per conjugacy class of cyclic
 subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
@@ -53,7 +55,7 @@ order, which is asserted on every run.
 Each :class:`GLattice` keeps its closure (within its spec's bound) and its
 walk after first use, so ``h1_cocycle``, ``obstruction_scan`` and
 ``restrict_subgroup`` close a group once however often they are called; the
-rank of M^G comes with each H^1 from the same subquotient.  Only
+rank of M^G comes with each H^1 from the same ranks or subquotient.  Only
 ``invariants_h0`` needs a basis of M^G, which it computes once per lattice
 and keeps with the closure.
 
@@ -75,6 +77,8 @@ from typing import Sequence
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
+    _is_prime,
+    _rank_mod,
     kernel_basis,
     matmul_rows,
     subquotient,
@@ -597,8 +601,8 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     return m._memo("_fixed", fixed)
 
 
-def _h1(gens: Sequence[IntMatrix], rank: int) -> tuple[FinAbGroup, int]:
-    """``(H^1, rank of M^G)`` for the finite group generated by ``gens`` acting on Z^rank.
+def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, int]:
+    """``(H^1, rank of M^G)`` for the group of ``order`` elements that ``gens`` generate, acting on Z^rank.
 
     In generator-value coordinates Z^1 is saturated and B^1, the row lattice
     of B = [(s_1 - 1)^T | ... | (s_k - 1)^T], has finite index in it, so H^1
@@ -607,9 +611,22 @@ def _h1(gens: Sequence[IntMatrix], rank: int) -> tuple[FinAbGroup, int]:
     M^G, so Z^rank modulo the rows of B^T is H^1 + Z^(rank M^G).  A repeated
     generator or the identity adds no row to that lattice, so its block is
     left out.
+
+    A prime order p kills H^1, so each invariant factor is 1 or p: H^1 is
+    (Z/p)^(r - s), r and s the ranks of B^T over Q and F_p.  A generator
+    g != 1 has char poly (t - 1)^a Phi_p^b, so r = (p - 1) b = (p - 1)(rank - tr g) / p.
+    Ranks cannot tell Z/4 from (Z/2)^2, so any other order takes ``subquotient``.
     """
     ident = IntMatrix.identity(rank)
-    coker = subquotient(ident, _stacked([g for g in dict.fromkeys(gens) if g != ident], ident))
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    rows = _stacked(gens, ident)
+    if _is_prime(order):
+        b, rest = divmod(rank - sum([gens[0][i][i] for i in range(rank)]), order)
+        if rest:
+            raise AssertionError(f"a generator's trace does not fit an action of order {order}")
+        r = (order - 1) * b
+        return FinAbGroup((order,) * (r - _rank_mod(rows, order))), rank - r
+    coker = subquotient(ident, rows)
     return FinAbGroup(coker.invariant_factors), coker.free_rank
 
 
@@ -627,7 +644,7 @@ def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
 def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
     """H^1 of ``m``, whose group of ``order`` elements ``gens`` generate; a witness
     holds the rows of B, one per basis vector x, and the Hermite basis of their saturation Z^1."""
-    h1, h0_rank = _h1(gens, m.rank)
+    h1, h0_rank = _h1(gens, m.rank, order)
     cert = None
     if witness:
         b1 = _stacked(gens, IntMatrix.identity(m.rank)).transpose()
@@ -644,7 +661,8 @@ def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
 
     ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d; the cocycles
     and coboundaries are built only for a witness.  Only d and its order are
-    needed (Brown, *Cohomology of Groups*, III.1): no walk, one ``subquotient``.
+    needed (Brown, *Cohomology of Groups*, III.1): no walk, and for a prime
+    order two ranks (see ``_h1``), else one ``subquotient``.
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
@@ -845,7 +863,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
         key = frozenset(powers)
         if key not in known:
-            known[key] = _h1((walk.elements[x],), m.rank)[0]
+            known[key] = _h1((walk.elements[x],), m.rank, n)[0]
             orbit = [key]
             for c in orbit:  # the list grows as it is read
                 for conj in conjugations:

@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms, integer
-kernels, subquotient structure and characteristic polynomials.
+kernels, subquotient structure, ranks over F_p and characteristic
+polynomials.
 
 Everything runs on Python's arbitrary-precision integers, with no floating
 point; coefficient blowup costs speed, never correctness.  Conventions:
@@ -33,6 +34,7 @@ Values are immutable and functions pure, so the module is thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -703,6 +705,34 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
     sf = smith_form(_matrix(cols[: len(_hnf(cols, nonzero, None))], nonzero))
     factors = tuple(f for f in sf.invariant_factors if f > 1)
     return FinAbGroup(factors, free_rank=r - len(sf.invariant_factors))
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _rank_mod(a: IntMatrix, p: int) -> int:
+    """Rank of ``a`` over F_p, for a prime ``p``: each row, held as a dict of its
+    nonzero residues, is reduced at its least column by the kept row leading
+    there, until it is zero or is kept itself, scaled to lead with 1."""
+    kept: dict[int, dict[int, int]] = {}  # leading column -> its row
+    for row in a:
+        r = {j: x for j in compress(range(a.cols), row) if (x := row[j] % p)}
+        while r:
+            j = min(r)
+            pivot = kept.get(j)
+            if pivot is None:
+                inv = pow(r[j], -1, p)
+                kept[j] = {k: x * inv % p for k, x in r.items()}
+                break
+            c = r[j]
+            for k, x in pivot.items():
+                y = (r.get(k, 0) - c * x) % p
+                if y:
+                    r[k] = y
+                else:  # c * x is nonzero, so k was in r
+                    del r[k]
+    return len(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
+    _is_prime,
     char_poly,
     express_in_row_basis,
     kernel_basis,
@@ -55,17 +56,6 @@ class SearchExhausted(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A lattice or action built here lacks a property it has by construction."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def restrict_action(action: IntMatrix, basis: IntMatrix) -> IntMatrix:

@@ -434,7 +434,7 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
         # subgroup already done
         calls = []
         real = coh._h1
-        monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
+        monkeypatch.setattr(coh, "_h1", lambda gens, rank, order: calls.append(gens) or real(gens, rank, order))
         h1(GLattice(m.rank, m.group, m.form))
         assert len(calls) == 1
         obstruction_scan(GLattice(m.rank, m.group, m.form))
@@ -470,7 +470,7 @@ def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
         h1(m)
         calls = []
         real = coh._h1
-        monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
+        monkeypatch.setattr(coh, "_h1", lambda gens, rank, order: calls.append(gens) or real(gens, rank, order))
         report = obstruction_scan(m)
         monkeypatch.undo()
         assert len(report.subgroups) == subgroups
@@ -529,7 +529,7 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
     two = GLattice(4, Generated(symmetric_group_generators(4, True)))
     calls = []
     real = coh._h1
-    monkeypatch.setattr(coh, "_h1", lambda gens, rank: calls.append(gens) or real(gens, rank))
+    monkeypatch.setattr(coh, "_h1", lambda gens, rank, order: calls.append(gens) or real(gens, rank, order))
     for m, expected in (
         (GLattice(4, Generated(listed)), h1_cocycle(two).h1),
         (GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)])), FinAbGroup((2, 2))),
@@ -830,9 +830,9 @@ def hyperbolic_plus_unipotent(rng, n):
     return p @ IntMatrix(rows) @ pinv
 
 
-def test_packed_order_matches_exact_powers_on_permutation_modules():
-    # every element of S3, S4, S5 and S5 on unordered pairs, plain and sign-twisted, unimodularly conjugated
-    rng = random.Random(17)
+def conjugated_symmetric_elements(seed):
+    """Every element of S3, S4, S5 and S5 on unordered pairs, plain and sign-twisted, unimodularly conjugated."""
+    rng = random.Random(seed)
     for degree, on_pairs in ((3, False), (4, False), (5, False), (5, True)):
         points = list(itertools.combinations(range(degree), 2)) if on_pairs else [(i,) for i in range(degree)]
         for signed in (False, True):
@@ -841,9 +841,12 @@ def test_packed_order_matches_exact_powers_on_permutation_modules():
                 moved = tuple(points.index(tuple(sorted(perm[x] for x in q))) for q in points)
                 odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(degree), 2)) % 2
                 g = p @ perm_matrix(moved, False) @ pinv
-                if signed and odd:
-                    g = -g
-                assert_order_matches_exact_powers(g, DEFAULT_ORDER_BOUND)
+                yield -g if signed and odd else g
+
+
+def test_packed_order_matches_exact_powers_on_permutation_modules():
+    for g in conjugated_symmetric_elements(17):
+        assert_order_matches_exact_powers(g, DEFAULT_ORDER_BOUND)
 
 
 def test_packed_order_matches_exact_powers_on_signed_permutations():
@@ -1377,8 +1380,8 @@ def test_h1_stacks_each_distinct_generator_once(monkeypatch):
     import glattice.cohomology as coh
 
     rows = []
-    real = coh.subquotient
-    monkeypatch.setattr(coh, "subquotient", lambda a, b: rows.append(b.rows) or real(a, b))
+    real = coh._rank_mod
+    monkeypatch.setattr(coh, "_rank_mod", lambda b, p: rows.append(b.rows) or real(b, p))
     transposition = perm_matrix((1, 0, 2, 3), True)
     m = GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)]))
     res = h1_cocycle(m, witness=True)
@@ -1387,3 +1390,91 @@ def test_h1_stacks_each_distinct_generator_once(monkeypatch):
     assert rows == [4]
     # the witness keeps a coordinate block for each listed generator
     assert res.witness.denominator_gens.cols == 51 * 4
+
+
+def subquotient_h1(gens, rank):
+    """``(H^1, rank of M^G)`` by Hermite and Smith: Z^rank modulo the rows of the blocks g - 1 stacked."""
+    ident = IntMatrix.identity(rank)
+    coker = subquotient(ident, IntMatrix.stack([g - ident for g in gens]))
+    return FinAbGroup(coker.invariant_factors), coker.free_rank
+
+
+def augmentation_shift(n):
+    """The generator of C_n on its augmentation ideal, on the basis e_i - e_(i-1), i = 1..n-1: H^1 = Z/n."""
+    rows = [[0] * (n - 1) for _ in range(n - 1)]
+    for i in range(n - 1):
+        rows[i][n - 2] = -1  # e_(n-1) - e_(n-2) -> e_0 - e_(n-1), minus the sum of the basis
+        if i:
+            rows[i][i - 1] = 1
+    return IntMatrix(rows)
+
+
+def test_prime_order_h1_from_ranks_matches_subquotient():
+    import glattice.cohomology as coh
+    from glattice.picard import dejonquieres, reflection, restrict_action, root_system
+
+    cases = []  # (generators, rank, their group's prime order)
+    # every prime-order element of the S3, S4, S5 and S5-on-pairs modules, plain and signed, conjugated
+    elements = [(g, matrix_order(g)) for g in conjugated_symmetric_elements(31)]
+    cases += [((g,), g.rows, n) for g, n in elements if n in (2, 3, 5)]
+    # seeded Weyl words of prime order on Pic and on K^perp, a few per order and degree
+    rng = random.Random(37)
+    for d, primes in ((1, {2, 3, 5, 7}), (2, {2, 3, 5, 7}), (3, {2, 3, 5}), (4, {2, 3, 5}), (5, {2, 3, 5}), (6, {2, 3})):
+        system = root_system(d)
+        found = {}
+        while any(len(found.get(p, ())) < 3 for p in primes):
+            g = IntMatrix.identity(system.lattice.rank)
+            for _ in range(rng.randint(1, 12)):
+                g = g @ reflection(system.lattice, rng.choice(system.roots))
+            n = matrix_order(g, 60)
+            if n in primes and len(found.setdefault(n, [])) < 3:
+                found[n].append(g)
+                q = restrict_action(g, system.q.basis)
+                cases += [((g,), g.rows, n), ((q,), q.rows, n)]
+    cases += [((augmentation_shift(p),), p - 1, p) for p in (2, 3, 5, 7)]
+    # the de Jonquieres involution on Pic and on Q, up to the genus cap
+    for genus in [*range(1, 21), 60, 100]:
+        cb = dejonquieres(genus)
+        cases += [(m.group.matrices, m.rank, 2) for m in (cb.pic_glattice(), cb.q_glattice())]
+    nontrivial = set()  # the orders with some H^1 != 0
+    for gens, rank, p in cases:
+        h1_and_h0_rank = coh._h1(gens, rank, p)
+        assert h1_and_h0_rank == subquotient_h1(gens, rank)
+        if not h1_and_h0_rank[0].is_trivial:
+            nontrivial.add(p)
+    assert nontrivial == {2, 3, 5, 7}
+    # several generators of one group of prime order: g and g^2, repeated, with the identity
+    for g, n in elements[::7]:
+        if n in (2, 3, 5):
+            gens = [g, g, IntMatrix.identity(g.rows), g @ g, g]
+            res = h1_cocycle(GLattice(g.rows, Generated(gens)))
+            assert res.group_order == n
+            assert (res.h1, res.h0_rank) == coh._h1(gens, g.rows, n) == subquotient_h1(gens, g.rows)
+
+
+def test_prime_order_h1_takes_no_subquotient(monkeypatch):
+    import glattice.cohomology as coh
+    from glattice.picard import dejonquieres, geiser_involution
+
+    calls = []
+    real = coh.subquotient
+    monkeypatch.setattr(coh, "subquotient", lambda a, b: calls.append(b) or real(a, b))
+    cb = dejonquieres(5)
+    assert h1_cyclic(geiser_involution()).h1 == FinAbGroup((2,) * 6)
+    assert h1_cyclic(cb.pic_glattice()).h1 == FinAbGroup((2,) * 10)
+    assert h1_cocycle(cb.q_glattice()).h1 == FinAbGroup((2,) * 11)
+    # the augmentation ideal of Z[C3], generated by the shift, its square and 1
+    shift = augmentation_shift(3)
+    res = h1_cocycle(GLattice(2, Generated([shift, shift @ shift, IntMatrix.identity(2)])))
+    assert (res.group_order, res.h1, res.h0_rank) == (3, FinAbGroup((3,)), 0)
+    assert calls == []
+    # a composite order keeps Hermite and Smith, as ranks cannot tell Z/4 from (Z/2)^2:
+    # the augmentation ideal of Z[C4] has H^1 = Z/4
+    assert augmentation_shift(4) == IntMatrix([[0, 0, -1], [1, 0, -1], [0, 1, -1]])
+    res = h1_cyclic(GLattice(3, Cyclic(augmentation_shift(4))))
+    assert (res.group_order, res.h1, res.h0_rank) == (4, FinAbGroup((4,)), 0)
+    assert len(calls) == 1
+    # a trace that does not fit the order: -1 on Z as order 3, the order-3 shift as order 2
+    for gens, rank, order in (((IntMatrix([[-1]]),), 1, 3), ((shift,), 2, 2)):
+        with pytest.raises(AssertionError, match="trace does not fit an action of order"):
+            coh._h1(gens, rank, order)
