@@ -13,24 +13,24 @@ generators of a ``generated`` spec, and by greedy generators S picked in
 list order for a ``list`` spec, whose every product must land in the list,
 O(|G| * |S|) products rather than the |G|^2 of the full multiplication
 table.  The walk multiplies no matrices.  It acts on Ω, a finite set of
-vectors that starts with the standard basis and spans Z^rank: the union of
-the basis vectors' orbits under the generators, or the distinct columns of
-a list.  An element is a permutation of Ω, known by its images of the
-basis, which are its columns; a product is one composition of permutations,
-done in C in time linear in |Ω|, where an exact matrix product costs up to
-rank^3 Python-level multiply-adds.  The arithmetic left is one sparse
-matrix-vector product per point of Ω and generator (|Ω| <= rank * |G|, and
-a basis vector's image is read off as a column); matrices are built from
-their columns once the walk is done.  As Ω spans, G acts on it faithfully,
-so Ω is finite exactly when G is, and an orbit beyond the bound refuses a
-group before it is walked.  Each spec keeps the walk that closed it
-(``_checked_walk``), a Schreier table from which any group product is read
-by index (``_Walk.times``): it is the only group structure used after the
-closure.  Orders come from residues mod 3 and one exact confirmation: by
-Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3) is torsion-free, so a
-finite order equals the order mod 3, and an infinite-order input is refused
-after a few cheap products on bit-packed residue rows instead of ``bound``
-growing exact ones.  A cyclic spec keeps its generator's order.
+vectors that spans Z^rank: the standard basis and the distinct columns of
+a list, or a few orbits of basis vectors, grown smallest first until the
+closed ones span (27, 56 and 240 points for the simple reflections of E6,
+E7 and E8, where all the basis orbits hold 99, 632 and 17,520).  An
+element is a permutation of Ω, known by its images of a few points that
+write the basis; a product is one composition of permutations, done in C
+in time linear in |Ω|, where an exact matrix product costs up to rank^3
+Python-level multiply-adds.  The arithmetic left is one sparse
+matrix-vector product per orbit point and generator, and an element's
+matrix, built from its images only when read (``h1_cocycle`` reads none).
+Each spec keeps the walk that closed it (``_checked_walk``), a Schreier
+table from which any group product is read by index (``_Walk.times``): it
+is the only group structure used after the closure.  Orders come from residues
+mod 3 and one exact confirmation: by Minkowski's lemma the kernel of
+GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
+mod 3, and an infinite-order input is refused after a few cheap products
+on bit-packed residue rows instead of ``bound`` growing exact ones.  A
+cyclic spec keeps its generator's order.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -67,16 +67,17 @@ value computed twice by racing threads is the same value either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice
 from math import gcd
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
+    _hnf,
     _is_prime,
     _rank_mod,
     kernel_basis,
@@ -248,16 +249,28 @@ class Generated(GroupSpec):
 def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Multiplicative order of ``g``; error if it exceeds ``bound``.
 
-    The candidate order ``k`` is the order of ``g`` mod 3.  A residue row is
-    packed as two int bit masks, its columns holding 1 and -1, so row i of
-    g.p is the F_3 sum of the rows of p at the nonzero residues of row i of
-    g, six bitwise operations each (Boothby and Bradshaw, arXiv:0901.1413);
+    The candidate order ``k`` is the order of ``g`` mod 3 (``_order_mod3``);
     ``g^k == I`` is then confirmed exactly by binary powering.  By
     Minkowski's lemma a finite order equals the order mod 3, so a failed
     confirmation proves it infinite.  Cost: min(k, bound) packed products of
     O(nonzeros of g) operations on rank-bit ints, plus at most 2 log2(k)
     exact ones (one for an involution, two for order 3).
     """
+    k = _order_mod3(g, bound)
+    power = g
+    for bit in bin(k)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ g
+    if power != IntMatrix.identity(g.rows):
+        raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
+    return k
+
+
+def _order_mod3(g: IntMatrix, bound: int) -> int:
+    """The order of ``g`` mod 3, refused beyond ``bound``.  A residue row is packed as two int bit
+    masks, its columns holding 1 and -1, so row i of g.p is the F_3 sum of the rows of p at the
+    nonzero residues of row i of g, six bitwise operations each (Boothby and Bradshaw, arXiv:0901.1413)."""
     n = g.rows
     # row i of g mod 3: the columns j of its nonzero residues, each with whether it is -1
     terms = [[(j, row[j] % 3 == 2) for j in compress(range(n), row) if row[j] % 3] for row in g]
@@ -281,14 +294,6 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
                 a, b = (b | d) ^ t, (a | c) ^ t
             rows.append((a, b))
         p, k = tuple(rows), k + 1
-    ident = IntMatrix.identity(n)
-    power = g
-    for bit in bin(k)[3:]:
-        power = power @ power
-        if bit == "1":
-            power = power @ g
-    if power != ident:
-        raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
     return k
 
 
@@ -306,24 +311,34 @@ class _Walk:
     ``elements`` lists the group in the order the walk reached it, the
     identity first.  Each ``(a, s, b)`` in ``edges`` is a product
     ``elements[a] @ gens[s] == elements[b]``, in the order they were made;
-    every element meets every generator exactly once.  The edge that first
-    reaches an element (``b`` is then the number of elements reached before
-    it) belongs to the Schreier tree; every other edge closes a relator.
+    every element meets every generator exactly once (so the edges give the
+    ``order``).  The edge that first reaches an element (``b`` is then the
+    number of elements reached before it) belongs to the Schreier tree;
+    every other edge closes a relator.
 
     The edges are a Schreier table: ``table`` holds ``right[a][s] = b`` and
     each element's word in the generators along the tree, so :meth:`times`
     finds any product by index, with no matrix product.  The walk that made
-    them composed permutations of a spanning set Ω (``_closed_walk``); of
-    it only the matrices, the generators and the edges are kept.
+    them composed permutations of a spanning set Ω (``_closed_walk``);
+    ``build`` makes the matrices from their images of Ω when ``elements`` is
+    first read, so a caller of only the generators, order or table builds none.
     """
 
-    elements: tuple[IntMatrix, ...]
+    build: Callable[[], Sequence[IntMatrix]] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
     edges: tuple[tuple[int, int, int], ...]
 
     @cached_property
+    def elements(self) -> tuple[IntMatrix, ...]:
+        return tuple(self.build())
+
+    @property
+    def order(self) -> int:
+        return len(self.edges) // len(self.gens) if self.gens else 1
+
+    @cached_property
     def table(self) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-        right = [[0] * len(self.gens) for _ in self.elements]
+        right = [[0] * len(self.gens) for _ in range(self.order)]
         words: list[tuple[int, ...]] = [()]
         for a, s, b in self.edges:
             right[a][s] = b
@@ -344,14 +359,13 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     """The walk from the identity by ``gens``, then by each of ``members`` it has not reached when it comes to it.
 
     Every element is walked as a permutation of Ω, a finite set of vectors
-    that starts with the standard basis and is stable under the group: the
-    union of the orbits of the basis vectors under ``gens`` (``_orbits``),
-    or the distinct columns of ``members``, which a group's own columns
-    are.  As g.e_j is column j of g, an element is known by its first rank
-    images, the indices of its columns in Ω, and its matrix is built from
-    them with no product once the walk is done.  A product is one
-    composition of permutations in C: ``bytes.translate`` on tables padded
-    to 256 entries when |Ω| <= 256, an ``itemgetter`` otherwise.
+    that spans Z^rank and is stable under the group: the standard basis and
+    the distinct columns of ``members``, or the orbits of basis vectors that
+    ``_orbits`` picks.  An element is known by its images of the first s
+    points of Ω, which write the basis vectors by fixed combinations, and
+    its matrix is built from them when ``elements`` is first read.  A
+    product is one composition of permutations in C: ``bytes.translate`` on
+    tables padded to 256 entries when |Ω| <= 256, an ``itemgetter`` otherwise.
 
     The reached set grows by right-multiplying it by the generators,
     breadth first.  A member joins as a generator (the greedy generators of
@@ -364,13 +378,16 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     """
     n = (gens or members)[0].rows
     ident = IntMatrix.identity(n)
-    points = list(ident)  # Ω, the basis first
-    where = dict(zip(points, range(n)))
-    for v in chain.from_iterable(zip(*g) for g in members):
-        if v not in where:
-            where[v] = len(points)
-            points.append(v)
-    perms = dict(zip(gens, _orbits(gens, points, where, bound)))
+    if members:
+        points, perms, s, combos = list(ident), {}, n, None  # Ω, the basis first
+        where = dict(zip(points, range(n)))
+        for v in chain.from_iterable(zip(*g) for g in members):
+            if v not in where:
+                where[v] = len(points)
+                points.append(v)
+    else:
+        points, images, s, combos = _orbits(gens, bound)
+        perms = dict(zip(gens, images))
     size = len(points)
     if size <= 256:
         pad = bytes(range(size, 256))
@@ -386,7 +403,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     keys = {g: pack([where[v] for v in zip(*g)]) for g in members}
     listed = {key: g for g, key in keys.items()}
     reached = [one]
-    index = {one[:n]: 0}
+    index = {one[:s]: 0}
     walk_gens: list[IntMatrix] = []
     moves: list = []
     edges: list[tuple[int, int, int]] = []
@@ -401,9 +418,9 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             moves.append(move(images))
         known = len(reached)
         for i, x in enumerate(reached):  # the list grows as it is read
-            for s in range(first if i < known else 0, len(moves)):
-                y = moves[s](x)
-                key = y[:n]
+            for t in range(first if i < known else 0, len(moves)):
+                y = moves[t](x)
+                key = y[:s]
                 j = index.get(key)
                 if j is None:
                     if members:
@@ -413,56 +430,101 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
                     j = index[key] = len(reached)
                     reached.append(y)
-                edges.append((i, s, j))
+                edges.append((i, t, j))
             if not members:  # one batch: a row done is not read again
                 reached[i] = None
-    del reached  # the permutations go before the matrices come
     if members:
-        elements = [listed[key] for key in index]
-    else:  # the identity and the generators as they are; any other element by its columns, Ω[key[j]]
-        elements = [ident]
-        given = {pack(perms[g][:n]): g for g in gens}
-        rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rows are shared
+        return _Walk(lambda: [listed[key] for key in index], tuple(walk_gens), tuple(edges))
+    given = {pack(perms[g][:s]): g for g in gens}
+
+    def build() -> list[IntMatrix]:  # the identity and the generators as they are; any other element by its columns
+        elements, rows = [ident], {}  # equal rows are shared
         for key in islice(index, 1, None):
             g = given.get(key)
             if g is None:
-                g = IntMatrix._from_rows(tuple([rows.setdefault(r, r) for r in zip(*[points[c] for c in key])]), n)
+                cols = [points[k] for k in key]  # the images of the support, then the columns they write
+                if combos is not None:
+                    cols = matmul_rows(combos, cols, n)
+                g = IntMatrix._from_rows(tuple([rows.setdefault(r, r) for r in zip(*cols)]), n)
             elements.append(g)
-    return _Walk(tuple(elements), tuple(walk_gens), tuple(edges))
+        return elements
+
+    return _Walk(build, tuple(walk_gens), tuple(edges))
 
 
-def _orbits(gens: Sequence[IntMatrix], points: list, where: dict, bound: int | None) -> list[list[int]]:
-    """Grow ``points`` from the standard basis into Ω, the union of its orbits; each generator's images of Ω.
+def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]], int, list | None]:
+    """``(Ω, images, s, C)``: Ω with the s points of its support first, each generator's images of Ω
+    as indices into it, and the rows C_j with e_j = sum_t C_j[t] Ω[t], or None when Ω begins with the basis.
 
-    Images are indices into ``points`` (``where`` maps each point to its
-    index).  Ω is found breadth first, a layer of new points at a time: a
-    basis vector's image is a column, read with no arithmetic, and a later
-    layer's images are one ``matmul_rows`` of its points with a generator's
-    columns.  Ω spans Z^rank, so the group acts on it faithfully, and it is
-    finite exactly when the group is.  A new point is counted to the basis
-    vector in whose orbit it was found; no orbit is larger than the group,
-    so more than ``bound`` points counted to one basis vector refuse the
-    group before it is walked.
+    Each round extends by one layer the open orbits of basis vectors with
+    the fewest points, one ``matmul_rows`` per generator; orbits that meet
+    merge, and one whose layer finds no new point is closed.  An orbit of
+    more than ``bound`` points refuses the group.  Once the open orbits hold
+    more points than the closed ones, the closed ones become Ω if they span
+    Z^rank (``_spanning``); else Ω is the union of all the basis orbits.
     """
-    n = len(points)
+    n = gens[0].rows
     columns = [tuple(zip(*g)) for g in gens]
-    images: list[list[int]] = [[] for _ in gens]
-    owner = list(range(n))  # the basis vector from whose orbit each point was found
-    found = [1] * n  # the points found so far in each basis vector's orbit
-    done = 0
-    while done < len(points):
-        start, done = done, len(points)
+    points = list(IntMatrix.identity(n))
+    where = dict(zip(points, range(n)))
+    images: list[dict[int, int]] = [{} for _ in gens]
+    orbit = list(range(n))  # the orbit of each point, named by one of its points
+    members = {j: [j] for j in range(n)}
+    layers = {j: [j] for j in range(n)}  # each open orbit's points not yet imaged
+    span, tested = None, 0
+    while layers:
+        least = min([len(members[o]) for o in layers])
+        todo = [i for o in [o for o in layers if len(members[o]) == least] for i in layers.pop(o)]
         for cols, image in zip(columns, images):
-            for i, v in enumerate(matmul_rows(points[start:done], cols, n) if start else cols, start):
+            for i, v in zip(todo, matmul_rows([points[i] for i in todo], cols, n)):
+                o = orbit[i]
                 k = where.setdefault(v, len(points))
                 if k == len(points):
                     points.append(v)
-                    owner.append(owner[i])
-                    found[owner[i]] += 1
-                    if found[owner[i]] > bound:
+                    orbit.append(o)
+                    members[o].append(k)
+                    layers.setdefault(o, []).append(k)
+                    if len(members[o]) > bound:
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
-                image.append(k)
-    return images
+                elif orbit[k] != o:  # the orbits meet: o takes the other's points and its layer
+                    p = orbit[k]
+                    for q in members[p]:
+                        orbit[q] = o
+                    members[o] += members.pop(p)
+                    layers.setdefault(o, []).extend(layers.pop(p, ()))
+                image[i] = k
+        grown = sum([len(members[o]) for o in layers])
+        if n <= len(points) - grown < grown and len(points) - grown != tested:
+            closed = [k for p, ks in members.items() if p not in layers for k in ks]
+            tested, span = len(closed), _spanning(points, closed, n)
+            if span:
+                break
+    support, combos = span or (list(range(n)), None)
+    order = support + sorted(set(closed if span else range(len(points))).difference(support))
+    at = dict(zip(order, range(len(order))))
+    return [points[k] for k in order], [[at[image[k]] for k in order] for image in images], len(support), combos
+
+
+def _spanning(points: list, chosen: list[int], n: int) -> tuple[list[int], list | None] | None:
+    """``(support, C)`` writing each basis vector from the ``chosen`` points, or None when they do not span Z^n.
+
+    A chosen basis vector is its own combination; once the rank mod 2 is
+    full, the others are read off one Hermite transform of the chosen
+    points, shortest first.  C is None when the support is the basis.
+    """
+    inside = set(chosen)
+    if all(j in inside for j in range(n)):
+        return list(range(n)), None
+    if _rank_mod(IntMatrix._from_rows(tuple([points[k] for k in chosen]), n), 2) < n:
+        return None
+    shortest = sorted(chosen, key=lambda k: sum(map(abs, points[k])))
+    rows = [list(points[k]) for k in shortest]
+    u = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    if [rows[r][c] for r, c in _hnf(rows, n, u)] != [1] * n:  # index 1: the first n rows are the basis
+        return None
+    terms = [{j: 1} if j in inside else {shortest[t]: c for t, c in enumerate(u[j]) if c} for j in range(n)]
+    support = list(dict.fromkeys(chain.from_iterable(terms)))
+    return support, [tuple([t.get(k, 0) for k in support]) for t in terms]
 
 
 def _images(g: IntMatrix, points: list, where: dict) -> list[int] | None:
@@ -482,16 +544,14 @@ def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[I
     A cyclic spec is walked by the powers of its generator, after its order
     (see :func:`matrix_order`), which the spec keeps.  A generated spec
     first has each generator's order checked, so an infinite-order generator
-    is refused after a few packed residue products.  The orbits of the basis vectors then give Ω at
-    |Ω| * |generators| matrix-vector products; Ω is finite exactly when the
-    group is, and an orbit beyond the bound refuses it.  The group is then walked
-    breadth first at |G| * |generators| compositions of permutations of Ω.
-    An explicit list is proved to contain the identity and be product-closed
-    by one walk of greedy generators S: Ω is the set of its columns, found
-    with no arithmetic, each of S maps Ω into itself at |Ω| matrix-vector
-    products (an image outside Ω proves the list not closed), and the walk
-    takes O(|G| * |S|) compositions where the full table takes |G|^2
-    products.  The list comes back in its own order.
+    is refused after a few packed residue products; a few orbits then give
+    Ω (``_orbits``), and the group is walked breadth first at
+    |G| * |generators| compositions of permutations of Ω.  An explicit list
+    is proved to contain the identity and be product-closed by one walk of
+    greedy generators S on Ω, the set of its columns: an image outside Ω
+    proves the list not closed, and the walk takes O(|G| * |S|)
+    compositions where the full table takes |G|^2 products.  The list comes
+    back in its own order.
     """
     spec._check(form)
     walk = spec._checked_walk()
@@ -549,9 +609,9 @@ class GLattice:
     def _walk(self) -> _Walk:
         """The walk that closed the group, kept by its spec: by the powers of a
         cyclic generator, the listed generators of a generated group, or the
-        greedy generators of a list."""
-        self._closure()  # validates the spec, which then keeps its walk
-        return self.group._walk
+        greedy generators of a list; the spec was checked when the lattice
+        was made, and builds the element matrices only when they are read."""
+        return self.group._checked_walk()
 
 
 @dataclass(frozen=True)
@@ -638,7 +698,7 @@ def _stacked(gens: Sequence[IntMatrix], ident: IntMatrix) -> IntMatrix:
 def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
     """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``."""
     n = len(powers)
-    return _Walk(tuple(powers), (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
+    return _Walk(lambda: powers, (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
 
 
 def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
@@ -679,7 +739,7 @@ def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     adds ``rank`` and changes neither H^1 nor the rank of M^G.  Only the closure's bound limits the group.
     """
     walk = m._walk()
-    return _result(m, walk.gens, len(walk.elements), "cocycle", witness)
+    return _result(m, walk.gens, walk.order, "cocycle", witness)
 
 
 def h1(m: GLattice, witness: bool = False) -> CohomologyResult:
@@ -728,6 +788,23 @@ def permutation_module(perms: Sequence[Sequence[int]], kind: str = "generated") 
     return m
 
 
+def leading_block(m: GLattice, n: int) -> GLattice:
+    """The action of a cyclic lattice on the span of its first ``n`` basis vectors: rows n, ... of g are 0 there.
+
+    The block inherits what ``m`` has passed, so nothing is checked again:
+    det g is its determinant times the rest's, it preserves the form's
+    leading block, and its order divides g's, so by Minkowski's lemma it is
+    the block's order mod 3, with no exact confirmation.
+    """
+    if not isinstance(m.group, Cyclic) or any(any(row[:n]) for row in m.group.generator[n:]):
+        raise ValidationError(f"the first {n} basis vectors do not span an invariant block of a cyclic action")
+    g, form = [None if a is None else IntMatrix._from_rows(tuple([row[:n] for row in a[:n]]), n)
+               for a in (m.group.generator, m.form)]
+    spec = Cyclic(g, m.group.closure_bound)
+    spec.__dict__.update(_passed={None, form}, _order=_order_mod3(g, m.group._order))
+    return GLattice(n, spec, form)
+
+
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     """Block-diagonal action on the direct sum of the two lattices.
 
@@ -769,7 +846,7 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
     paired = [block[a] for a in listed[0]]
     spec = type(m1.group)(paired, bound)
-    walk = _Walk(tuple(block.values()), tuple([block[s] for s in w1.gens]), w1.edges)
+    walk = _Walk(lambda: block.values(), tuple([block[s] for s in w1.gens]), w1.edges)
     return GLattice(m1.rank + m2.rank, spec._keep(walk, form), form)
 
 

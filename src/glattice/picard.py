@@ -25,18 +25,18 @@ spec confirms the order exactly (``matrix_order``), which a row reads as
 ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
 checked only by the row.  Matrices written here skip the per-entry check
 (their arguments are checked up front); a conic bundle's Q action is a
-leading block, whose span ``q_glattice`` checks is invariant.
+leading block of its Pic lattice, with its checks (``leading_block``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0
+from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -302,20 +302,23 @@ class ConicBundlePic:
         return (-3,) + (1,) * (2 * self.genus + 2) + (-2,)
 
     def pic_glattice(self) -> GLattice:
+        """The involution on Pic, built and checked once per bundle."""
+        return self._pic
+
+    @cached_property
+    def _pic(self) -> GLattice:
         return GLattice(rank=self.rank, group=Cyclic(self.delta), form=self.gram)
 
     def q_glattice(self) -> GLattice:
         """The leading blocks of ``delta`` and ``gram``, on F and the F_i'.
 
         Their span is invariant when the S row of ``delta`` is zero on it;
-        :class:`GLattice` checks that the block is unimodular and keeps the form.
+        the block takes what the Pic lattice has passed (``leading_block``).
         """
         n = 2 * self.genus + 3
         if any(self.delta[n][:n]):
             raise ConstructionError("the span of F and the F_i' is not invariant under the involution")
-        action = IntMatrix._from_rows(tuple([row[:n] for row in self.delta[:n]]), n)
-        form = IntMatrix._from_rows(tuple([row[:n] for row in self.gram[:n]]), n)
-        return GLattice(rank=n, group=Cyclic(action), form=form)
+        return leading_block(self.pic_glattice(), n)
 
 
 def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -649,6 +650,26 @@ def test_weyl_e6_document_closes(capsys):
 
 
 CYCLIC_RANK81_DOC = Path(__file__).resolve().parent / "data" / "cyclic_rank81_order3603600.json"
+REDUNDANT_DOC = Path(__file__).resolve().parent / "data" / "s5_pairs_signed_listed_twice.json"
+
+# sha256 of the `--json` reports on REDUNDANT_DOC, taken when Ω was the union of every basis
+# vector's orbit and each of the 240 listed matrices imaged all of it (0.86 and 0.84 s in process)
+REDUNDANT_SHA256 = {
+    "compute": "c7bc9268962dd0d19965d5fdddab1e012eb8910278eb9bf90ac8b6c636b9cfd3",
+    "scan": "54b1ce78b0e648c7342756094f1d0648b71e71bc960b21de09cd74eb8e32cd72",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REDUNDANT_SHA256))
+def test_redundant_generators_are_walked_quickly(command, capsys):
+    # all 120 elements of the sign-twisted S_5 on pairs, each listed twice and unimodularly
+    # conjugated: about 0.2 s on 2 x86_64 cores, where Ω is a few orbits that span; the
+    # bound fails a return to imaging the union of the basis orbits only on a much slower machine
+    start = time.perf_counter()
+    assert run_command([command, "--input", str(REDUNDANT_DOC), "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REDUNDANT_SHA256[command]
 
 
 def test_large_cyclic_order_is_refused_quickly():

@@ -1069,21 +1069,22 @@ def test_cyclic_h1_reads_the_order_and_takes_no_walk(monkeypatch):
     assert (res.group_order, res.h0_rank, res.h1) == (2, 1, FinAbGroup((2,) * 6))
     assert charpoly_order(geiser) == 64
     assert verify_row("dejonquieres", genus=3).passed
-    # one order per lattice (Geiser, then the conic bundle's Pic and Q), kept by the spec; no walk
-    assert len(orders) == 3 and walks == []
+    # one exact order per lattice (Geiser, then the conic bundle's Pic), kept by the spec; the Q block's
+    # order is its order mod 3 (see leading_block); no walk
+    assert len(orders) == 2 and walks == []
     assert geiser.group._walk is None and "_elements" not in geiser.__dict__
 
     # the closure and the scan still walk the powers, on the order already found
     g = -permutation_module([[1, 2, 0, 4, 3]], kind="cyclic").group.generator
     m = GLattice(5, Cyclic(g))
     res = h1_cyclic(m)
-    assert (res.group_order, res.h0_rank, res.h1, len(orders), walks) == (6, 1, FinAbGroup((2,)), 4, [])
+    assert (res.group_order, res.h0_rank, res.h1, len(orders), walks) == (6, 1, FinAbGroup((2,)), 3, [])
     powers = [IntMatrix.identity(5)]
     for _ in range(5):
         powers.append(powers[-1] @ g)
     assert m.elements() == powers
     scan = obstruction_scan(m)
-    assert (len(orders), len(walks)) == (4, 1)
+    assert (len(orders), len(walks)) == (3, 1)
     assert scan.full_group == res
     assert scan.subgroups == (
         SubgroupEntry(0, 1, FinAbGroup(())),
@@ -1332,28 +1333,83 @@ def omega_size(elements):
 
 
 def test_permutation_walk_matches_matrix_products():
-    rng = random.Random(20)  # |Ω| is 590 on the pairs
+    import glattice.cohomology as coh
+
+    rng = random.Random(20)  # the union of the basis orbits has 590 points on the pairs
     p4, p4inv = conjugator(rng, 4)
     p10, p10inv = conjugator(rng, 10)
     s4 = [p4 @ g @ p4inv for g in symmetric_group_generators(4, True)]
     s5_pairs = [p10 @ pairs_matrix(q) @ p10inv for q in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
-    for gens, order, small in ((s4, 24, True), (s5_pairs, 120, False)):
+    signed_pairs = [p10 @ -pairs_matrix((1, 0, 2, 3, 4)) @ p10inv, s5_pairs[1]]  # twisted by the sign
+    for gens, order in ((s4, 24), (s5_pairs, 120), (signed_pairs, 120)):
         walk = Generated(gens)._checked_walk()
         assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk(gens)
-        assert len(walk.elements) == order
-        # both compositions are taken: translated bytes up to 256 points, an itemgetter beyond
-        assert (omega_size(walk.elements) <= 256) is small
+        assert len(walk.elements) == walk.order == order
+        # Ω is a few closed orbits that span, short of the union of every basis vector's orbit
+        points, _, _, combos = coh._orbits(gens, DEFAULT_ORDER_BOUND)
+        assert len(points) <= 20 < omega_size(walk.elements)
+        if order == 120:  # some basis vector lies outside Ω: columns are built by combination
+            assert combos is not None and not set(IntMatrix.identity(10)) <= set(points)
     # a cyclic walk: the powers of (0 1)(2 3 4) on the pairs
     g = p10 @ pairs_matrix((1, 0, 3, 4, 2)) @ p10inv
     walk = Cyclic(g)._checked_walk()
     assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk([g])
     assert len(walk.elements) == 6
-    # a list, walked by its greedy generators, keeps the listed objects
-    listed = [p4 @ g @ p4inv for g in symmetric_group_module(4, False)]
-    rng.shuffle(listed)
-    walk = Explicit(listed)._checked_walk()
-    assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk((), listed)
-    assert all(any(x is y for y in listed) for x in walk.elements)
+    # a list, walked by its greedy generators, keeps the listed objects; both compositions
+    # are taken, translated bytes up to 256 points of Ω and an itemgetter beyond
+    for listed, small in (([p4 @ g @ p4inv for g in symmetric_group_module(4, False)], True),
+                          ([p10 @ pairs_matrix(q) @ p10inv for q in itertools.permutations(range(5))], False)):
+        rng.shuffle(listed)
+        walk = Explicit(listed)._checked_walk()
+        assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk((), listed)
+        assert all(any(x is y for y in listed) for x in walk.elements)
+        assert (omega_size(listed) <= 256) is small
+
+
+def test_omega_spans_with_a_few_orbits():
+    import glattice.cohomology as coh
+    from glattice.picard import del_pezzo_pic, reflection, simple_roots
+
+    # the simple reflections of E6, E7 and E8: Ω is the orbit of E_1, the exceptional curves,
+    # where the union of the basis orbits has 99, 632 and 17,520 points
+    for degree, size in ((3, 27), (2, 56), (1, 240)):
+        lat = del_pezzo_pic(degree)
+        points, images, s, combos = coh._orbits([reflection(lat, a) for a in simple_roots(lat)], DEFAULT_ORDER_BOUND)
+        assert len(points) == size and lat.rank <= s < size
+        assert all(sorted(image) == list(range(size)) for image in images)
+        # H lies outside Ω, and is written from the support
+        basis = [tuple(sum(c * x for c, x in zip(row, col)) for col in zip(*points[:s])) for row in combos]
+        assert basis == list(IntMatrix.identity(lat.rank))
+
+
+def test_omega_is_small_on_benchmark_documents(monkeypatch):
+    import glattice.cohomology as coh
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        for slot in workloads.GROUP_TEMPLATE:
+            doc, _ = workloads._group_doc(rng, slot)
+            if slot[0] != "accept" or slot[4] == "list":
+                continue
+            gens = [IntMatrix(m) for m in doc["group"]["matrices"]]
+            bound = matrix_order(gens[0]) if slot[4] == "cyclic" else DEFAULT_ORDER_BOUND
+            assert len(coh._orbits(gens, bound)[0]) <= 256, (seed, slot)
+
+
+def test_compute_on_a_generated_lattice_builds_no_element_matrix():
+    rng = random.Random(21)
+    p, pinv = conjugator(rng, 10)
+    m = GLattice(10, Generated([p @ pairs_matrix(q) @ pinv for q in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]))
+    res = h1(m)
+    assert (res.group_order, res.method, res.h1) == (120, "cocycle", FinAbGroup(()))
+    # the walk knows its generators, its order and its table; no element matrix was built
+    walk = m.group._walk
+    assert "elements" not in walk.__dict__ and "_elements" not in m.__dict__
+    assert len(m.elements()) == 120 and "elements" in walk.__dict__
 
 
 def test_walk_refusals_keep_their_text():
@@ -1478,3 +1534,27 @@ def test_prime_order_h1_takes_no_subquotient(monkeypatch):
     for gens, rank, order in (((IntMatrix([[-1]]),), 1, 3), ((shift,), 2, 2)):
         with pytest.raises(AssertionError, match="trace does not fit an action of order"):
             coh._h1(gens, rank, order)
+
+
+def test_leading_block_inherits_the_lattice_checks(monkeypatch):
+    from glattice.cohomology import leading_block
+
+    # (0 1 2) on e_0, e_1, e_2, and e_3 -> e_3 + e_0 - e_1, of order 3: the span of the first three is invariant
+    g = IntMatrix([[0, 0, 1, 1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 0, 1]])
+    m = GLattice(4, Cyclic(g))
+    assert m.group._order == 3
+    calls = []
+    for name in ("__matmul__", "det"):
+        real = getattr(IntMatrix, name)
+        monkeypatch.setattr(IntMatrix, name, lambda *a, real=real: calls.append(1) or real(*a))
+    block = leading_block(m, 3)
+    order = block.group._order
+    monkeypatch.undo()
+    # no product and no determinant: the form, unimodularity and the order come from m
+    assert calls == [] and order == 3 == matrix_order(block.group.generator)
+    assert block.group.generator == IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) and block.form is None
+    assert h1_cyclic(block).h1 == h1_cyclic(GLattice(3, Cyclic(block.group.generator))).h1
+    assert leading_block(m, 4).group.generator == g  # the whole lattice is always invariant
+    for bad, n in ((m, 1), (GLattice(4, Generated([g])), 3)):  # e_0 -> e_1 leaves the span of e_0
+        with pytest.raises(ValidationError, match="invariant block of a cyclic action"):
+            leading_block(bad, n)
