@@ -23,9 +23,10 @@ in time linear in |Ω|, where an exact matrix product costs up to rank^3
 Python-level multiply-adds.  The arithmetic left is one sparse
 matrix-vector product per orbit point and generator, and an element's
 matrix, built from its images only when read (``h1_cocycle`` reads none).
-Each spec keeps the walk that closed it (``_checked_walk``), a Schreier
-table from which any group product is read by index (``_Walk.times``): it
-is the only group structure used after the closure.  Orders come from residues
+Each spec keeps the walk that closed it (``_checked_walk``) as a Cayley
+table, each element's product with each generator by index, from which
+any group product is read (``_Walk.times``): it is the only group
+structure used after the closure.  Orders come from residues
 mod 3 and one exact confirmation: by Minkowski's lemma the kernel of
 GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
 mod 3, and an infinite-order input is refused after a few cheap products
@@ -309,24 +310,18 @@ class _Walk:
     """A finite group walked from the identity by right multiplication.
 
     ``elements`` lists the group in the order the walk reached it, the
-    identity first.  Each ``(a, s, b)`` in ``edges`` is a product
-    ``elements[a] @ gens[s] == elements[b]``, in the order they were made;
-    every element meets every generator exactly once (so the edges give the
-    ``order``).  The edge that first reaches an element (``b`` is then the
-    number of elements reached before it) belongs to the Schreier tree;
-    every other edge closes a relator.
-
-    The edges are a Schreier table: ``table`` holds ``right[a][s] = b`` and
-    each element's word in the generators along the tree, so :meth:`times`
-    finds any product by index, with no matrix product.  The walk that made
-    them composed permutations of a spanning set Ω (``_closed_walk``);
-    ``build`` makes the matrices from their images of Ω when ``elements`` is
-    first read, so a caller of only the generators, order or table builds none.
+    identity first.  ``right`` is its Cayley table: ``right[a][s] == b``
+    when ``elements[a] @ gens[s] == elements[b]``, one row per element, so
+    :meth:`times` finds any product by index, with no matrix product.  The
+    walk that made it composed permutations of a spanning set Ω
+    (``_closed_walk``); ``build`` makes the matrices from their images of Ω
+    when ``elements`` is first read, so a caller of only the generators,
+    order or table builds none.
     """
 
     build: Callable[[], Sequence[IntMatrix]] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    right: list[list[int]]
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
@@ -334,22 +329,25 @@ class _Walk:
 
     @property
     def order(self) -> int:
-        return len(self.edges) // len(self.gens) if self.gens else 1
+        return len(self.right)
 
     @cached_property
-    def table(self) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-        right = [[0] * len(self.gens) for _ in range(self.order)]
-        words: list[tuple[int, ...]] = [()]
-        for a, s, b in self.edges:
-            right[a][s] = b
-            if b == len(words):  # a tree edge
-                words.append(words[a] + (s,))
-        return right, words
+    def _words(self) -> list[tuple[int, ...]]:
+        """Each element's word in the generators, along a breadth-first tree of ``right``
+        (a list's greedy batches reach elements out of row order)."""
+        words: list = [()] + [None] * (self.order - 1)
+        queue = [0]
+        for a in queue:  # the list grows as it is read
+            for s, b in enumerate(self.right[a]):
+                if words[b] is None:
+                    words[b] = words[a] + (s,)
+                    queue.append(b)
+        return words
 
     def times(self, x: int, y: int) -> int:
         """The index of ``elements[x] @ elements[y]``: ``y``'s word followed from ``x``."""
-        right, words = self.table
-        for s in words[y]:
+        right = self.right
+        for s in self._words[y]:
             x = right[x][s]
         return x
 
@@ -368,10 +366,11 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     tables padded to 256 entries when |Ω| <= 256, an ``itemgetter`` otherwise.
 
     The reached set grows by right-multiplying it by the generators,
-    breadth first.  A member joins as a generator (the greedy generators of
-    a list); elements reached before need only the product with it, newly
-    reached ones take every generator, so every element meets every
-    generator once.  Without ``members`` a closure beyond ``bound`` raises
+    breadth first, and each product's index joins its row of the Cayley
+    table.  A member joins as a generator (the greedy generators of a list);
+    elements reached before need only the product with it, newly reached
+    ones take every generator, so every row lists every generator's product
+    in generator order.  Without ``members`` a closure beyond ``bound`` raises
     GroupTooLarge.  With them the walk keeps the member objects and returns
     None at the first product outside them, or at a generator's first image
     outside Ω, which the columns of a group contain: so it ends.
@@ -402,11 +401,10 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             return itemgetter(*images)
     keys = {g: pack([where[v] for v in zip(*g)]) for g in members}
     listed = {key: g for g, key in keys.items()}
-    reached = [one]
+    reached, right = [one], [[]]
     index = {one[:s]: 0}
     walk_gens: list[IntMatrix] = []
     moves: list = []
-    edges: list[tuple[int, int, int]] = []
     # the members are tested against ``index`` as the walk comes to them
     for batch in chain([gens], ([g] for g in members if keys[g] not in index)):
         first = len(moves)
@@ -416,10 +414,11 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                 return None
             walk_gens.append(g)
             moves.append(move(images))
-        known = len(reached)
+        known, fresh = len(reached), moves[first:]
         for i, x in enumerate(reached):  # the list grows as it is read
-            for t in range(first if i < known else 0, len(moves)):
-                y = moves[t](x)
+            row = right[i]
+            for step in fresh if i < known else moves:
+                y = step(x)
                 key = y[:s]
                 j = index.get(key)
                 if j is None:
@@ -430,11 +429,12 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
                     j = index[key] = len(reached)
                     reached.append(y)
-                edges.append((i, t, j))
+                    right.append([])
+                row.append(j)
             if not members:  # one batch: a row done is not read again
                 reached[i] = None
     if members:
-        return _Walk(lambda: [listed[key] for key in index], tuple(walk_gens), tuple(edges))
+        return _Walk(lambda: [listed[key] for key in index], tuple(walk_gens), right)
     given = {pack(perms[g][:s]): g for g in gens}
 
     def build() -> list[IntMatrix]:  # the identity and the generators as they are; any other element by its columns
@@ -449,7 +449,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             elements.append(g)
         return elements
 
-    return _Walk(build, tuple(walk_gens), tuple(edges))
+    return _Walk(build, tuple(walk_gens), right)
 
 
 def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]], int, list | None]:
@@ -505,16 +505,15 @@ def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]
     return [points[k] for k in order], [[at[image[k]] for k in order] for image in images], len(support), combos
 
 
-def _spanning(points: list, chosen: list[int], n: int) -> tuple[list[int], list | None] | None:
+def _spanning(points: list, chosen: list[int], n: int) -> tuple[list[int], list] | None:
     """``(support, C)`` writing each basis vector from the ``chosen`` points, or None when they do not span Z^n.
 
     A chosen basis vector is its own combination; once the rank mod 2 is
     full, the others are read off one Hermite transform of the chosen
-    points, shortest first.  C is None when the support is the basis.
+    points, shortest first.  ``_orbits`` asks only while an orbit is open,
+    and every orbit holds a basis vector, so some basis vector is not chosen.
     """
     inside = set(chosen)
-    if all(j in inside for j in range(n)):
-        return list(range(n)), None
     if _rank_mod(IntMatrix._from_rows(tuple([points[k] for k in chosen]), n), 2) < n:
         return None
     shortest = sorted(chosen, key=lambda k: sum(map(abs, points[k])))
@@ -606,13 +605,6 @@ class GLattice:
         """The group elements within the spec's bound, validated once."""
         return self._memo("_elements", lambda: tuple(validate_and_close(self.group, self.form)))
 
-    def _walk(self) -> _Walk:
-        """The walk that closed the group, kept by its spec: by the powers of a
-        cyclic generator, the listed generators of a generated group, or the
-        greedy generators of a list; the spec was checked when the lattice
-        was made, and builds the element matrices only when they are read."""
-        return self.group._checked_walk()
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -698,7 +690,7 @@ def _stacked(gens: Sequence[IntMatrix], ident: IntMatrix) -> IntMatrix:
 def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
     """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``."""
     n = len(powers)
-    return _Walk(lambda: powers, (powers[1 % n],), tuple([(j, 0, (j + 1) % n) for j in range(n)]))
+    return _Walk(lambda: powers, (powers[1 % n],), [[(j + 1) % n] for j in range(n)])
 
 
 def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
@@ -738,7 +730,7 @@ def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     generator or the identity adds no rows of B^T; any other redundant one
     adds ``rank`` and changes neither H^1 nor the rank of M^G.  Only the closure's bound limits the group.
     """
-    walk = m._walk()
+    walk = m.group._checked_walk()  # the spec was checked when the lattice was made
     return _result(m, walk.gens, walk.order, "cocycle", witness)
 
 
@@ -838,15 +830,15 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     if len(listed[0]) != len(listed[1]):
         raise GroupMismatch(f"group mismatch: {counts}")
     w1, w2 = m1.group._checked_walk(), m2.group._checked_walk()
-    # with equal edges w1.elements[k] -> w2.elements[k] is an isomorphism:
+    # with equal Cayley tables w1.elements[k] -> w2.elements[k] is an isomorphism:
     # it maps the identity to the identity and respects each product a.s
     pair = dict(zip(w1.elements, w2.elements))
-    if w1.edges != w2.edges or any(pair[a] != b for a, b in zip(*listed)):
+    if w1.right != w2.right or any(pair[a] != b for a, b in zip(*listed)):
         raise GroupMismatch(f"group mismatch: {tables}")
     block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
     paired = [block[a] for a in listed[0]]
     spec = type(m1.group)(paired, bound)
-    walk = _Walk(lambda: block.values(), tuple([block[s] for s in w1.gens]), w1.edges)
+    walk = _Walk(lambda: block.values(), tuple([block[s] for s in w1.gens]), w1.right)
     return GLattice(m1.rank + m2.rank, spec._keep(walk, form), form)
 
 
@@ -909,15 +901,15 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     subgroup they generate, keeping the lowest generator index; entries come
     out sorted by that index.
 
-    Powers and conjugates are read off the walk's Schreier table: no matrix
+    Powers and conjugates are read off the walk's Cayley table: no matrix
     product after the closure.  Conjugate subgroups have isomorphic H^1
     (Brown, *Cohomology of Groups*, III.8), so ``_h1`` runs once per
     orbit of subgroups under x -> s^-1 x s by the walk's generators s.
     """
     elements = m._closure()
     full = h1(m)
-    walk = m._walk()
-    (right, _), times = walk.table, walk.times
+    walk = m.group._checked_walk()
+    right, times = walk.right, walk.times
     conjugations = []
     for s in {right[0][s]: s for s in range(len(walk.gens))}.values():  # one per distinct generator
         inverse = right[0][s]  # s, s^2, ... up to the power before the identity

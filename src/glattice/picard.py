@@ -383,13 +383,14 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
     roots (``root_system``).  There are at most 240 roots, so a permutation
     is a 256-byte table and a product is one ``bytes.translate`` in C; the
     order is found by powering the word's table.  Only a power u of order
-    p becomes a matrix: column j is the coordinate vector, in the simple
-    roots, of the root u sends the j-th simple root to.  The simple roots
-    are a basis of Q over the rationals, so this matrix is similar over Q to
-    u's matrix on the basis of Q, and the trace and characteristic
-    polynomial tests decide as they would there.  The accepted word's
-    matrix on Pic is then formed once, by reflecting each basis vector
-    along the word.
+    p is tested, by the trace of its matrix in the simple roots: column j
+    is the coordinate vector of the root u sends the j-th simple root to.
+    The simple roots are a basis of Q over the rationals, so this matrix is
+    similar over Q to u's matrix on the basis of Q.  Its trace decides the
+    test: u has order p, so its char poly on Q is (t - 1)^b Phi_p^a with
+    b + (p - 1) a = 9 - d and trace b - a, which fix a and b.  The accepted
+    word's matrix on Pic is then formed once, by reflecting each basis
+    vector along the word.
 
     Deterministic for a fixed seed.  Raises :class:`SearchExhausted` after
     max_trials misses; parameter errors are ordinary ValueErrors.
@@ -409,7 +410,7 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
         cfg = WeylSearchConfig()
 
     target = poly_pow((1,) * p, s)
-    target_trace = -s  # s copies of the primitive p-th roots of unity summed
+    target_trace = -s  # s copies of the primitive p-th roots of unity summed: b = 0, a = s
     tables = system.reflections
     coords = system.coords
     simple = system.simple
@@ -432,10 +433,7 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
         if cur != ident or order % p != 0:
             continue
         u = powers[order // p]
-        columns = [coords[u[j]] for j in simple]
-        if sum(col[j] for j, col in enumerate(columns)) != target_trace:
-            continue
-        if char_poly(IntMatrix(columns).transpose()) != target:
+        if sum([coords[u[r]][j] for j, r in enumerate(simple)]) != target_trace:
             continue
         full = _word_matrix(lat, [system.roots[idx] for idx in word])
         found = full

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,23 @@ def test_compute_invalid_input_exits_1(tmp_path, capsys):
     code = run_command(["compute", "--input", path])
     assert code == 1
     assert "not unimodular" in capsys.readouterr().err
+
+
+def test_compute_refuses_a_gram_that_is_not_symmetric(tmp_path, capsys):
+    doc = dict(SWAP_DOC, gram=[[1, 1], [0, 1]])
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc), "--json"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: gram: not symmetric\n")
+
+
+def test_json_timing_is_the_last_key_and_only_asked_for(tmp_path, capsys):
+    path = write_doc(tmp_path, SWAP_DOC)
+    assert run_command(["compute", "--input", path, "--json", "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert list(timed)[-1] == "timing_ms" and timed["timing_ms"] >= 0
+    assert run_command(["compute", "--input", path, "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert "timing_ms" not in plain and list(plain) == list(timed)[:-1]
 
 
 def test_compute_refuses_generated_unipotent(tmp_path, capsys):
@@ -647,6 +665,23 @@ def test_weyl_e6_document_closes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert (report["group_order"], report["h0_rank"], report["h1"]) == (
         51840, 1, {"invariant_factors": [], "free_rank": 0})
+
+
+# sha256 of `scan --json` on WEYL_E6_DOC, taken while the walk kept a log of its products
+WEYL_E6_SCAN_SHA256 = "877cfcf5002b57d0c97fda0369f5ac284a728be8f842fc93264626f605578967"
+
+
+def test_weyl_e6_scan_is_byte_identical(capsys):
+    # every cyclic subgroup of W(E6) on Pic of a cubic surface, about 3 s on 2 x86_64 cores; the
+    # nonzero H^1 are two of Swinnerton-Dyer's values for cubic surfaces, (Z/2)^2 and (Z/3)^2
+    assert run_command(["scan", "--input", str(WEYL_E6_DOC), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WEYL_E6_SCAN_SHA256
+    report = json.loads(out)
+    assert len(report["subgroups"]) == 18074 and report["obstructed"] is True
+    nonzero = Counter((e["order"], tuple(e["h1"]["invariant_factors"]), e["h1"]["free_rank"])
+                      for e in report["subgroups"] if e["h1"] != {"invariant_factors": [], "free_rank": 0})
+    assert nonzero == {(2, (2, 2), 0): 45, (4, (2, 2), 0): 270, (6, (2, 2), 0): 720, (3, (3, 3), 0): 40}
 
 
 CYCLIC_RANK81_DOC = Path(__file__).resolve().parent / "data" / "cyclic_rank81_order3603600.json"

@@ -118,6 +118,8 @@ def test_explicit_closure_checks():
         validate_and_close(Explicit([IntMatrix.identity(2), SWAP, MINUS_I2]))
     elems = validate_and_close(Explicit([IntMatrix.identity(2), MINUS_I2]))
     assert len(elems) == 2
+    with pytest.raises(ValidationError, match="^Explicit element list contains duplicates$"):
+        validate_and_close(Explicit([IntMatrix.identity(2), MINUS_I2, MINUS_I2]))
 
 
 QUARTER_TURN = IntMatrix([[0, -1], [1, 0]])
@@ -304,6 +306,18 @@ def test_direct_sum_additivity_example():
 def test_direct_sum_mismatch():
     with pytest.raises(GroupMismatch):
         direct_sum(sign_lattice(1), GLattice(2, Explicit([IntMatrix.identity(2), MINUS_I2])))
+    with pytest.raises(GroupMismatch, match="^group mismatch: generator counts differ$"):
+        direct_sum(GLattice(1, Generated([IntMatrix([[-1]])])), GLattice(2, Generated([SWAP, MINUS_I2])))
+
+
+def test_direct_sum_of_two_forms_is_their_block_form():
+    a = GLattice(1, Generated([IntMatrix([[-1]])]), IntMatrix([[2]]))
+    b = GLattice(2, Generated([SWAP]), IntMatrix([[1, 0], [0, 1]]))
+    s = direct_sum(a, b)
+    assert s.form == IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert all(g.transpose() @ s.form @ g == s.form for g in s.group.matrices)
+    # one form alone does not make a form of the sum
+    assert direct_sum(a, GLattice(2, Generated([SWAP]))).form is None
 
 
 def test_direct_sum_geiser_with_regular_summand():
@@ -477,7 +491,7 @@ def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
         # the full group on its listed generators, of width len(generators) * rank,
         # then one generator per conjugacy class of cyclic subgroups
         assert len(calls) == 1 + classes
-        assert calls[0] == m._walk().gens and len(calls[0]) == 2
+        assert calls[0] == m.group._checked_walk().gens and len(calls[0]) == 2
         assert all(len(gens) == 1 for gens in calls[1:])
     # two classes of order-2 subgroups with different H^1 on the sign-twisted
     # permutation module: the value follows the class, not the order
@@ -509,7 +523,7 @@ def table_test_lattices():
 
 def test_walk_table_products_equal_matrix_products():
     for m in table_test_lattices():
-        walk = m._walk()
+        walk = m.group._checked_walk()
         assert set(walk.elements) == set(m.elements())
         for x, a in enumerate(walk.elements):
             for y, b in enumerate(walk.elements):
@@ -976,7 +990,7 @@ def signed_permutation_groups(draw):
 @given(signed_permutation_groups())
 def test_cocycle_kernel_matches_fox_reference(m):
     res = h1_cocycle(m, witness=True)
-    z1, b1 = two_pass_cocycle_bases(m, m._walk().gens)
+    z1, b1 = two_pass_cocycle_bases(m, m.group._checked_walk().gens)
     assert res.h1 == subquotient(z1, b1)
     assert res.witness.numerator_basis == z1
     assert res.witness.denominator_gens == b1
@@ -1139,7 +1153,7 @@ def test_each_lattice_is_walked_once(monkeypatch):
         restrict_subgroup(m, [IntMatrix.identity(4)])
         # the spec keeps the walk that closed it, and H^1 and the scan run on it
         assert len(calls) == 1
-        assert m._walk() is m.group._walk and set(m._walk().elements) == set(m.elements())
+        assert m.group._checked_walk() is m.group._walk and set(m.group._walk.elements) == set(m.elements())
         assert len(calls) == 1
 
 
@@ -1232,10 +1246,10 @@ def products_along_the_first_walk(m1, m2):
     """Reference pairing proof: every product a.s of ``m1``'s walk, paired, must be formed in ``m2``.
 
     A list pairs its elements as listed; a generated pairing maps each
-    element along ``m1``'s tree to the paired product, which must be well
-    defined and one-to-one.
+    element to the paired product that first reaches it, row by row of
+    ``m1``'s Cayley table, which must be well defined and one-to-one.
     """
-    walk = m1._walk()
+    walk = m1.group._checked_walk()
     if isinstance(m1.group, Explicit):
         m2.elements()  # the second list is a group as well
         pair = dict(zip(m1.group.elements, m2.group.elements))
@@ -1243,13 +1257,14 @@ def products_along_the_first_walk(m1, m2):
         gens = [pair[s] for s in walk.gens]
     else:
         assert walk.gens == m1.group.generators  # a generated group is walked by its listed generators
-        image, gens = [IntMatrix.identity(m2.rank)], m2.group.generators
-    for a, s, b in walk.edges:
-        product = image[a] @ gens[s]
-        if b == len(image):  # a tree edge
-            image.append(product)
-        elif product != image[b]:
-            return False
+        image, gens = [IntMatrix.identity(m2.rank)] + [None] * (walk.order - 1), m2.group.generators
+    for a, row in enumerate(walk.right):  # breadth first: row a's element was reached from an earlier row
+        for s, b in enumerate(row):
+            product = image[a] @ gens[s]
+            if image[b] is None:
+                image[b] = product
+            elif product != image[b]:
+                return False
     return len(set(image)) == len(image)
 
 
@@ -1304,9 +1319,10 @@ def test_direct_sum_walk_pairing_matches_products_along_the_first_walk():
 
 def matrix_walk(gens, members=()):
     """Reference walk by exact matrix products: breadth first from the identity by
-    ``gens``, then by each of ``members`` not reached when the walk comes to it."""
+    ``gens``, then by each of ``members`` not reached when the walk comes to it;
+    ``right[a][s]`` is the index of ``reached[a] @ walk_gens[s]``."""
     one = IntMatrix.identity((gens or members)[0].rows)
-    reached, index, walk_gens, edges = [one], {one: 0}, [], []
+    reached, index, walk_gens, right = [one], {one: 0}, [], [[]]
     for batch in itertools.chain([list(gens)], ([g] for g in members if g not in index)):
         first = len(walk_gens)
         walk_gens.extend(batch)
@@ -1317,8 +1333,9 @@ def matrix_walk(gens, members=()):
                 if y not in index:
                     index[y] = len(reached)
                     reached.append(y)
-                edges.append((i, s, index[y]))
-    return reached, walk_gens, edges
+                    right.append([])
+                right[i].append(index[y])
+    return reached, walk_gens, right
 
 
 def pairs_matrix(perm):
@@ -1343,7 +1360,7 @@ def test_permutation_walk_matches_matrix_products():
     signed_pairs = [p10 @ -pairs_matrix((1, 0, 2, 3, 4)) @ p10inv, s5_pairs[1]]  # twisted by the sign
     for gens, order in ((s4, 24), (s5_pairs, 120), (signed_pairs, 120)):
         walk = Generated(gens)._checked_walk()
-        assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk(gens)
+        assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk(gens)
         assert len(walk.elements) == walk.order == order
         # Ω is a few closed orbits that span, short of the union of every basis vector's orbit
         points, _, _, combos = coh._orbits(gens, DEFAULT_ORDER_BOUND)
@@ -1353,7 +1370,7 @@ def test_permutation_walk_matches_matrix_products():
     # a cyclic walk: the powers of (0 1)(2 3 4) on the pairs
     g = p10 @ pairs_matrix((1, 0, 3, 4, 2)) @ p10inv
     walk = Cyclic(g)._checked_walk()
-    assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk([g])
+    assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk([g])
     assert len(walk.elements) == 6
     # a list, walked by its greedy generators, keeps the listed objects; both compositions
     # are taken, translated bytes up to 256 points of Ω and an itemgetter beyond
@@ -1361,7 +1378,7 @@ def test_permutation_walk_matches_matrix_products():
                           ([p10 @ pairs_matrix(q) @ p10inv for q in itertools.permutations(range(5))], False)):
         rng.shuffle(listed)
         walk = Explicit(listed)._checked_walk()
-        assert (list(walk.elements), list(walk.gens), list(walk.edges)) == matrix_walk((), listed)
+        assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk((), listed)
         assert all(any(x is y for y in listed) for x in walk.elements)
         assert (omega_size(listed) <= 256) is small
 

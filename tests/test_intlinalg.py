@@ -584,6 +584,16 @@ def test_express_in_row_basis_recovers_coefficients():
     assert express_in_row_basis(basis, IntMatrix([], cols=5)) == IntMatrix([], cols=3)
 
 
+def test_express_in_row_basis_refusals():
+    basis = IntMatrix([[1, 0, 0], [0, 2, 0]])
+    with pytest.raises(ValueError, match="^basis rows are linearly dependent$"):
+        express_in_row_basis(IntMatrix([[1, 2, 0], [2, 4, 0]]), IntMatrix([[1, 2, 0]]))
+    # outside the rational span, and inside it but not an integer combination
+    for v in ([0, 0, 1], [0, 1, 0]):
+        with pytest.raises(NotSublattice, match="^vector 1 is not in the spanned lattice$"):
+            express_in_row_basis(basis, IntMatrix([[3, 4, 0], v]))
+
+
 def test_matrix_shapes_and_ops():
     a = IntMatrix([[1, 2], [3, 4]])
     assert (a @ IntMatrix.identity(2)) == a

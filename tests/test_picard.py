@@ -1,10 +1,11 @@
 import itertools
+import random
 import re
 
 import pytest
 
 from glattice.cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, matrix_order
-from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_pow
+from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_mul, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
     ConicBundlePic,
@@ -425,6 +426,38 @@ def test_weyl_search_exhaustion_is_distinct():
     cfg = WeylSearchConfig(seed=0, max_trials=25, word_min=2, word_max=2)
     with pytest.raises(SearchExhausted):
         weyl_search(1, 5, cfg=cfg)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_trace_fixes_the_char_poly_of_a_prime_order_weyl_element(d):
+    # u of order p acts on Q (rank 9 - d) with char poly (t - 1)^b Phi_p^a: b + (p - 1) a = 9 - d and
+    # tr u = b - a fix a and b, so weyl_search's trace test decides its char poly test
+    system = root_system(d)
+    rng = random.Random(d)
+    ident = bytes(range(256))
+    traces = set()
+    for _ in range(300):
+        word = [rng.randrange(len(system.roots)) for _ in range(rng.randint(2, 16))]
+        w = ident
+        for idx in word:
+            w = system.reflections[idx].translate(w)
+        powers = [ident]
+        while len(powers) == 1 or powers[-1] != ident:
+            powers.append(powers[-1].translate(w))
+        order = len(powers) - 1
+        for p in (2, 3, 5, 7):
+            if order % p:
+                continue
+            u = powers[order // p]
+            columns = [system.coords[u[r]] for r in system.simple]
+            trace = sum(col[j] for j, col in enumerate(columns))
+            a, rest = divmod(9 - d - trace, p)
+            assert rest == 0
+            expected = poly_mul(poly_pow((-1, 1), trace + a), poly_pow((1,) * p, a))
+            assert char_poly(IntMatrix(columns).transpose()) == expected
+            traces.add((p, trace))
+    # several classes were met, at least two of them of order 2
+    assert len(traces) >= 3 and len({t for p, t in traces if p == 2}) >= 2
 
 
 def test_weyl_search_parameter_errors():
