@@ -72,6 +72,16 @@ def test_parse_rejects_bad_kind_and_schema():
         parse_input("{")
     with pytest.raises(InputError, match="cyclic kind takes exactly one"):
         parse_input('{"rank": 1, "group": {"kind": "cyclic", "matrices": [[[1]], [[-1]]]}}')
+    with pytest.raises(InputError, match="^top level: expected an object$"):
+        parse_input("[]")
+    with pytest.raises(InputError, match="^rank: expected an integer, got True$"):
+        parse_input('{"rank": true, "group": {"kind": "cyclic", "matrices": [[[1]]]}}')
+    with pytest.raises(InputError, match=r"^group\.matrices\[0\]: row 1 must have 2 entries$"):
+        parse_input('{"rank": 2, "group": {"kind": "cyclic", "matrices": [[[1, 0], [0]]]}}')
+    with pytest.raises(InputError, match="^group: missing or not an object$"):
+        parse_input('{"rank": 1}')
+    with pytest.raises(InputError, match=r"^group\.matrices: expected a nonempty list$"):
+        parse_input('{"rank": 1, "group": {"kind": "list", "matrices": []}}')
 
 
 def test_parse_checks_form_preservation():
@@ -318,6 +328,13 @@ def test_search_exhaustion_exit_code(capsys):
 
 def test_search_invalid_parameters_exit_1(capsys):
     assert run_command(["search", "--degree", "2", "--prime", "3"]) == 1
+    for argv, message in (
+        (["--max-trials", "0"], "max_trials must be at least 1"),
+        (["--word-min", "3", "--word-max", "2"], "need 1 <= word_min <= word_max"),
+    ):
+        capsys.readouterr()
+        assert run_command(["search", "--degree", "1", "--prime", "5", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_search_refuses_a_large_prime_without_trial_division(capsys):
@@ -377,6 +394,20 @@ def test_verify_table_json(capsys):
     assert cases == ["dejonquieres-g1", "geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5"]
     geiser = next(r for r in out["rows"] if r["case"] == "geiser")
     assert geiser["h1"]["invariant_factors"] == [2] * 6
+
+
+def test_verify_table_takes_no_smith_form(monkeypatch, capsys):
+    # every row of the table has prime order, so its H^1 comes from two ranks
+    import glattice.cohomology as coh
+    import glattice.intlinalg as ila
+
+    calls = []
+    for module, name in ((ila, "smith_form"), (coh, "subquotient")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert run_command(["verify-table", "--max-genus", "20", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    assert calls == []
 
 
 def test_verify_table_refuses_a_negative_max_genus(capsys):

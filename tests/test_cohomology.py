@@ -286,6 +286,26 @@ def test_permutation_module_rejects_garbage():
         permutation_module([[0, 0]], kind="cyclic")
     with pytest.raises(ValueError, match="inconsistent permutations"):
         permutation_module([[1, 0], [0, 1]], kind="cyclic")
+    with pytest.raises(ValueError, match="^inconsistent permutations: empty list$"):
+        permutation_module([])
+    with pytest.raises(ValueError, match="^unknown kind 'dihedral'$"):
+        permutation_module([[1, 0]], kind="dihedral")
+
+
+def test_specs_and_lattices_reject_bad_shapes():
+    with pytest.raises(ValueError, match="^Generated requires at least one matrix$"):
+        Generated([])
+    for mats in ([IntMatrix([[1, 0]])], [IntMatrix.identity(2), IntMatrix.identity(3)]):
+        with pytest.raises(ValidationError, match="^Explicit: matrices must all be square of the same size$"):
+            Explicit(mats)
+    with pytest.raises(ValueError, match="^negative rank$"):
+        GLattice(-1, Cyclic(SWAP))
+    for form, message in ((IntMatrix.identity(3), "form has the wrong shape"),
+                          (IntMatrix([[1, 1], [0, 1]]), "form is not symmetric")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            GLattice(2, Cyclic(SWAP), form)
+    with pytest.raises(ValidationError, match="^matrix 0 is not 3x3$"):
+        GLattice(3, Cyclic(SWAP))
 
 
 # --- direct sums -----------------------------------------------------------------

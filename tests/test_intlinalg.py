@@ -315,6 +315,8 @@ def test_subquotient_with_free_part():
 def test_subquotient_rejects_outside_vectors():
     with pytest.raises(NotSublattice, match="generator 0"):
         subquotient(IntMatrix([[2, 0], [0, 2]]), IntMatrix([[1, 0]]))
+    with pytest.raises(ValueError, match="^ambient dimensions differ$"):
+        subquotient(IntMatrix.identity(2), IntMatrix([[1, 0, 0]]))
 
 
 def test_subquotient_basis_invariance():
@@ -500,6 +502,9 @@ def test_finabgroup_validation():
         FinAbGroup((4, 2))
     with pytest.raises(ValueError):
         FinAbGroup((), -1)
+    with pytest.raises(ValueError, match="^infinite group has no order$"):
+        FinAbGroup((2,), 1).order()
+    assert str(FinAbGroup((2, 2, 6), 3)) == "Z^3 x (Z/2)^2 x (Z/6)"
 
 
 def test_finabgroup_direct_sum_canonicalizes():
@@ -618,6 +623,23 @@ def test_matrix_rejects_bad_entries():
         IntMatrix([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^expected 3 columns, got 2$"):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="^negative column count$"):
+        IntMatrix([], cols=-1)
+    with pytest.raises(ValueError, match="^nothing to stack$"):
+        IntMatrix.stack([])
+    with pytest.raises(ValueError, match="^column counts differ$"):
+        IntMatrix.stack([IntMatrix.identity(2), IntMatrix.identity(3)])
+
+
+def test_arithmetic_rejects_shape_mismatch():
+    a, b = IntMatrix.identity(2), IntMatrix([[1, 2, 3]])
+    with pytest.raises(ValueError, match=r"^shape mismatch: 2x2 @ 1x3$"):
+        a @ b
+    for op in (IntMatrix.__add__, IntMatrix.__sub__):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            op(a, b)
 
 
 # --- sparse inputs: determinants, normal forms and subquotients ----------------------
