@@ -441,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-table", help="verify every built-in case")
-    p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 6 s, 34 MB peak)")
+    p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 2-3 s, 31 MB peak)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.add_argument("--json", action="store_true")

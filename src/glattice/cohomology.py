@@ -53,27 +53,29 @@ subgroups.  Either way the result is a :class:`FinAbGroup`; H^1 of a finite
 group acting on a lattice is always finite and annihilated by the group
 order, which is asserted on every run.
 
-Each :class:`GLattice` keeps its closure (within its spec's bound) and its
-walk after first use, so ``h1_cocycle``, ``obstruction_scan`` and
-``restrict_subgroup`` close a group once however often they are called; the
-rank of M^G comes with each H^1 from the same ranks or subquotient.  Only
-``invariants_h0`` needs a basis of M^G, which it computes once per lattice
-and keeps with the closure.
+A :class:`GLattice` keeps nothing: its spec keeps what it has proved (the
+forms it has passed, its walk and, when cyclic, its order), so
+``h1_cocycle``, ``obstruction_scan`` and ``restrict_subgroup`` close a group
+once however often they are called.  A lattice made from checked ones
+(``leading_block``, ``direct_sum``, ``restrict_subgroup``) inherits those
+facts through ``GroupSpec._keep`` and is not checked again; a direct sum's
+walk pairs its summands' walks and builds its matrices only when read.
+The rank of M^G comes with each H^1 from the same ranks or subquotient;
+only ``invariants_h0`` computes a basis of M^G, from the listed matrices.
 
 All inputs and outputs are immutable; every function here is pure and safe
-for concurrent use.  The per-lattice cache, and what a spec keeps (its
-walk, its order, the forms it has passed), are filled idempotently: a
-value computed twice by racing threads is the same value either way.
+for concurrent use.  What a spec keeps is filled idempotently: a value
+computed twice by racing threads is the same value either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .intlinalg import (
     FinAbGroup,
@@ -180,10 +182,12 @@ class GroupSpec:
                 raise ValidationError(f"matrix {i} does not preserve the bilinear form", i, "form")
         passed.add(form)
 
-    def _keep(self, walk: _Walk, form: IntMatrix | None) -> GroupSpec:
-        """Mark a spec built from checked ones as walked by ``walk`` and as preserving ``form``."""
-        self._walk = walk
-        self.__dict__["_passed"] = {None, form}
+    def _keep(self, form: IntMatrix | None, walk: _Walk | None = None, order: int | None = None) -> GroupSpec:
+        """Mark a spec built from checked ones as preserving ``form``, and as walked by ``walk``
+        or of ``order`` when those are known: the one place a derived spec inherits what was proved."""
+        self._passed, self._walk = {None, form}, walk
+        if order is not None:
+            self._order = order
         return self
 
 
@@ -203,8 +207,9 @@ class Cyclic(GroupSpec):
         return matrix_order(self.generator, self.closure_bound)
 
     def _walk_group(self) -> _Walk:
-        """The walk of the powers of the generator, after its order."""
-        return _cyclic_walk(mulclose([self.generator], self._order))
+        """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n."""
+        powers, n = mulclose([self.generator], self._order), self._order
+        return _Walk(lambda: powers, (self.generator,), [[(j + 1) % n] for j in range(n)])
 
 
 class Explicit(GroupSpec):
@@ -314,12 +319,12 @@ class _Walk:
     when ``elements[a] @ gens[s] == elements[b]``, one row per element, so
     :meth:`times` finds any product by index, with no matrix product.  The
     walk that made it composed permutations of a spanning set Ω
-    (``_closed_walk``); ``build`` makes the matrices from their images of Ω
-    when ``elements`` is first read, so a caller of only the generators,
-    order or table builds none.
+    (``_closed_walk``); ``build`` makes the matrices from their images of Ω,
+    or a direct sum's from its summands' walks, when ``elements`` is first
+    read, so a caller of only the generators, order or table builds none.
     """
 
-    build: Callable[[], Sequence[IntMatrix]] = field(repr=False, compare=False)
+    build: Callable[[], Iterable[IntMatrix]] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
     right: list[list[int]]
 
@@ -360,10 +365,12 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     that spans Z^rank and is stable under the group: the standard basis and
     the distinct columns of ``members``, or the orbits of basis vectors that
     ``_orbits`` picks.  An element is known by its images of the first s
-    points of Ω, which write the basis vectors by fixed combinations, and
-    its matrix is built from them when ``elements`` is first read.  A
-    product is one composition of permutations in C: ``bytes.translate`` on
-    tables padded to 256 entries when |Ω| <= 256, an ``itemgetter`` otherwise.
+    points of Ω, which write the basis vectors by fixed combinations; the
+    walk keeps these keys in walk order.  When ``elements`` is first read,
+    a member or a generator is taken as it is and any other matrix is
+    built from its key.  A product is one composition of permutations in
+    C: ``bytes.translate`` on tables padded to 256 entries when |Ω| <= 256,
+    an ``itemgetter`` otherwise.
 
     The reached set grows by right-multiplying it by the generators,
     breadth first, and each product's index joins its row of the Cayley
@@ -376,9 +383,8 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     outside Ω, which the columns of a group contain: so it ends.
     """
     n = (gens or members)[0].rows
-    ident = IntMatrix.identity(n)
     if members:
-        points, perms, s, combos = list(ident), {}, n, None  # Ω, the basis first
+        points, perms, s, combos = list(IntMatrix.identity(n)), {}, n, None  # Ω, the basis first
         where = dict(zip(points, range(n)))
         for v in chain.from_iterable(zip(*g) for g in members):
             if v not in where:
@@ -399,14 +405,13 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
 
         def move(images):  # the same, by an itemgetter
             return itemgetter(*images)
-    keys = {g: pack([where[v] for v in zip(*g)]) for g in members}
-    listed = {key: g for g, key in keys.items()}
+    listed = {pack([where[v] for v in zip(*g)]): g for g in members}
     reached, right = [one], [[]]
     index = {one[:s]: 0}
     walk_gens: list[IntMatrix] = []
     moves: list = []
     # the members are tested against ``index`` as the walk comes to them
-    for batch in chain([gens], ([g] for g in members if keys[g] not in index)):
+    for batch in chain([gens], ([g] for key, g in listed.items() if key not in index)):
         first = len(moves)
         for g in batch:
             images = perms[g] if g in perms else _images(g, points, where)
@@ -433,14 +438,13 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                 row.append(j)
             if not members:  # one batch: a row done is not read again
                 reached[i] = None
-    if members:
-        return _Walk(lambda: [listed[key] for key in index], tuple(walk_gens), right)
-    given = {pack(perms[g][:s]): g for g in gens}
+    keys = list(index)
+    listed.update({pack(perms[g][:s]): g for g in gens})
 
-    def build() -> list[IntMatrix]:  # the identity and the generators as they are; any other element by its columns
-        elements, rows = [ident], {}  # equal rows are shared
-        for key in islice(index, 1, None):
-            g = given.get(key)
+    def build() -> list[IntMatrix]:  # a member or a generator as it is; any other element by its columns
+        elements, rows = [], {}  # equal rows are shared
+        for key in keys:
+            g = listed.get(key)
             if g is None:
                 cols = [points[k] for k in key]  # the images of the support, then the columns they write
                 if combos is not None:
@@ -586,24 +590,8 @@ class GLattice:
         self.group._check(self.form)
 
     def elements(self) -> list[IntMatrix]:
-        return list(self._closure())
-
-    def _memo(self, key: str, compute):
-        """``compute()`` once per instance, kept beside the dataclass fields.
-
-        The value is stored in the instance ``__dict__``, outside the
-        fields, so equality, hashing and ``repr`` ignore it.  A fill is
-        idempotent: two threads racing on it compute equal values and
-        either one may be kept.
-        """
-        memo = self.__dict__
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
-    def _closure(self) -> tuple[IntMatrix, ...]:
-        """The group elements within the spec's bound, validated once."""
-        return self._memo("_elements", lambda: tuple(validate_and_close(self.group, self.form)))
+        """The group elements within the spec's bound, from the walk the spec keeps."""
+        return validate_and_close(self.group, self.form)
 
 
 @dataclass(frozen=True)
@@ -644,13 +632,11 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     """Canonical basis of the fixed sublattice M^G (rows of the result).
 
     A vector is fixed by the whole group iff it is fixed by the listed
-    generators, so only those enter the kernel computation.  The basis is
-    computed once per lattice and kept with its closure.
+    matrices, so only those enter one kernel computation, which walks
+    nothing and is made on every call: each caller asks once.  Every spec
+    lists a matrix; at rank 0 the kernel is the 0x0 identity.
     """
-    def fixed() -> IntMatrix:  # every spec lists a matrix; at rank 0 the kernel is the 0x0 identity
-        return kernel_basis(_stacked(m.group.matrices, IntMatrix.identity(m.rank)))
-
-    return m._memo("_fixed", fixed)
+    return kernel_basis(_stacked(m.group.matrices, IntMatrix.identity(m.rank)))
 
 
 def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, int]:
@@ -685,12 +671,6 @@ def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, i
 def _stacked(gens: Sequence[IntMatrix], ident: IntMatrix) -> IntMatrix:
     """B^T: the blocks g - 1 stacked, with no rows for no generators."""
     return IntMatrix._from_rows(tuple([row for g in gens for row in g - ident]), ident.cols)
-
-
-def _cyclic_walk(powers: Sequence[IntMatrix]) -> _Walk:
-    """The walk of <d> on d alone, for ``powers = [1, d, ..., d^(n-1)]``."""
-    n = len(powers)
-    return _Walk(lambda: powers, (powers[1 % n],), [[(j + 1) % n] for j in range(n)])
 
 
 def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
@@ -776,7 +756,7 @@ def permutation_module(perms: Sequence[Sequence[int]], kind: str = "generated") 
         raise ValueError(f"unknown kind {kind!r}")
     m = GLattice(rank=k, group=spec, form=None)
     if kind == "explicit":
-        m._closure()  # verifies closure and identity, and keeps the elements
+        spec._checked_walk()  # verifies closure and identity, and keeps the walk
     return m
 
 
@@ -792,8 +772,7 @@ def leading_block(m: GLattice, n: int) -> GLattice:
         raise ValidationError(f"the first {n} basis vectors do not span an invariant block of a cyclic action")
     g, form = [None if a is None else IntMatrix._from_rows(tuple([row[:n] for row in a[:n]]), n)
                for a in (m.group.generator, m.form)]
-    spec = Cyclic(g, m.group.closure_bound)
-    spec.__dict__.update(_passed={None, form}, _order=_order_mod3(g, m.group._order))
+    spec = Cyclic(g, m.group.closure_bound)._keep(form, order=_order_mod3(g, m.group._order))
     return GLattice(n, spec, form)
 
 
@@ -805,9 +784,11 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     whatever its presentation, since only one group can act on 0.  A list
     or generated pairing is proved on the summands' kept walks, with no
     matrix product: both must trace one Cayley graph and pair the listed
-    matrices as the lists do.  The sum keeps the paired walk and the block
-    form its summands have passed, so it is not validated or walked again;
-    its bound is the larger of the summands' bounds.
+    matrices as the lists do; a generated walk goes by the listed
+    generators, in order, so equal tables pair them.  The sum keeps the
+    block form its summands have passed and the paired walk, whose elements
+    are built only when read, so it is not validated or walked again; its
+    bound is the larger of the summands' bounds.
     """
     if m1.rank == 0:
         return m2
@@ -820,26 +801,26 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
         form = IntMatrix.block_diag(m1.form, m2.form)
     bound = max(m1.group.closure_bound, m2.group.closure_bound)
     if isinstance(m1.group, Cyclic):
-        gen = IntMatrix.block_diag(m1.group.generator, m2.group.generator)
-        return GLattice(m1.rank + m2.rank, Cyclic(gen, bound), form)
-    if isinstance(m1.group, Explicit):
+        spec = Cyclic(IntMatrix.block_diag(m1.group.generator, m2.group.generator), bound)
+        return GLattice(m1.rank + m2.rank, spec._keep(form), form)
+    listed = m1.group.matrices, m2.group.matrices
+    explicit = isinstance(m1.group, Explicit)
+    if explicit:
         counts, tables = "element counts differ", "multiplication tables differ"
     else:
         counts, tables = "generator counts differ", "generator pairing is not an isomorphism"
-    listed = m1.group.matrices, m2.group.matrices
     if len(listed[0]) != len(listed[1]):
         raise GroupMismatch(f"group mismatch: {counts}")
     w1, w2 = m1.group._checked_walk(), m2.group._checked_walk()
-    # with equal Cayley tables w1.elements[k] -> w2.elements[k] is an isomorphism:
-    # it maps the identity to the identity and respects each product a.s
-    pair = dict(zip(w1.elements, w2.elements))
-    if w1.right != w2.right or any(pair[a] != b for a, b in zip(*listed)):
+    # with equal Cayley tables w1.elements[k] -> w2.elements[k] is an isomorphism: it maps the identity
+    # to the identity and respects each product a.s, so it pairs a generated walk's gens, the listed ones
+    pair = dict(zip(w1.elements, w2.elements)) if explicit else None  # a list pairs its matrices as listed
+    if w1.right != w2.right or pair is not None and any(pair[a] != b for a, b in zip(*listed)):
         raise GroupMismatch(f"group mismatch: {tables}")
-    block = {a: IntMatrix.block_diag(a, b) for a, b in pair.items()}
-    paired = [block[a] for a in listed[0]]
-    spec = type(m1.group)(paired, bound)
-    walk = _Walk(lambda: block.values(), tuple([block[s] for s in w1.gens]), w1.right)
-    return GLattice(m1.rank + m2.rank, spec._keep(walk, form), form)
+    walk = _Walk(lambda: map(IntMatrix.block_diag, w1.elements, w2.elements),
+                 tuple(map(IntMatrix.block_diag, w1.gens, w2.gens)), w1.right)
+    spec = type(m1.group)(list(map(IntMatrix.block_diag, *listed)), bound)
+    return GLattice(m1.rank + m2.rank, spec._keep(form, walk), form)
 
 
 def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) -> GLattice:
@@ -847,21 +828,20 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
 
     A single matrix restricts to the cyclic subgroup it generates; a list
     must be product-closed, contain the identity, and consist of members of
-    the acting group.
+    the acting group, which are checked already: the subgroup keeps the form.
     """
-    full = set(m._closure())
+    full = set(m.group._checked_walk().elements)
     if isinstance(elements, IntMatrix):
         elements = [elements]
     subset = [e if isinstance(e, IntMatrix) else IntMatrix(e) for e in elements]
-    for g in subset:
-        if g not in full:
-            raise NotSubgroup("subset not a subgroup: element does not belong to the group")
+    if not full.issuperset(subset):
+        raise NotSubgroup("subset not a subgroup: element does not belong to the group")
     if not subset:
         raise NotSubgroup("subset not a subgroup: the empty set has no identity")
     bound = m.group.closure_bound  # a subgroup is no larger than the group
     if len(subset) == 1:
-        return GLattice(m.rank, Cyclic(subset[0], bound), m.form)
-    spec = Explicit(subset, bound)
+        return GLattice(m.rank, Cyclic(subset[0], bound)._keep(m.form), m.form)
+    spec = Explicit(subset, bound)._keep(m.form)
     try:
         spec._checked_walk()  # kept by the spec, so the restricted lattice does not walk again
     except ValidationError as e:
@@ -906,7 +886,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     (Brown, *Cohomology of Groups*, III.8), so ``_h1`` runs once per
     orbit of subgroups under x -> s^-1 x s by the walk's generators s.
     """
-    elements = m._closure()
+    elements = m.elements()
     full = h1(m)
     walk = m.group._checked_walk()
     right, times = walk.right, walk.times

@@ -81,10 +81,6 @@ class PicardLattice:
     gram: IntMatrix
     k: tuple[int, ...]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("H",) + tuple(f"E{i}" for i in range(1, self.rank))
-
     def dot(self, u, v) -> int:
         return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
@@ -467,8 +463,8 @@ def charpoly_order(m: GLattice) -> int:
     n = m.group._order
     if not _is_prime(n):
         raise ValueError(f"the generator must have prime order, got {n}")
-    if invariants_h0(m).rows != 1:
-        raise ValueError(f"fixed sublattice has rank {invariants_h0(m).rows}, expected 1")
+    if (rank := invariants_h0(m).rows) != 1:
+        raise ValueError(f"fixed sublattice has rank {rank}, expected 1")
     q = root_system(d).q
     chi = char_poly(restrict_action(m.group.generator, q.basis))
     value = abs(poly_eval(chi, 1))

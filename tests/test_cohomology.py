@@ -295,6 +295,8 @@ def test_permutation_module_rejects_garbage():
 def test_specs_and_lattices_reject_bad_shapes():
     with pytest.raises(ValueError, match="^Generated requires at least one matrix$"):
         Generated([])
+    with pytest.raises(ValueError, match="^no generators$"):
+        mulclose([])
     for mats in ([IntMatrix([[1, 0]])], [IntMatrix.identity(2), IntMatrix.identity(3)]):
         with pytest.raises(ValidationError, match="^Explicit: matrices must all be square of the same size$"):
             Explicit(mats)
@@ -767,12 +769,28 @@ def test_restrict_subgroup_walk_matches_full_table():
                     restrict_subgroup(full, subset)
 
 
+def test_restrict_subgroup_keeps_the_checks_of_its_members(monkeypatch):
+    dets = []
+    real = IntMatrix.det
+    mats = symmetric_group_module(3, True)
+    m = GLattice(3, Explicit(mats), IntMatrix.identity(3))
+    stabilizer = [g for g in mats if g[2][2]]  # the two that fix the last point up to sign
+    m.elements()
+    monkeypatch.setattr(IntMatrix, "det", lambda x: dets.append(1) or real(x))
+    results = [h1(restrict_subgroup(m, stabilizer)), h1(restrict_subgroup(m, mats[1]))]
+    # every member is unimodular and preserves the form already: no determinant
+    assert dets == []
+    monkeypatch.undo()
+    assert len(stabilizer) == 2 and results == [
+        h1(GLattice(3, Explicit(stabilizer), m.form)), h1(GLattice(3, Cyclic(mats[1]), m.form))]
+
+
 def test_closure_is_cached_per_lattice(monkeypatch):
     import glattice.cohomology as coh
 
     calls = []
-    real = coh.validate_and_close
-    monkeypatch.setattr(coh, "validate_and_close", lambda *a: calls.append(a) or real(*a))
+    real = coh._closed_walk
+    monkeypatch.setattr(coh, "_closed_walk", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     m = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
     first = m.elements()
     obstruction_scan(m)
@@ -1243,6 +1261,24 @@ def test_direct_sum_keeps_the_generated_walk(monkeypatch):
     assert len(calls) == 0
     monkeypatch.undo()
     assert h1(s) == h1(GLattice(s.rank, Generated(s.group.generators), s.form))
+
+
+def test_direct_sum_of_generated_lattices_builds_no_element_matrix(monkeypatch):
+    blocks = []
+    real = IntMatrix.block_diag
+    a = permutation_module([[1, 0, 2, 3], [1, 2, 3, 0]], kind="generated")
+    b = GLattice(4, Generated(symmetric_group_generators(4, True)), IntMatrix.identity(4))
+    monkeypatch.setattr(IntMatrix, "block_diag", lambda x, y: blocks.append(1) or real(x, y))
+    s = direct_sum(a, b)
+    assert h1(s).h1 == FinAbGroup((2,)) and s.form is None
+    # the pairing is proved on the two tables alone: the summands' walks and the sum's
+    # build no element, and only the listed generators are paired, for the spec and its walk
+    walks = [m.group._walk for m in (a, b, s)]
+    assert all("elements" not in w.__dict__ for w in walks) and len(blocks) == 2 * 2
+    elements = s.elements()
+    monkeypatch.undo()
+    assert elements == [real(x, y) for x, y in zip(a.elements(), b.elements())]
+    assert set(elements) == set(GLattice(8, Generated(s.group.generators)).elements())
 
 
 def test_direct_sum_generated_pairing_matches_closure_sizes():

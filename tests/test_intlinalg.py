@@ -526,6 +526,8 @@ def test_poly_helpers():
     assert poly_eval((1, 1, 1), 1) == 3
     assert poly_str((1, 1, 1)) == "t^2 + t + 1"
     assert poly_str((-1, 0, 1)) == "t^2 - 1"
+    assert poly_str((0,)) == "0"
+    assert poly_str((1, 0, -1)) == "-t^2 + 1"
 
 
 def test_xgcd():
@@ -637,6 +639,8 @@ def test_arithmetic_rejects_shape_mismatch():
     a, b = IntMatrix.identity(2), IntMatrix([[1, 2, 3]])
     with pytest.raises(ValueError, match=r"^shape mismatch: 2x2 @ 1x3$"):
         a @ b
+    with pytest.raises(TypeError):  # a scalar is not a matrix
+        IntMatrix([[1]]) @ 3
     for op in (IntMatrix.__add__, IntMatrix.__sub__):
         with pytest.raises(ValueError, match="^shape mismatch$"):
             op(a, b)

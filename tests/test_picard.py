@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from glattice.cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, matrix_order
+from glattice.cohomology import Cyclic, Generated, GLattice, h1_cyclic, invariants_h0, matrix_order
 from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_mul, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
@@ -508,6 +508,8 @@ def test_charpoly_order_rejects_bad_inputs():
         charpoly_order(refl)
     with pytest.raises(ValueError, match="form"):
         charpoly_order(GLattice(8, Cyclic(IntMatrix.diagonal([-1] * 8))))
+    with pytest.raises(ValueError, match="^charpoly_order needs a cyclic action$"):
+        charpoly_order(GLattice(8, Generated([IntMatrix.identity(8)]), form=p.gram))
 
 
 # --- the verification harness ------------------------------------------------------------
@@ -539,6 +541,8 @@ def test_verify_row_argument_errors():
         verify_row("dejonquieres")
     with pytest.raises(ValueError, match="unknown case"):
         verify_row("dp2-p7")
+    with pytest.raises(ValueError, match="^unknown case 'nope'$"):
+        build_case("nope")
 
 
 def test_verify_row_reports_a_broken_construction(monkeypatch, capsys):
