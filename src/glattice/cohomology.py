@@ -23,15 +23,16 @@ in time linear in |Ω|, where an exact matrix product costs up to rank^3
 Python-level multiply-adds.  The arithmetic left is one sparse
 matrix-vector product per orbit point and generator, and an element's
 matrix, built from its images only when read (``h1_cocycle`` reads none).
-Each spec keeps the walk that closed it (``_checked_walk``) as a Cayley
-table, each element's product with each generator by index, from which
-any group product is read (``_Walk.times``): it is the only group
-structure used after the closure.  Orders come from residues
-mod 3 and one exact confirmation: by Minkowski's lemma the kernel of
-GL_n(Z) -> GL_n(F_3) is torsion-free, so a finite order equals the order
-mod 3, and an infinite-order input is refused after a few cheap products
-on bit-packed residue rows instead of ``bound`` growing exact ones.  A
-cyclic spec keeps its generator's order.
+Each spec keeps the walk that closed it (``_checked_walk``) as the
+permutations it reached and their composition (``_Walk.product``): a
+group acting faithfully on Ω is its permutations (Seress, *Permutation
+Group Algorithms*, ch. 4), and they are the only group structure used
+after the closure.  Orders come from residues mod 3 and one exact
+confirmation: by Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3) is
+torsion-free, so a finite order equals the order mod 3, and an
+infinite-order input is refused after a few cheap products on bit-packed
+residue rows instead of ``bound`` growing exact ones.  A cyclic spec
+keeps its generator's order.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -58,10 +59,10 @@ forms it has passed, its walk and, when cyclic, its order), so
 ``h1_cocycle``, ``obstruction_scan`` and ``restrict_subgroup`` close a group
 once however often they are called.  A lattice made from checked ones
 (``leading_block``, ``direct_sum``, ``restrict_subgroup``) inherits those
-facts through ``GroupSpec._keep`` and is not checked again; a direct sum's
-walk pairs its summands' walks and builds its matrices only when read.
-The rank of M^G comes with each H^1 from the same ranks or subquotient;
-only ``invariants_h0`` computes a basis of M^G, from the listed matrices.
+facts through ``GroupSpec._keep`` and is not checked again; a direct sum
+proves its pairing by one walk of its own, on permutations.  The rank of
+M^G comes with each H^1 from the same ranks or subquotient; only
+``invariants_h0`` computes a basis of M^G, from the listed matrices.
 
 All inputs and outputs are immutable; every function here is pure and safe
 for concurrent use.  What a spec keeps is filled idempotently: a value
@@ -207,9 +208,9 @@ class Cyclic(GroupSpec):
         return matrix_order(self.generator, self.closure_bound)
 
     def _walk_group(self) -> _Walk:
-        """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n."""
+        """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n, d^k walked as k."""
         powers, n = mulclose([self.generator], self._order), self._order
-        return _Walk(lambda: powers, (self.generator,), [[(j + 1) % n] for j in range(n)])
+        return _Walk(lambda: powers, (self.generator,), range(n), lambda a, b: (a + b) % n)
 
 
 class Explicit(GroupSpec):
@@ -314,19 +315,20 @@ def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) 
 class _Walk:
     """A finite group walked from the identity by right multiplication.
 
-    ``elements`` lists the group in the order the walk reached it, the
-    identity first.  ``right`` is its Cayley table: ``right[a][s] == b``
-    when ``elements[a] @ gens[s] == elements[b]``, one row per element, so
-    :meth:`times` finds any product by index, with no matrix product.  The
-    walk that made it composed permutations of a spanning set Ω
-    (``_closed_walk``); ``build`` makes the matrices from their images of Ω,
-    or a direct sum's from its summands' walks, when ``elements`` is first
-    read, so a caller of only the generators, order or table builds none.
+    ``perms`` lists the group in the order the walk reached it, the
+    identity first, each element as its permutation of a spanning set Ω
+    (``_closed_walk``), or as its exponent k in g^k for a cyclic spec
+    <g>.  ``product`` composes two of them: ``product(perms[a], perms[b])``
+    stands for ``elements[a] @ elements[b]``, with no matrix product.
+    ``build`` makes the matrices, from their images of Ω or as the powers
+    of g, when ``elements`` is first read, so a caller of only the
+    generators, order or permutations builds none.
     """
 
     build: Callable[[], Iterable[IntMatrix]] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
-    right: list[list[int]]
+    perms: Sequence
+    product: Callable = field(repr=False, compare=False)
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
@@ -334,27 +336,7 @@ class _Walk:
 
     @property
     def order(self) -> int:
-        return len(self.right)
-
-    @cached_property
-    def _words(self) -> list[tuple[int, ...]]:
-        """Each element's word in the generators, along a breadth-first tree of ``right``
-        (a list's greedy batches reach elements out of row order)."""
-        words: list = [()] + [None] * (self.order - 1)
-        queue = [0]
-        for a in queue:  # the list grows as it is read
-            for s, b in enumerate(self.right[a]):
-                if words[b] is None:
-                    words[b] = words[a] + (s,)
-                    queue.append(b)
-        return words
-
-    def times(self, x: int, y: int) -> int:
-        """The index of ``elements[x] @ elements[y]``: ``y``'s word followed from ``x``."""
-        right = self.right
-        for s in self._words[y]:
-            x = right[x][s]
-        return x
+        return len(self.perms)
 
 
 def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
@@ -364,27 +346,27 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     Every element is walked as a permutation of Ω, a finite set of vectors
     that spans Z^rank and is stable under the group: the standard basis and
     the distinct columns of ``members``, or the orbits of basis vectors that
-    ``_orbits`` picks.  An element is known by its images of the first s
-    points of Ω, which write the basis vectors by fixed combinations; the
-    walk keeps these keys in walk order.  When ``elements`` is first read,
-    a member or a generator is taken as it is and any other matrix is
-    built from its key.  A product is one composition of permutations in
-    C: ``bytes.translate`` on tables padded to 256 entries when |Ω| <= 256,
-    an ``itemgetter`` otherwise.
+    ``_orbits`` picks.  The walk keeps each permutation, unpadded: ``bytes``
+    of length |Ω| up to 256 points, a tuple beyond.  An element is known by
+    its images of the first s points of Ω, which write the basis vectors by
+    fixed combinations.  When ``elements`` is first read, a member or a
+    generator is taken as it is and any other matrix is built from those
+    images.  A product is one composition of permutations in C:
+    ``bytes.translate`` by the left factor padded to a 256-entry table, or
+    an ``itemgetter``; a row is padded once for all the generators it takes.
 
     The reached set grows by right-multiplying it by the generators,
-    breadth first, and each product's index joins its row of the Cayley
-    table.  A member joins as a generator (the greedy generators of a list);
-    elements reached before need only the product with it, newly reached
-    ones take every generator, so every row lists every generator's product
-    in generator order.  Without ``members`` a closure beyond ``bound`` raises
-    GroupTooLarge.  With them the walk keeps the member objects and returns
-    None at the first product outside them, or at a generator's first image
-    outside Ω, which the columns of a group contain: so it ends.
+    breadth first.  A member joins as a generator (the greedy generators of
+    a list); elements reached before need only the product with it, newly
+    reached ones take every generator.  Without ``members`` a closure beyond
+    ``bound`` raises GroupTooLarge.  With them the walk keeps the member
+    objects and returns None at the first product outside them, or at a
+    generator's first image outside Ω, which the columns of a group
+    contain: so it ends.
     """
     n = (gens or members)[0].rows
     if members:
-        points, perms, s, combos = list(IntMatrix.identity(n)), {}, n, None  # Ω, the basis first
+        points, given, s, combos = list(IntMatrix.identity(n)), {}, n, None  # Ω, the basis first
         where = dict(zip(points, range(n)))
         for v in chain.from_iterable(zip(*g) for g in members):
             if v not in where:
@@ -392,58 +374,59 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                 points.append(v)
     else:
         points, images, s, combos = _orbits(gens, bound)
-        perms = dict(zip(gens, images))
+        given = dict(zip(gens, images))
     size = len(points)
-    if size <= 256:
-        pad = bytes(range(size, 256))
-        pack, one = bytes, bytes(range(256))
+    if size <= 256:  # bytes, composed by translate through the left factor padded to a 256-entry table
+        pack, pad = bytes, bytes(range(size, 256))
 
         def move(images):  # x -> x @ g, which takes point i where x takes g's image of it: x[images[i]]
-            return (bytes(images) + pad).translate
-    else:
-        pack, one = tuple, tuple(range(size))
+            return bytes(images).translate
 
-        def move(images):  # the same, by an itemgetter
+        def product(x, y):  # the permutation of x @ y
+            return y.translate(x + pad)
+    else:  # tuples, composed by an itemgetter, with no padding
+        pack, pad = tuple, ()
+
+        def move(images):
             return itemgetter(*images)
+
+        def product(x, y):
+            return itemgetter(*y)(x)
+
     listed = {pack([where[v] for v in zip(*g)]): g for g in members}
-    reached, right = [one], [[]]
-    index = {one[:s]: 0}
+    reached = [pack(range(size))]
+    seen = {reached[0][:s]}
     walk_gens: list[IntMatrix] = []
     moves: list = []
-    # the members are tested against ``index`` as the walk comes to them
-    for batch in chain([gens], ([g] for key, g in listed.items() if key not in index)):
+    # the members are tested against ``seen`` as the walk comes to them
+    for batch in chain([gens], ([g] for key, g in listed.items() if key not in seen)):
         first = len(moves)
         for g in batch:
-            images = perms[g] if g in perms else _images(g, points, where)
+            images = given[g] if g in given else _images(g, points, where)
             if images is None:
                 return None
             walk_gens.append(g)
             moves.append(move(images))
         known, fresh = len(reached), moves[first:]
         for i, x in enumerate(reached):  # the list grows as it is read
-            row = right[i]
+            table = x + pad
             for step in fresh if i < known else moves:
-                y = step(x)
+                y = step(table)
                 key = y[:s]
-                j = index.get(key)
-                if j is None:
+                if key not in seen:
                     if members:
                         if key not in listed:
                             return None
                     elif len(reached) == bound:
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
-                    j = index[key] = len(reached)
+                    seen.add(key)
                     reached.append(y)
-                    right.append([])
-                row.append(j)
-            if not members:  # one batch: a row done is not read again
-                reached[i] = None
-    keys = list(index)
-    listed.update({pack(perms[g][:s]): g for g in gens})
+    listed.update({pack(given[g][:s]): g for g in gens})
 
     def build() -> list[IntMatrix]:  # a member or a generator as it is; any other element by its columns
         elements, rows = [], {}  # equal rows are shared
-        for key in keys:
+        for x in reached:
+            key = x[:s]
             g = listed.get(key)
             if g is None:
                 cols = [points[k] for k in key]  # the images of the support, then the columns they write
@@ -453,7 +436,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             elements.append(g)
         return elements
 
-    return _Walk(build, tuple(walk_gens), right)
+    return _Walk(build, tuple(walk_gens), reached, product)
 
 
 def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]], int, list | None]:
@@ -782,13 +765,15 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     Both sides must present the same abstract group in the same way; the
     listed matrices are paired positionally.  A rank-0 summand is absorbed,
     whatever its presentation, since only one group can act on 0.  A list
-    or generated pairing is proved on the summands' kept walks, with no
-    matrix product: both must trace one Cayley graph and pair the listed
-    matrices as the lists do; a generated walk goes by the listed
-    generators, in order, so equal tables pair them.  The sum keeps the
-    block form its summands have passed and the paired walk, whose elements
-    are built only when read, so it is not validated or walked again; its
-    bound is the larger of the summands' bounds.
+    or generated pairing is proved by walking the paired spec once, with no
+    matrix product: the sum maps onto both summands, so the pairing is an
+    isomorphism exactly when the sum's order equals both summands' orders.
+    A list of paired blocks must then be a group itself; a generated sum is
+    walked by its block generators and refused past |G1| elements, with no
+    order check of the generators, since the summands are finite.  The sum
+    keeps the block form its summands have passed and its walk, so it is
+    not validated or walked again; its bound is the larger of the summands'
+    bounds.
     """
     if m1.rank == 0:
         return m2
@@ -811,16 +796,17 @@ def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
         counts, tables = "generator counts differ", "generator pairing is not an isomorphism"
     if len(listed[0]) != len(listed[1]):
         raise GroupMismatch(f"group mismatch: {counts}")
-    w1, w2 = m1.group._checked_walk(), m2.group._checked_walk()
-    # with equal Cayley tables w1.elements[k] -> w2.elements[k] is an isomorphism: it maps the identity
-    # to the identity and respects each product a.s, so it pairs a generated walk's gens, the listed ones
-    pair = dict(zip(w1.elements, w2.elements)) if explicit else None  # a list pairs its matrices as listed
-    if w1.right != w2.right or pair is not None and any(pair[a] != b for a, b in zip(*listed)):
-        raise GroupMismatch(f"group mismatch: {tables}")
-    walk = _Walk(lambda: map(IntMatrix.block_diag, w1.elements, w2.elements),
-                 tuple(map(IntMatrix.block_diag, w1.gens, w2.gens)), w1.right)
-    spec = type(m1.group)(list(map(IntMatrix.block_diag, *listed)), bound)
-    return GLattice(m1.rank + m2.rank, spec._keep(form, walk), form)
+    order = m1.group._checked_walk().order
+    if m2.group._checked_walk().order == order:
+        blocks = list(map(IntMatrix.block_diag, *listed))
+        spec = type(m1.group)(blocks, bound)
+        try:
+            walk = spec._checked_walk() if explicit else _closed_walk(blocks, bound=order)
+        except (ValidationError, GroupTooLarge):  # the paired list is not a group, or the sum is larger
+            pass
+        else:
+            return GLattice(m1.rank + m2.rank, spec._keep(form, walk), form)
+    raise GroupMismatch(f"group mismatch: {tables}")
 
 
 def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) -> GLattice:
@@ -881,22 +867,24 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     subgroup they generate, keeping the lowest generator index; entries come
     out sorted by that index.
 
-    Powers and conjugates are read off the walk's Cayley table: no matrix
-    product after the closure.  Conjugate subgroups have isomorphic H^1
-    (Brown, *Cohomology of Groups*, III.8), so ``_h1`` runs once per
-    orbit of subgroups under x -> s^-1 x s by the walk's generators s.
+    Powers and conjugates are found by composing the walk's permutations
+    (``_Walk.product``): no matrix product after the closure.  Conjugate
+    subgroups have isomorphic H^1 (Brown, *Cohomology of Groups*, III.8),
+    so ``_h1`` runs once per orbit of subgroups under x -> s^-1 x s by the
+    walk's generators s.
     """
     elements = m.elements()
     full = h1(m)
     walk = m.group._checked_walk()
-    right, times = walk.right, walk.times
+    perms, product = walk.perms, walk.product
+    index = {p: i for i, p in enumerate(perms)}
+    at = {x: i for i, x in enumerate(walk.elements)}  # a listed element's or a generator's place in the walk
     conjugations = []
-    for s in {right[0][s]: s for s in range(len(walk.gens))}.values():  # one per distinct generator
-        inverse = right[0][s]  # s, s^2, ... up to the power before the identity
-        while right[inverse][s]:
-            inverse = right[inverse][s]
-        conjugations.append([right[times(inverse, x)][s] for x in range(len(right))])
-    at = {x: i for i, x in enumerate(walk.elements)}
+    for s in dict.fromkeys([perms[at[s]] for s in walk.gens]):  # one per distinct generator
+        inverse = s  # s, s^2, ... up to the power before the identity
+        while index[product(inverse, s)]:
+            inverse = product(inverse, s)
+        conjugations.append([index[product(product(inverse, x), s)] for x in perms])
     entries: list[SubgroupEntry] = []
     known: dict[frozenset[int], FinAbGroup] = {}
     covered: set[int] = set()  # the generators of the subgroups entered so far
@@ -907,7 +895,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         powers, p = [0], x
         while p:  # index 0 is the identity
             powers.append(p)
-            p = times(p, x)
+            p = index[product(perms[p], perms[x])]
         n = len(powers)
         covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
         key = frozenset(powers)

@@ -543,7 +543,8 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     system = root_system(d)
     lat, q = system.lattice, system.q
     delta = m.group.generator
-    mq = GLattice(rank=q.rank, group=Cyclic(restrict_action(delta, q.basis)), form=q.gram_q)
+    # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it
+    mq = GLattice(q.rank, Cyclic(restrict_action(delta, q.basis))._keep(q.gram_q), q.gram_q)
     res = h1_cyclic(m)
     resq = h1_cyclic(mq)
     expected = FinAbGroup((p,) * (2 * g))

@@ -361,8 +361,13 @@ def test_direct_sum_explicit_table_check():
     assert h1(s).h1 == FinAbGroup((2, 2, 2))
     # mismatched table: pair identity with -I
     bad = GLattice(2, Explicit([MINUS_I2, IntMatrix.identity(2)]))
-    with pytest.raises(GroupMismatch, match="tables"):
+    with pytest.raises(GroupMismatch, match="^group mismatch: multiplication tables differ$"):
         direct_sum(c2a, bad)
+    # S_3 with its identity, listed first, paired with a transposition
+    perms = [list(p) for p in itertools.permutations(range(3))]
+    with pytest.raises(GroupMismatch, match="^group mismatch: multiplication tables differ$"):
+        direct_sum(permutation_module(perms, kind="explicit"),
+                   permutation_module([perms[1], perms[0]] + perms[2:], kind="explicit"))
 
 
 def test_direct_sum_generated_iso_check():
@@ -547,9 +552,10 @@ def test_walk_table_products_equal_matrix_products():
     for m in table_test_lattices():
         walk = m.group._checked_walk()
         assert set(walk.elements) == set(m.elements())
-        for x, a in enumerate(walk.elements):
-            for y, b in enumerate(walk.elements):
-                assert walk.elements[walk.times(x, y)] == a @ b
+        index = {p: i for i, p in enumerate(walk.perms)}
+        for x, a in zip(walk.perms, walk.elements):
+            for y, b in zip(walk.perms, walk.elements):
+                assert walk.elements[index[walk.product(x, y)]] == a @ b
         # H^1 does not depend on which generators the walk took
         assert h1_cocycle(m).h1 == h1_cocycle(GLattice(m.rank, Explicit(m.elements()), m.form)).h1
 
@@ -1234,9 +1240,11 @@ def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__matmul__", lambda x, y: calls.append(1) or real(x, y))
     monkeypatch.setattr(IntMatrix, "det", lambda x: dets.append(1) or real_det(x))
     s = direct_sum(a, b)
-    # the pairing is read off the two lists' kept walks: no product, against one per
-    # edge of a walk (24 elements by 3 greedy generators) or two tables of 24^2
+    # the pairing is proved by one walk of the paired list on permutations: no product,
+    # against one per edge of a walk (24 elements by 3 greedy generators) or two tables of 24^2
     assert len(calls) == 0
+    # the sum's walk keeps its listed objects: each element is held once
+    assert all(any(x is y for y in s.group.elements) for x in s.group._walk.elements)
     # the sum keeps the pairing walk and the checks its summands passed
     calls.clear()
     assert h1(s).h1.is_trivial
@@ -1245,6 +1253,31 @@ def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
     assert h1(s) == h1(GLattice(s.rank, Explicit(s.group.elements), s.form))
     with pytest.raises(GroupMismatch, match="tables"):
         direct_sum(a, permutation_module(perms[::-1], kind="explicit"))
+
+
+def test_direct_sum_of_generated_lattices_stops_the_walk_past_the_first_order(monkeypatch):
+    import glattice.cohomology as coh
+
+    refused = []
+    real = coh._closed_walk
+
+    def spy(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except GroupTooLarge as e:
+            refused.append((kwargs.get("bound"), str(e)))
+            raise
+
+    # S_3 by a transposition and a 3-cycle, paired with the 3-cycle and the transposition: both
+    # summands have order 6 and bound 6, and the paired generators close a larger group
+    t, c = perm_matrix((1, 0, 2), False), perm_matrix((1, 2, 0), False)
+    m1, m2 = GLattice(3, Generated([t, c], 6)), GLattice(3, Generated([c, t], 6))
+    assert len(m1.elements()) == len(m2.elements()) == 6
+    monkeypatch.setattr(coh, "_closed_walk", spy)
+    with pytest.raises(GroupMismatch, match="^group mismatch: generator pairing is not an isomorphism$"):
+        direct_sum(m1, m2)
+    # the sum's walk is refused at its seventh element, and the refusal is the pairing's
+    assert refused == [(6, "group too large or infinite: closure exceeds 6")]
 
 
 def test_direct_sum_keeps_the_generated_walk(monkeypatch):
@@ -1271,10 +1304,11 @@ def test_direct_sum_of_generated_lattices_builds_no_element_matrix(monkeypatch):
     monkeypatch.setattr(IntMatrix, "block_diag", lambda x, y: blocks.append(1) or real(x, y))
     s = direct_sum(a, b)
     assert h1(s).h1 == FinAbGroup((2,)) and s.form is None
-    # the pairing is proved on the two tables alone: the summands' walks and the sum's
-    # build no element, and only the listed generators are paired, for the spec and its walk
+    # the pairing is proved by walking the sum on permutations: the summands' walks and the
+    # sum's build no element, and only the listed generators are paired, which the sum walks by
     walks = [m.group._walk for m in (a, b, s)]
-    assert all("elements" not in w.__dict__ for w in walks) and len(blocks) == 2 * 2
+    assert all("elements" not in w.__dict__ for w in walks) and len(blocks) == 2
+    assert s.group._walk.gens == s.group.generators
     elements = s.elements()
     monkeypatch.undo()
     assert elements == [real(x, y) for x, y in zip(a.elements(), b.elements())]
@@ -1303,18 +1337,20 @@ def products_along_the_first_walk(m1, m2):
 
     A list pairs its elements as listed; a generated pairing maps each
     element to the paired product that first reaches it, row by row of
-    ``m1``'s Cayley table, which must be well defined and one-to-one.
+    ``m1``'s Cayley table, which must be well defined and one-to-one.  The
+    table is the reference walk's by matrix products (``matrix_walk``).
     """
-    walk = m1.group._checked_walk()
     if isinstance(m1.group, Explicit):
         m2.elements()  # the second list is a group as well
+        reached, walk_gens, right = matrix_walk((), m1.group.elements)
         pair = dict(zip(m1.group.elements, m2.group.elements))
-        image = [pair[x] for x in walk.elements]
-        gens = [pair[s] for s in walk.gens]
+        image = [pair[x] for x in reached]
+        gens = [pair[s] for s in walk_gens]
     else:
-        assert walk.gens == m1.group.generators  # a generated group is walked by its listed generators
-        image, gens = [IntMatrix.identity(m2.rank)] + [None] * (walk.order - 1), m2.group.generators
-    for a, row in enumerate(walk.right):  # breadth first: row a's element was reached from an earlier row
+        reached, walk_gens, right = matrix_walk(m1.group.generators)
+        assert walk_gens == list(m1.group.generators)  # a generated group is walked by its listed generators
+        image, gens = [IntMatrix.identity(m2.rank)] + [None] * (len(reached) - 1), m2.group.generators
+    for a, row in enumerate(right):  # breadth first: row a's element was reached from an earlier row
         for s, b in enumerate(row):
             product = image[a] @ gens[s]
             if image[b] is None:
@@ -1394,6 +1430,13 @@ def matrix_walk(gens, members=()):
     return reached, walk_gens, right
 
 
+def perm_table(walk):
+    """The Cayley table of a walk, ``right[a][s]`` the index of ``elements[a] @ gens[s]``, from its permutations."""
+    index = {p: i for i, p in enumerate(walk.perms)}
+    gens = [walk.perms[walk.elements.index(s)] for s in walk.gens]
+    return [[index[walk.product(x, s)] for s in gens] for x in walk.perms]
+
+
 def pairs_matrix(perm):
     """The permutation of 0..n-1 acting on the unordered pairs, as a permutation matrix."""
     pairs = list(itertools.combinations(range(len(perm)), 2))
@@ -1416,7 +1459,7 @@ def test_permutation_walk_matches_matrix_products():
     signed_pairs = [p10 @ -pairs_matrix((1, 0, 2, 3, 4)) @ p10inv, s5_pairs[1]]  # twisted by the sign
     for gens, order in ((s4, 24), (s5_pairs, 120), (signed_pairs, 120)):
         walk = Generated(gens)._checked_walk()
-        assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk(gens)
+        assert (list(walk.elements), list(walk.gens), perm_table(walk)) == matrix_walk(gens)
         assert len(walk.elements) == walk.order == order
         # Ω is a few closed orbits that span, short of the union of every basis vector's orbit
         points, _, _, combos = coh._orbits(gens, DEFAULT_ORDER_BOUND)
@@ -1426,7 +1469,7 @@ def test_permutation_walk_matches_matrix_products():
     # a cyclic walk: the powers of (0 1)(2 3 4) on the pairs
     g = p10 @ pairs_matrix((1, 0, 3, 4, 2)) @ p10inv
     walk = Cyclic(g)._checked_walk()
-    assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk([g])
+    assert (list(walk.elements), list(walk.gens), perm_table(walk)) == matrix_walk([g])
     assert len(walk.elements) == 6
     # a list, walked by its greedy generators, keeps the listed objects; both compositions
     # are taken, translated bytes up to 256 points of Ω and an itemgetter beyond
@@ -1434,7 +1477,7 @@ def test_permutation_walk_matches_matrix_products():
                           ([p10 @ pairs_matrix(q) @ p10inv for q in itertools.permutations(range(5))], False)):
         rng.shuffle(listed)
         walk = Explicit(listed)._checked_walk()
-        assert (list(walk.elements), list(walk.gens), walk.right) == matrix_walk((), listed)
+        assert (list(walk.elements), list(walk.gens), perm_table(walk)) == matrix_walk((), listed)
         assert all(any(x is y for y in listed) for x in walk.elements)
         assert (omega_size(listed) <= 256) is small
 

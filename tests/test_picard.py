@@ -523,6 +523,19 @@ def test_verify_row_geiser():
     assert r.predicted_h1_order == 64
 
 
+def test_verify_row_checks_only_the_picard_lattice(monkeypatch):
+    # the K^perp lattice restricts an isometry the Pic lattice has passed and inherits its checks:
+    # once the root system and its K^perp minors are cached, a row takes the Pic lattice's determinant alone
+    real = IntMatrix.det
+    for case, rank in (("geiser", 8), ("dp3-p3", 7)):
+        verify_row(case)
+        ranks = []
+        monkeypatch.setattr(IntMatrix, "det", lambda a: ranks.append(a.rows) or real(a))
+        assert verify_row(case).passed
+        monkeypatch.undo()
+        assert ranks == [rank]
+
+
 def test_verify_row_dejonquieres_genus_2():
     r = verify_row("dejonquieres", genus=2)
     assert r.passed
