@@ -210,7 +210,7 @@ class Cyclic(GroupSpec):
     def _walk_group(self) -> _Walk:
         """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n, d^k walked as k."""
         powers, n = mulclose([self.generator], self._order), self._order
-        return _Walk(lambda: powers, (self.generator,), range(n), lambda a, b: (a + b) % n)
+        return _Walk(lambda: powers, (self.generator,), (1 % n,), range(n), lambda a, b: (a + b) % n)
 
 
 class Explicit(GroupSpec):
@@ -319,7 +319,8 @@ class _Walk:
     identity first, each element as its permutation of a spanning set Ω
     (``_closed_walk``), or as its exponent k in g^k for a cyclic spec
     <g>.  ``product`` composes two of them: ``product(perms[a], perms[b])``
-    stands for ``elements[a] @ elements[b]``, with no matrix product.
+    stands for ``elements[a] @ elements[b]``, with no matrix product;
+    ``gen_perms`` holds ``gens`` in the same form, repeats included.
     ``build`` makes the matrices, from their images of Ω or as the powers
     of g, when ``elements`` is first read, so a caller of only the
     generators, order or permutations builds none.
@@ -327,6 +328,7 @@ class _Walk:
 
     build: Callable[[], Iterable[IntMatrix]] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
+    gen_perms: tuple
     perms: Sequence
     product: Callable = field(repr=False, compare=False)
 
@@ -379,24 +381,28 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     if size <= 256:  # bytes, composed by translate through the left factor padded to a 256-entry table
         pack, pad = bytes, bytes(range(size, 256))
 
-        def move(images):  # x -> x @ g, which takes point i where x takes g's image of it: x[images[i]]
-            return bytes(images).translate
+        def move(perm):  # x -> x @ g, which takes point i where x takes g's image of it: x[perm[i]]
+            return perm.translate
 
         def product(x, y):  # the permutation of x @ y
             return y.translate(x + pad)
     else:  # tuples, composed by an itemgetter, with no padding
         pack, pad = tuple, ()
 
-        def move(images):
-            return itemgetter(*images)
+        def move(perm):
+            return itemgetter(*perm)
 
         def product(x, y):
             return itemgetter(*y)(x)
 
     listed = {pack([where[v] for v in zip(*g)]): g for g in members}
     reached = [pack(range(size))]
-    seen = {reached[0][:s]}
+    # a list's member check reads the first s points; a generated walk keys ``seen`` by the kept
+    # permutation itself (y[:None] of bytes or a tuple is y), so it holds no second object per element
+    cut = s if members else None
+    seen = {reached[0][:cut]}
     walk_gens: list[IntMatrix] = []
+    gen_perms: list = []
     moves: list = []
     # the members are tested against ``seen`` as the walk comes to them
     for batch in chain([gens], ([g] for key, g in listed.items() if key not in seen)):
@@ -405,14 +411,16 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             images = given[g] if g in given else _images(g, points, where)
             if images is None:
                 return None
+            perm = pack(images)
             walk_gens.append(g)
-            moves.append(move(images))
+            gen_perms.append(perm)
+            moves.append(move(perm))
         known, fresh = len(reached), moves[first:]
         for i, x in enumerate(reached):  # the list grows as it is read
             table = x + pad
             for step in fresh if i < known else moves:
                 y = step(table)
-                key = y[:s]
+                key = y[:cut]
                 if key not in seen:
                     if members:
                         if key not in listed:
@@ -436,7 +444,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             elements.append(g)
         return elements
 
-    return _Walk(build, tuple(walk_gens), reached, product)
+    return _Walk(build, tuple(walk_gens), tuple(gen_perms), reached, product)
 
 
 def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]], int, list | None]:
@@ -868,7 +876,10 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     out sorted by that index.
 
     Powers and conjugates are found by composing the walk's permutations
-    (``_Walk.product``): no matrix product after the closure.  Conjugate
+    (``_Walk.product``): no matrix product after the closure.  Generators
+    are placed in the walk by their permutations (``_Walk.gen_perms``), and
+    a list's elements by the listed objects its walk holds, so no matrix
+    is hashed but the generators ``_h1`` deduplicates.  Conjugate
     subgroups have isomorphic H^1 (Brown, *Cohomology of Groups*, III.8),
     so ``_h1`` runs once per orbit of subgroups under x -> s^-1 x s by the
     walk's generators s.
@@ -878,9 +889,13 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     walk = m.group._checked_walk()
     perms, product = walk.perms, walk.product
     index = {p: i for i, p in enumerate(perms)}
-    at = {x: i for i, x in enumerate(walk.elements)}  # a listed element's or a generator's place in the walk
+    if isinstance(m.group, Explicit):  # a list is scanned in its own order; its walk holds the listed objects
+        at = {id(x): i for i, x in enumerate(walk.elements)}
+        places = [at[id(g)] for g in elements]
+    else:  # the elements are in walk order
+        places = range(len(perms))
     conjugations = []
-    for s in dict.fromkeys([perms[at[s]] for s in walk.gens]):  # one per distinct generator
+    for s in dict.fromkeys(walk.gen_perms):  # one per distinct generator
         inverse = s  # s, s^2, ... up to the power before the identity
         while index[product(inverse, s)]:
             inverse = product(inverse, s)
@@ -888,8 +903,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     entries: list[SubgroupEntry] = []
     known: dict[frozenset[int], FinAbGroup] = {}
     covered: set[int] = set()  # the generators of the subgroups entered so far
-    for idx, g in enumerate(elements):
-        x = at[g]
+    for idx, x in enumerate(places):
         if x in covered:
             continue
         powers, p = [0], x

@@ -532,6 +532,38 @@ def test_scan_kernels_one_per_conjugacy_class(monkeypatch):
     assert double_transposition.h1.is_trivial
 
 
+def test_scan_places_elements_and_generators_without_hashing_matrices(monkeypatch):
+    import glattice.cohomology as coh
+
+    # S_5 on pairs: the scan finds each element, generator, power and conjugate by the walk's
+    # permutations, so the only matrices hashed are the generators _h1 deduplicates
+    gens = [pairs_matrix(q) for q in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    plain = GLattice(10, Generated(gens))
+    listed = plain.elements()
+    random.Random(5).shuffle(listed)
+    lattices = [
+        plain,
+        # a repeated generator, as an equal matrix and not the same object, and the identity
+        GLattice(10, Generated(gens + [pairs_matrix((1, 0, 2, 3, 4)), IntMatrix.identity(10)])),
+        GLattice(10, Explicit(listed)),  # a list is scanned in its own order
+    ]
+    reports = []
+    for m in lattices:
+        elements = m.elements()  # the walk and its element matrices are built before counting
+        hashes, h1_gens = [], []
+        real_hash, real_h1 = IntMatrix.__hash__, coh._h1
+        monkeypatch.setattr(IntMatrix, "__hash__", lambda self: hashes.append(1) or real_hash(self))
+        monkeypatch.setattr(coh, "_h1", lambda gens, rank, order: h1_gens.extend(gens) or real_h1(gens, rank, order))
+        report = obstruction_scan(m)
+        monkeypatch.undo()
+        assert len(hashes) == len(h1_gens) < 20
+        assert len(report.subgroups) == 67
+        for e in report.subgroups:
+            assert e.order == matrix_order(elements[e.generator_index])
+        reports.append(report)
+    assert reports[1].subgroups == reports[0].subgroups
+
+
 def table_test_lattices():
     rng = random.Random(13)
     p, pinv = conjugator(rng, 4)
