@@ -81,9 +81,9 @@ from typing import Callable, Iterable, Sequence
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
-    _hnf,
     _is_prime,
     _rank_mod,
+    hermite_form,
     kernel_basis,
     matmul_rows,
     subquotient,
@@ -504,17 +504,16 @@ def _spanning(points: list, chosen: list[int], n: int) -> tuple[list[int], list]
     """``(support, C)`` writing each basis vector from the ``chosen`` points, or None when they do not span Z^n.
 
     A chosen basis vector is its own combination; once the rank mod 2 is
-    full, the others are read off one Hermite transform of the chosen
-    points, shortest first.  ``_orbits`` asks only while an orbit is open,
-    and every orbit holds a basis vector, so some basis vector is not chosen.
+    full, the others are read off ``U`` of the chosen points' ``hermite_form``,
+    shortest first.  ``_orbits`` asks only while an orbit is open, and every
+    orbit holds a basis vector, so some basis vector is not chosen.
     """
     inside = set(chosen)
     if _rank_mod(IntMatrix._from_rows(tuple([points[k] for k in chosen]), n), 2) < n:
         return None
     shortest = sorted(chosen, key=lambda k: sum(map(abs, points[k])))
-    rows = [list(points[k]) for k in shortest]
-    u = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
-    if [rows[r][c] for r, c in _hnf(rows, n, u)] != [1] * n:  # index 1: the first n rows are the basis
+    h, u = hermite_form(IntMatrix._from_rows(tuple([points[k] for k in shortest]), n))
+    if any(h[j][j] != 1 for j in range(n)):  # index 1: the first n rows of H are the identity
         return None
     terms = [{j: 1} if j in inside else {shortest[t]: c for t, c in enumerate(u[j]) if c} for j in range(n)]
     support = list(dict.fromkeys(chain.from_iterable(terms)))

@@ -11,21 +11,22 @@ point; coefficient blowup costs speed, never correctness.  Conventions:
   entries above each pivot reduced into ``[0, pivot)``;
 * invariant factors are listed smallest first, each dividing the next.
 
-``hermite_form`` inserts the rows one at a time into a basis kept in
-reduced Hermite form (``_insert_row``, after Kannan and Bachem), which
-bounds the growth of the entries above the pivots.  ``row_basis``,
-``kernel_basis``, ``subquotient`` and ``express_in_row_basis``, which
-measured slower in that order on their inputs, eliminate column by column
-(``_hnf``) with one step, ``_clear_below``, which zeroes a column below its
-pivot; ``smith_form`` clears rows with it too, on the transposed matrix.
+Every reduced Hermite basis (``hermite_form``, ``row_basis``,
+``kernel_basis``, ``express_in_row_basis``, ``subquotient``) is made by
+inserting rows one at a time into a basis kept in reduced Hermite form
+(``_insert_row``, after Kannan and Bachem), which bounds the growth of the
+entries above the pivots.  Column elimination (``_clear_below``, which
+zeroes a column below its pivot) is left where no reduced basis is read:
+``kernel_basis``'s first pass, which keeps only the transforms of the rows
+that clear to zero, and ``smith_form``, on rows and on columns.
 
 The actions met in practice (permutation modules, de Jonquieres and Weyl
 group elements) are mostly zeros with tiny entries, so the kernels are
 sparse-aware: ``A @ B`` sums ``a * B[k]`` over the nonzero ``a`` of each row
 of ``A`` (Gustavson); row and column operations skip zero source entries;
 ``det`` skips the Bareiss updates that are the identity; ``kernel_basis``
-and ``subquotient`` eliminate the sparsest rows first (``_fill_in_order``);
-``subquotient`` of the identity basis solves nothing.
+eliminates the sparsest rows first (``_fill_in_order``); ``subquotient`` of
+the identity basis solves nothing.
 Characteristic polynomials are computed modulo a prime above their
 coefficient bound (see ``char_poly``).
 
@@ -321,10 +322,10 @@ def _combine_rows(r1: list[int], r2: list[int], x: int, y: int, u: int, v: int, 
 
 def _clear_below(rows: list[list[int]], u: list[list[int]] | None, r: int, j: int) -> None:
     """Zero column ``j`` below row ``r`` against the pivot ``rows[r][j] != 0``,
-    in rows that are 0 left of ``j``: the module's one elimination step.  An
-    entry the pivot divides is cleared by an exact quotient, any other by
-    the xgcd transform, which leaves their gcd as the pivot.  ``u``, when
-    given, takes the same row operations."""
+    in rows that are 0 left of ``j``: the module's one column-elimination
+    step.  An entry the pivot divides is cleared by an exact quotient, any
+    other by the xgcd transform, which leaves their gcd as the pivot.
+    ``u``, when given, takes the same row operations."""
     for i in range(r + 1, len(rows)):
         b = rows[i][j]
         if b == 0:
@@ -343,58 +344,15 @@ def _clear_below(rows: list[list[int]], u: list[list[int]] | None, r: int, j: in
 
 
 def _fill_in_order(row: Sequence[int]) -> int:
-    """Sort key for rows about to be eliminated where their order does not
-    show in the result: the rows whose last nonzero lies furthest right come
-    first.  ``_hnf`` pivots on the first row of least absolute value, and
-    subtracting such a row from the others fills in columns that are
-    eliminated late, if at all, rather than the next one."""
+    """Sort key for the rows of ``A^T`` before ``kernel_basis`` eliminates
+    them column by column: the rows whose last nonzero lies furthest right
+    come first.  The elimination pivots on the first row of least absolute
+    value, and subtracting such a row from the others fills in columns that
+    are eliminated late, if at all, rather than the next one."""
     end = len(row)
     while end and not row[end - 1]:
         end -= 1
     return -end
-
-
-def _hnf(rows: list[list[int]], ncols: int, u: list[list[int]] | None, reduce_above: bool = True):
-    """In-place row Hermite form; returns the pivot (row, col) list.
-
-    ``u``, when given, starts as an identity and accumulates the unimodular
-    left transform applied to ``rows``.  With ``reduce_above=False`` the
-    entries above each pivot are left as they are (an echelon form with
-    positive pivots); the zero rows after the pivot rows, and their
-    transforms, come out the same either way, since a pivot row is only
-    reduced after it has served as a pivot.
-    """
-    m = len(rows)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for j in range(ncols):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][j] != 0 and (piv is None or abs(rows[i][j]) < abs(rows[piv][j])):
-                piv = i
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            if u is not None:
-                u[r], u[piv] = u[piv], u[r]
-        _clear_below(rows, u, r, j)
-        if rows[r][j] < 0:
-            rows[r] = [-x for x in rows[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
-        p = rows[r][j]
-        for i in range(r if reduce_above else 0):
-            q = rows[i][j] // p  # floor: leaves the entry in [0, p)
-            if q:
-                _row_sub(rows[i], rows[r], q, j)
-                if u is not None:
-                    _row_sub(u[i], u[r], q)
-        pivots.append((r, j))
-        r += 1
-    return pivots
 
 
 def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: list[int], urow: list[int]) -> bool:
@@ -409,14 +367,16 @@ def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: l
     the entries above each pivot are reduced again into ``[0, pivot)``.
     """
     first = None
+    n, m = len(row), len(cols)
     k = j = 0
     while True:
-        j = next((c for c in range(j, len(row)) if row[c]), None)
-        if j is None:
+        while j < n and not row[j]:
+            j += 1
+        if j == n:
             break
-        while k < len(cols) and cols[k] < j:
+        while k < m and cols[k] < j:
             k += 1
-        if k == len(cols) or cols[k] != j:
+        if k == m or cols[k] != j:
             if row[j] < 0:
                 row, urow = [-x for x in row], [-x for x in urow]
             cols.insert(k, j)
@@ -442,7 +402,20 @@ def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: l
                 if q:
                     _row_sub(h[i], h[l], q, c)
                     _row_sub(hu[i], hu[l], q)
-    return j is not None
+    return j < n
+
+
+def _reduced_basis(rows: list[list[int]], units: list[list[int]]):
+    """Insert ``rows`` in order into an empty reduced Hermite basis, each
+    taking its transform from ``units`` along (``_insert_row``); return the
+    basis, its transforms, its pivot columns and the transforms of the rows
+    that cleared to zero, in order.  A caller that needs no transforms
+    passes empty ones: the row operations skip them at no cost."""
+    h, hu, cols, zero_u = [], [], [], []
+    for row, urow in zip(rows, units):
+        if not _insert_row(h, hu, cols, row, urow):
+            zero_u.append(urow)
+    return h, hu, cols, zero_u
 
 
 def hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -459,26 +432,20 @@ def hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     from one elimination to the next.  ``U``'s last rows are the transforms
     of the rows that cleared to zero, in the order of ``A``.  On dense
     30 x 30 matrices with entries in [-20, 20] this takes 0.008-0.013 s,
-    where eliminating column by column (``_hnf``) took 0.05-3.1 s on nine
-    of ten seeds and over 120 s on the tenth (2-core x86_64, Python 3.11.7).
-    ``H`` is unique, and so is ``U`` when ``A`` is square and nonsingular.
+    where eliminating column by column and reducing above each pivot took
+    0.05-3.1 s on nine of ten seeds and over 120 s on the tenth (2-core
+    x86_64, Python 3.11.7).  ``H`` is unique, and so is ``U`` when ``A`` is
+    square and nonsingular.
     """
-    h: list[list[int]] = []
-    hu: list[list[int]] = []
-    cols: list[int] = []
-    zero_u = []
-    for row, urow in zip(a.tolists(), IntMatrix.identity(a.rows).tolists()):
-        if not _insert_row(h, hu, cols, row, urow):
-            zero_u.append(urow)
+    h, hu, _, zero_u = _reduced_basis(a.tolists(), IntMatrix.identity(a.rows).tolists())
     zero = [(0,) * a.cols] * len(zero_u)
     return _matrix(h + zero, a.cols), _matrix(hu + zero_u, a.rows)
 
 
 def row_basis(a: IntMatrix) -> IntMatrix:
-    """Canonical (Hermite) basis of the lattice spanned by the rows of ``a``."""
-    rows = a.tolists()
-    pivots = _hnf(rows, a.cols, None)
-    return _matrix(rows[: len(pivots)], a.cols)
+    """Canonical (Hermite) basis of the lattice spanned by the rows of ``a``:
+    the nonzero rows of ``hermite_form(a)``'s ``H``, found without ``U``."""
+    return _matrix(_reduced_basis(a.tolists(), [[]] * a.rows)[0], a.cols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -487,56 +454,68 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The rows of the result are a basis; an empty matrix means the kernel is
     zero.  The kernel of an integer matrix is automatically saturated, and
     the basis is Hermite-reduced so equal kernels yield equal matrices.
+
+    The rows of ``A^T``, each followed by its transform, are eliminated
+    column by column (``_clear_below``), pivoting on the first row of least
+    absolute value; the transforms of the rows that clear to zero span the
+    kernel.  Nothing else of that pass is read, so its pivot rows are
+    neither made positive nor reduced.  Those transforms are inserted, in
+    the order the pass leaves them, into a reduced basis; sorted by
+    ``_fill_in_order`` they took 2.3 times as long on dense 12 x 16 inputs.
     """
     # the kernel is a lattice and its Hermite basis is unique, so the rows
-    # may be eliminated in any order; only the transforms of the zero rows
-    # are kept, so the pivot rows need no reduction
-    rows = sorted(zip(a.transpose().tolists(), IntMatrix.identity(a.cols).tolists()),
-                  key=lambda pair: _fill_in_order(pair[0]))
-    t = [row for row, _ in rows]
-    u = [unit for _, unit in rows]
-    pivots = _hnf(t, a.rows, u, reduce_above=False)
-    ker = sorted(u[len(pivots):], key=_fill_in_order)
-    _hnf(ker, a.cols, None)
-    return _matrix(ker, a.cols)
+    # may be eliminated in any order
+    rows = sorted(zip(a.transpose(), IntMatrix.identity(a.cols)), key=lambda pair: _fill_in_order(pair[0]))
+    t = [list(row + unit) for row, unit in rows]
+    r = 0
+    for j in range(a.rows):
+        piv = None
+        for i in range(r, len(t)):
+            if t[i][j] != 0 and (piv is None or abs(t[i][j]) < abs(t[piv][j])):
+                piv = i
+        if piv is not None:
+            t[r], t[piv] = t[piv], t[r]
+            _clear_below(t, None, r, j)
+            r += 1
+    ker = [row[a.rows:] for row in t[r:]]
+    return _matrix(_reduced_basis(ker, [[]] * len(ker))[0], a.cols)
 
 
-def _solve_against_hnf(h: list[list[int]], pivots: list[tuple[int, int]], v: Sequence[int]) -> list[int] | None:
-    """Integer coordinates of ``v`` in the Hermite basis ``h``, or None."""
+def _solve_against_hnf(h: list[list[int]], cols: list[int], v: Sequence[int]) -> list[int] | None:
+    """Integer coordinates of ``v`` in the Hermite basis ``h``, whose pivots
+    lie in the columns ``cols``, or None."""
     residue = list(v)
-    coeffs = [0] * len(pivots)
-    for idx, (r, c) in enumerate(pivots):
-        p = h[r][c]
-        if residue[c] % p != 0:
+    coeffs = []
+    for row, c in zip(h, cols):
+        q, rest = divmod(residue[c], row[c])
+        if rest:
             return None
-        q = residue[c] // p
         if q:
-            coeffs[idx] = q
-            _row_sub(residue, h[r], q, c)
-    if any(residue):
-        return None
-    return coeffs
+            _row_sub(residue, row, q, c)
+        coeffs.append(q)
+    return None if any(residue) else coeffs
 
 
 def express_in_row_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Coordinates of each row of ``vectors`` in the given row basis.
 
-    The rows of ``basis`` must be linearly independent; raises
-    :class:`NotSublattice` when a vector is not an integer combination.
+    The rows of ``basis`` must be linearly independent and as wide as the
+    vectors; raises :class:`NotSublattice` when a vector is not an integer
+    combination.
     """
-    h = basis.tolists()
-    u = IntMatrix.identity(basis.rows).tolists()
-    pivots = _hnf(h, basis.cols, u)
-    if len(pivots) != basis.rows:
+    if basis.cols != vectors.cols:
+        raise ValueError("ambient dimensions differ")
+    h, hu, cols, zero_u = _reduced_basis(basis.tolists(), IntMatrix.identity(basis.rows).tolists())
+    if zero_u:
         raise ValueError("basis rows are linearly dependent")
     coords = []
     for i, v in enumerate(vectors):
-        c = _solve_against_hnf(h, pivots, v)
+        c = _solve_against_hnf(h, cols, v)
         if c is None:
             raise NotSublattice(f"vector {i} is not in the spanned lattice")
         coords.append(c)
     # coordinates were found against H = U*basis; translate back
-    return IntMatrix._from_rows(tuple(matmul_rows(coords, u, basis.rows)), basis.rows)
+    return IntMatrix._from_rows(tuple(matmul_rows(coords, hu, basis.rows)), basis.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +541,14 @@ def smith_form(a: IntMatrix) -> SmithForm:
 
     The pivot is an entry of least nonzero absolute value in the remaining
     submatrix, the first one row by row; ``D`` does not depend on that
-    choice, but ``U`` and ``V`` do.  Rows and columns
-    are cleared by ``_hnf``'s own step, ``_clear_below``: the working matrix
-    clears the pivot's column, and while the pivot's row is not clean it is
-    transposed and clears again, ``U`` and ``V^T`` trading which one takes
-    the operations.  The orientation is left as it is for the next pivot,
-    so rows and columns take turns to lead; one transpose at the end
-    restores the shape.  On dense 30 x 30 matrices with entries in
-    [-20, 20] the transforms reach 436-3,213 bits (eight seeds), where
+    choice, but ``U`` and ``V`` do.  Rows and columns are cleared by the
+    step that ``kernel_basis``'s first pass uses, ``_clear_below``: the
+    working matrix clears the pivot's column, and while the pivot's row is
+    not clean it is transposed and clears again, ``U`` and ``V^T`` trading
+    which one takes the operations.  The orientation is left as it is for
+    the next pivot, so rows and columns take turns to lead; one transpose
+    at the end restores the shape.  On dense 30 x 30 matrices with entries
+    in [-20, 20] the transforms reach 436-3,213 bits (eight seeds), where
     clearing the rows first at every pivot reached 9,654-2,323,405.
     """
     m, n = a.rows, a.cols
@@ -704,9 +683,9 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
     generating sets.  When ``a_basis`` is the identity, as for ``H^1`` of
     a group of composite order, the generators are their own coordinates:
     no Hermite form of ``a_basis`` is made and nothing is solved against
-    it.  That saves a third of an ``H^1``: on the sign-twisted S_5 on
-    pairs (1,190 rows of B^T, rank 10) it takes 7.6-7.9 ms with the
-    shortcut and 12.0-12.4 ms without (best of 40, 2-core x86_64, Python
+    it.  That saves close to half of an ``H^1``: on the sign-twisted S_5 on
+    pairs (1,190 rows of B^T, rank 10) it takes 4.4-4.5 ms with the
+    shortcut and 7.9-8.2 ms without (best of 40, 2-core x86_64, Python
     3.11.7).
     """
     if a_basis.cols != b_gens.cols:
@@ -715,20 +694,17 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
         r = a_basis.rows
         coeff_rows = b_gens.tolists()
     else:
-        h = a_basis.tolists()
-        pivots = _hnf(h, a_basis.cols, None)
-        r = len(pivots)
+        h, _, cols, _ = _reduced_basis(a_basis.tolists(), [[]] * a_basis.rows)
+        r = len(h)
         coeff_rows = []
         for i, v in enumerate(b_gens):
-            c = _solve_against_hnf(h, pivots, v)
+            c = _solve_against_hnf(h, cols, v)
             if c is None:
                 raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")
             coeff_rows.append(c)
     # unimodular row operations keep the invariant factors and the rank, so
     # Smith gets the (at most r) nonzero Hermite rows
-    coeff_rows.sort(key=_fill_in_order)
-    nonzero = len(_hnf(coeff_rows, r, None))
-    sf = smith_form(_matrix(coeff_rows[:nonzero], r))
+    sf = smith_form(_matrix(_reduced_basis(coeff_rows, [[]] * len(coeff_rows))[0], r))
     factors = tuple(f for f in sf.invariant_factors if f > 1)
     return FinAbGroup(factors, free_rank=r - len(sf.invariant_factors))
 

@@ -210,9 +210,9 @@ def test_hermite_shape_properties():
         assert_hermite_shape(h)
 
 
-def test_hermite_form_matches_the_column_order_row_basis():
-    # hermite_form inserts the rows one at a time, row_basis eliminates column
-    # by column: the two orders must reach the same (unique) Hermite basis
+def test_hermite_form_is_the_reduced_echelon_form_of_its_row_lattice():
+    # checked against the definition, with no elimination of its own: H in
+    # reduced echelon form, U @ A == H and U unimodular fix H uniquely
     rng = random.Random(29)
     cases = list(zero_heavy_matrices())
     for _ in range(200):
@@ -226,10 +226,11 @@ def test_hermite_form_matches_the_column_order_row_basis():
     assert any(a.rows < a.cols for a in cases) and any(a.rows > a.cols for a in cases)
     for a in cases:
         h, u = hermite_form(a)
-        basis = row_basis(a)
-        assert h == IntMatrix.stack([basis, IntMatrix.zeros(a.rows - basis.rows, a.cols)])
+        assert_hermite_shape(h)
         assert u @ a == h
         assert u.det() in (1, -1)
+        basis = row_basis(a)
+        assert h == IntMatrix.stack([basis, IntMatrix.zeros(a.rows - basis.rows, a.cols)])
 
 
 # digests of (H, U) on random_matrix(random.Random(seed), 16, 16), seeds 0-4,
@@ -251,16 +252,35 @@ def test_hermite_transforms_of_dense_matrices_are_pinned():
         assert hasher.hexdigest() == pin, seed
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_hermite_form_of_a_dense_30x30_matrix_is_fast(seed):
-    # eliminating column by column took 0.05-3.1 s on seeds 1-10 of this family
-    # (1.4-2.1 s on seed 1) and over 120 s on seed 8, from coefficient growth
-    a = random_matrix(random.Random(seed), 30, 30)
+@pytest.mark.parametrize("fn, seed", [pytest.param("hermite_form", s, id=str(s)) for s in (1, 2, 3)] + [
+    pytest.param(fn, s, id=f"{fn}-{s}")
+    for fn, s in (("row_basis", 16), ("express_in_row_basis", 6), ("subquotient", 2))
+])
+def test_hermite_form_of_a_dense_30x30_matrix_is_fast(fn, seed):
+    # eliminating column by column and reducing above each pivot took, from
+    # coefficient growth: hermite_form 0.05-3.1 s on seeds 1-10 of this family
+    # (1.4-2.1 s on seed 1) and over 120 s on seed 8; row_basis 2.3-3.5 s on
+    # seed 16, express_in_row_basis 3.6-3.7 s on seed 6 and subquotient
+    # 3.6-4.1 s on seed 2, given the vectors R @ A for the seed's next dense R
+    rng = random.Random(seed)
+    a = random_matrix(rng, 30, 30)
+    r = random_matrix(rng, 30, 30)
+    ra = r @ a
     t0 = time.perf_counter()
-    h, u = hermite_form(a)
+    result = getattr(intlinalg, fn)(*((a, ra) if fn in ("express_in_row_basis", "subquotient") else (a,)))
     elapsed = time.perf_counter() - t0
-    assert u @ a == h
-    assert elapsed < 1.0, f"hermite_form 30 x 30 took {elapsed:.2f} s"
+    if fn == "hermite_form":
+        h, u = result
+        assert u @ a == h
+    elif fn == "row_basis":
+        assert_hermite_shape(result)
+        assert result.rows == 30 and result.det() == abs(a.det())
+    elif fn == "express_in_row_basis":
+        assert result == r
+    else:
+        factors = smith_form(r).invariant_factors
+        assert result == FinAbGroup(tuple(f for f in factors if f > 1), 30 - len(factors))
+    assert elapsed < 1.0, f"{fn} 30 x 30 took {elapsed:.2f} s"
 
 
 # --- Smith form --------------------------------------------------------------
@@ -653,6 +673,10 @@ def test_express_in_row_basis_refusals():
     for v in ([0, 0, 1], [0, 1, 0]):
         with pytest.raises(NotSublattice, match="^vector 1 is not in the spanned lattice$"):
             express_in_row_basis(basis, IntMatrix([[3, 4, 0], v]))
+    # a narrower vector once came back as if it fitted, and a wider one raised IndexError
+    for v in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(ValueError, match="^ambient dimensions differ$"):
+            express_in_row_basis(basis, IntMatrix([v]))
 
 
 def test_matrix_shapes_and_ops():
