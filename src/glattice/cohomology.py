@@ -22,7 +22,10 @@ write the basis; a product is one composition of permutations, done in C
 in time linear in |Ω|, where an exact matrix product costs up to rank^3
 Python-level multiply-adds.  The arithmetic left is one sparse
 matrix-vector product per orbit point and generator, and an element's
-matrix, built from its images only when read (``h1_cocycle`` reads none).
+matrix, built from its images only when read (``_Walk.element``):
+``h1_cocycle`` reads none, ``obstruction_scan`` one per conjugacy class of
+cyclic subgroups, and ``restrict_subgroup`` tests a matrix by its images of
+Ω (``_Walk.contains``), building none.
 Each spec keeps the walk that closed it (``_checked_walk``) as the
 permutations it reached and their composition (``_Walk.product``): a
 group acting faithfully on Ω is its permutations (Seress, *Permutation
@@ -76,7 +79,7 @@ from functools import cached_property
 from itertools import chain, compress
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .intlinalg import (
     FinAbGroup,
@@ -210,7 +213,8 @@ class Cyclic(GroupSpec):
     def _walk_group(self) -> _Walk:
         """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n, d^k walked as k."""
         powers, n = mulclose([self.generator], self._order), self._order
-        return _Walk(lambda: powers, (self.generator,), (1 % n,), range(n), lambda a, b: (a + b) % n)
+        return _Walk(powers.__getitem__, powers.__contains__, (self.generator,), (1 % n,), range(n),
+                     lambda a, b: (a + b) % n)
 
 
 class Explicit(GroupSpec):
@@ -321,12 +325,15 @@ class _Walk:
     <g>.  ``product`` composes two of them: ``product(perms[a], perms[b])``
     stands for ``elements[a] @ elements[b]``, with no matrix product;
     ``gen_perms`` holds ``gens`` in the same form, repeats included.
-    ``build`` makes the matrices, from their images of Ω or as the powers
-    of g, when ``elements`` is first read, so a caller of only the
-    generators, order or permutations builds none.
+    ``element(i)`` is the matrix of ``perms[i]``, built from its images of
+    Ω or read from the powers of g, and ``contains(g)`` tells whether a
+    matrix is an element, from its images of Ω or among the powers; so a
+    caller of the generators, the order, the permutations or a few
+    elements builds only the matrices it reads.
     """
 
-    build: Callable[[], Iterable[IntMatrix]] = field(repr=False, compare=False)
+    element: Callable[[int], IntMatrix] = field(repr=False, compare=False)
+    contains: Callable[[IntMatrix], bool] = field(repr=False, compare=False)
     gens: tuple[IntMatrix, ...]
     gen_perms: tuple
     perms: Sequence
@@ -334,7 +341,7 @@ class _Walk:
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
-        return tuple(self.build())
+        return tuple(map(self.element, range(self.order)))
 
     @property
     def order(self) -> int:
@@ -351,9 +358,12 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     ``_orbits`` picks.  The walk keeps each permutation, unpadded: ``bytes``
     of length |Ω| up to 256 points, a tuple beyond.  An element is known by
     its images of the first s points of Ω, which write the basis vectors by
-    fixed combinations.  When ``elements`` is first read, a member or a
-    generator is taken as it is and any other matrix is built from those
-    images.  A product is one composition of permutations in C:
+    fixed combinations.  ``element(i)`` takes a member or a generator as it
+    is and builds any other matrix from those images, when it is read;
+    ``contains(g)`` images the points a ``seen`` key reads by g, one
+    ``matmul_rows``, and looks the key up, so a matrix of another shape or
+    with an image outside Ω is no element.  A product is one composition of
+    permutations in C:
     ``bytes.translate`` by the left factor padded to a 256-entry table, or
     an ``itemgetter``; a row is padded once for all the generators it takes.
 
@@ -376,7 +386,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                 points.append(v)
     else:
         points, images, s, combos = _orbits(gens, bound)
-        given = dict(zip(gens, images))
+        given, where = dict(zip(gens, images)), dict(zip(points, range(len(points))))
     size = len(points)
     if size <= 256:  # bytes, composed by translate through the left factor padded to a 256-entry table
         pack, pad = bytes, bytes(range(size, 256))
@@ -430,21 +440,25 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                     seen.add(key)
                     reached.append(y)
     listed.update({pack(given[g][:s]): g for g in gens})
+    rows: dict = {}  # equal rows are shared
 
-    def build() -> list[IntMatrix]:  # a member or a generator as it is; any other element by its columns
-        elements, rows = [], {}  # equal rows are shared
-        for x in reached:
-            key = x[:s]
-            g = listed.get(key)
-            if g is None:
-                cols = [points[k] for k in key]  # the images of the support, then the columns they write
-                if combos is not None:
-                    cols = matmul_rows(combos, cols, n)
-                g = IntMatrix._from_rows(tuple([rows.setdefault(r, r) for r in zip(*cols)]), n)
-            elements.append(g)
-        return elements
+    def element(i: int) -> IntMatrix:  # a member or a generator as it is; any other element by its columns
+        key = reached[i][:s]
+        g = listed.get(key)
+        if g is None:
+            cols = [points[k] for k in key]  # the images of the support, then the columns they write
+            if combos is not None:
+                cols = matmul_rows(combos, cols, n)
+            g = IntMatrix._from_rows(tuple([rows.setdefault(r, r) for r in zip(*cols)]), n)
+        return g
 
-    return _Walk(build, tuple(walk_gens), tuple(gen_perms), reached, product)
+    def contains(g: IntMatrix) -> bool:  # g's images of the points a key reads, looked up as the walk's keys
+        if not g.is_square or g.rows != n:
+            return False
+        images = [where.get(v) for v in matmul_rows(points[:cut], tuple(zip(*g)), n)]
+        return None not in images and pack(images)[:cut] in seen
+
+    return _Walk(element, contains, tuple(walk_gens), tuple(gen_perms), reached, product)
 
 
 def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]], int, list | None]:
@@ -544,7 +558,9 @@ def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[I
     greedy generators S on Ω, the set of its columns: an image outside Ω
     proves the list not closed, and the walk takes O(|G| * |S|)
     compositions where the full table takes |G|^2 products.  The list comes
-    back in its own order.
+    back in its own order; any other kind's in walk order, each element
+    taken from the walk (``_Walk.element``), which builds it on this first
+    read unless it is listed.
     """
     spec._check(form)
     walk = spec._checked_walk()
@@ -822,12 +838,15 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
     A single matrix restricts to the cyclic subgroup it generates; a list
     must be product-closed, contain the identity, and consist of members of
     the acting group, which are checked already: the subgroup keeps the form.
+    Membership is read off the group's walk (``_Walk.contains``): a matrix's
+    images of Ω looked up among the walk's permutations, or the powers of a
+    cyclic spec's generator, so no element matrix of the group is built.
     """
-    full = set(m.group._checked_walk().elements)
+    walk = m.group._checked_walk()
     if isinstance(elements, IntMatrix):
         elements = [elements]
     subset = [e if isinstance(e, IntMatrix) else IntMatrix(e) for e in elements]
-    if not full.issuperset(subset):
+    if not all(map(walk.contains, subset)):
         raise NotSubgroup("subset not a subgroup: element does not belong to the group")
     if not subset:
         raise NotSubgroup("subset not a subgroup: the empty set has no identity")
@@ -881,18 +900,21 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     is hashed but the generators ``_h1`` deduplicates.  Conjugate
     subgroups have isomorphic H^1 (Brown, *Cohomology of Groups*, III.8),
     so ``_h1`` runs once per orbit of subgroups under x -> s^-1 x s by the
-    walk's generators s.
+    walk's generators s, on the matrix of the first generator met in that
+    orbit (``_Walk.element``).  A generated group is scanned in walk order
+    and builds only those matrices, 25 on W(E6) where it has 51,840
+    elements; a list's and a cyclic spec's matrices exist already as the
+    listed objects and the powers.
     """
-    elements = m.elements()
     full = h1(m)
     walk = m.group._checked_walk()
     perms, product = walk.perms, walk.product
     index = {p: i for i, p in enumerate(perms)}
-    if isinstance(m.group, Explicit):  # a list is scanned in its own order; its walk holds the listed objects
-        at = {id(x): i for i, x in enumerate(walk.elements)}
-        places = [at[id(g)] for g in elements]
-    else:  # the elements are in walk order
+    if isinstance(m.group, Generated):  # in walk order, with no element built until ``_h1`` reads it
         places = range(len(perms))
+    else:  # a list in its own order, or a cyclic spec's powers, placed by the objects its walk holds
+        at = {id(x): i for i, x in enumerate(walk.elements)}
+        places = [at[id(g)] for g in m.elements()]
     conjugations = []
     for s in dict.fromkeys(walk.gen_perms):  # one per distinct generator
         inverse = s  # s, s^2, ... up to the power before the identity
@@ -913,7 +935,7 @@ def obstruction_scan(m: GLattice) -> ScanReport:
         covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
         key = frozenset(powers)
         if key not in known:
-            known[key] = _h1((walk.elements[x],), m.rank, n)[0]
+            known[key] = _h1((walk.element(x),), m.rank, n)[0]
             orbit = [key]
             for c in orbit:  # the list grows as it is read
                 for conj in conjugations:

@@ -686,18 +686,23 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
     it.  That saves close to half of an ``H^1``: on the sign-twisted S_5 on
     pairs (1,190 rows of B^T, rank 10) it takes 4.4-4.5 ms with the
     shortcut and 7.9-8.2 ms without (best of 40, 2-core x86_64, Python
-    3.11.7).
+    3.11.7).  A repeated or zero generator adds nothing to the span, so
+    each distinct nonzero one is taken once: 567 of those 1,190 rows.
     """
     if a_basis.cols != b_gens.cols:
         raise ValueError("ambient dimensions differ")
+    gens: dict[tuple[int, ...], int] = {}  # each distinct nonzero generator and its first index
+    for i, v in enumerate(b_gens):
+        if any(v):
+            gens.setdefault(v, i)
     if a_basis == IntMatrix.identity(a_basis.cols):
         r = a_basis.rows
-        coeff_rows = b_gens.tolists()
+        coeff_rows = list(map(list, gens))
     else:
         h, _, cols, _ = _reduced_basis(a_basis.tolists(), [[]] * a_basis.rows)
         r = len(h)
         coeff_rows = []
-        for i, v in enumerate(b_gens):
+        for v, i in gens.items():
             c = _solve_against_hnf(h, cols, v)
             if c is None:
                 raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")

@@ -715,6 +715,32 @@ def test_weyl_e6_scan_is_byte_identical(capsys):
     assert nonzero == {(2, (2, 2), 0): 45, (4, (2, 2), 0): 270, (6, (2, 2), 0): 720, (3, (3, 3), 0): 40}
 
 
+def test_generated_scan_builds_one_matrix_per_class(tmp_path, monkeypatch, capsys):
+    # a generated walk builds an element's matrix only when it is read (``_Walk.element``): a scan
+    # reads one per conjugacy class of cyclic subgroups, at most W(E6)'s 25 (Carter) and S_5's 7,
+    # and compute reads none
+    import dataclasses
+
+    import glattice.cohomology as coh
+
+    read = []
+    walk_of = coh._closed_walk
+
+    def spied(*args, **kwargs):
+        walk = walk_of(*args, **kwargs)
+        return walk and dataclasses.replace(walk, element=lambda i: read.append(i) or walk.element(i))
+
+    monkeypatch.setattr(coh, "_closed_walk", spied)
+    pairs = [write_doc(tmp_path, golden_doc("S5pairs", signed, "generated"), f"pairs{signed}.json")
+             for signed in (False, True)]
+    for command, path, most in (("scan", WEYL_E6_DOC, 25), ("scan", pairs[0], 7), ("scan", pairs[1], 7),
+                                ("compute", WEYL_E6_DOC, 0), ("compute", pairs[1], 0)):
+        read.clear()
+        assert run_command([command, "--input", str(path), "--json"]) == 0
+        # each element read once; the scan's representatives are read through the spy
+        assert len(set(read)) == len(read) <= most and bool(read) == (command == "scan"), (command, path)
+
+
 CYCLIC_RANK81_DOC = Path(__file__).resolve().parent / "data" / "cyclic_rank81_order3603600.json"
 REDUNDANT_DOC = Path(__file__).resolve().parent / "data" / "s5_pairs_signed_listed_twice.json"
 

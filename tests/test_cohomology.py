@@ -418,6 +418,38 @@ def test_restrict_rejects_the_empty_set():
         restrict_subgroup(full, [])
 
 
+def test_restrict_tests_membership_by_the_images_of_omega():
+    # the cyclic group of a 4-cycle in every kind: Ω is the standard basis, the orbit of e_0 and
+    # the columns of the list, and a transposition permutes it, yet is no member
+    cycle, transposition = perm_matrix((1, 2, 3, 0), False), perm_matrix((1, 0, 2, 3), False)
+    powers = mulclose([cycle])
+    for spec in (Cyclic(cycle), Generated([cycle]), Explicit(powers[::-1])):
+        m = GLattice(4, spec)
+        walk = m.group._checked_walk()
+        assert all(map(walk.contains, powers)) and not walk.contains(transposition)
+        for outside in (transposition, IntMatrix.identity(3), IntMatrix([[1, 0, 0, 0]] * 4)):
+            with pytest.raises(NotSubgroup, match="belong"):
+                restrict_subgroup(m, outside)
+            with pytest.raises(NotSubgroup, match="belong"):
+                restrict_subgroup(m, [IntMatrix.identity(4), outside])
+        assert restrict_subgroup(m, powers[2]).group == Cyclic(powers[2])
+        assert restrict_subgroup(m, [powers[0], powers[2]]).group.elements == (powers[0], powers[2])
+
+
+def test_restrict_weyl_e6_to_a_generator_builds_no_element():
+    from pathlib import Path
+
+    from glattice.cli import parse_input
+
+    m = parse_input((Path(__file__).resolve().parent / "data" / "weyl_e6_generated.json").read_text()).lattice
+    walk = m.group._checked_walk()
+    start = time.perf_counter()
+    sub = restrict_subgroup(m, m.group.generators[0])
+    assert time.perf_counter() - start < 0.05  # about 0.7 s when every element matrix was built
+    assert "elements" not in walk.__dict__
+    assert h1(sub).group_order == 2
+
+
 # --- obstruction scan -------------------------------------------------------------
 
 

@@ -974,6 +974,27 @@ def test_smith_transforms_are_pinned():
         assert smith_digest(cases) == SMITH_PINS[name], name
 
 
+def test_subquotient_takes_each_distinct_nonzero_generator_once(monkeypatch):
+    rows = []
+    reduce = intlinalg._reduced_basis
+    monkeypatch.setattr(intlinalg, "_reduced_basis", lambda r, u: rows.append(len(r)) or reduce(r, u))
+    rng = random.Random(47)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        b = random_matrix(rng, rng.randint(1, 5), n, -5, 5)
+        distinct = len({v for v in b if any(v)})
+        noisy = list(b) + [rng.choice(list(b)) for _ in range(4)] + [(0,) * n] * 3
+        rng.shuffle(noisy)
+        for a in (IntMatrix.identity(n), random_unimodular(rng, n)):
+            rows.clear()
+            result = subquotient(a, IntMatrix(noisy))
+            assert rows[-1] == distinct  # the second pass inserts the distinct nonzero rows only
+            assert result == subquotient(a, b) == smith_of_raw_coefficients(a, b)
+    # a generator outside the lattice is named by its index in the input, repeats and zeros included
+    with pytest.raises(NotSublattice, match="generator 4 lies"):
+        subquotient(IntMatrix([[2, 0], [0, 2]]), IntMatrix([[0, 0], [2, 0], [2, 0], [0, 0], [1, 0], [1, 0]]))
+
+
 def test_subquotient_of_the_identity_basis_matches_the_general_path(monkeypatch):
     solves = []
     solve = intlinalg._solve_against_hnf
@@ -989,7 +1010,8 @@ def test_subquotient_of_the_identity_basis_matches_the_general_path(monkeypatch)
             fast = subquotient(ident, gens)
             assert not solves  # the identity is not solved against
             general = subquotient(u, gens)
-            assert len(solves) == (gens.rows if u != ident else 0)
+            # each distinct nonzero generator is solved once
+            assert len(solves) == (len({v for v in gens if any(v)}) if u != ident else 0)
             assert fast == general == smith_of_raw_coefficients(ident, gens)
     assert subquotient(IntMatrix.identity(3), IntMatrix.zeros(2, 3)) == FinAbGroup((), 3)
     assert subquotient(IntMatrix.identity(2), IntMatrix([[2, 0], [0, 6], [2, 6]])) == FinAbGroup((2, 6), 0)
