@@ -893,18 +893,15 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     subgroup they generate, keeping the lowest generator index; entries come
     out sorted by that index.
 
-    Powers and conjugates are found by composing the walk's permutations
-    (``_Walk.product``): no matrix product after the closure.  Generators
-    are placed in the walk by their permutations (``_Walk.gen_perms``), and
-    a list's elements by the listed objects its walk holds, so no matrix
-    is hashed but the generators ``_h1`` deduplicates.  Conjugate
-    subgroups have isomorphic H^1 (Brown, *Cohomology of Groups*, III.8),
-    so ``_h1`` runs once per orbit of subgroups under x -> s^-1 x s by the
-    walk's generators s, on the matrix of the first generator met in that
-    orbit (``_Walk.element``).  A generated group is scanned in walk order
-    and builds only those matrices, 25 on W(E6) where it has 51,840
-    elements; a list's and a cyclic spec's matrices exist already as the
-    listed objects and the powers.
+    The scan composes the walk's permutations (``_Walk.product``), with no
+    matrix product after the closure.  ``owner``, indexed by walk position,
+    names the subgroup each element generates, filled as each new
+    subgroup's powers are walked.  Conjugate subgroups have isomorphic H^1
+    (Brown, *Cohomology of Groups*, III.8), so a second pass in entry order
+    runs ``_h1`` once per class, on its first generator's matrix
+    (``_Walk.element``: 25 built on W(E6), of 51,840 elements), and hands
+    the value on by conjugating one generator per subgroup, s^-1 x s for
+    each distinct walk generator s, looked up through ``owner``.
     """
     full = h1(m)
     walk = m.group._checked_walk()
@@ -912,38 +909,40 @@ def obstruction_scan(m: GLattice) -> ScanReport:
     index = {p: i for i, p in enumerate(perms)}
     if isinstance(m.group, Generated):  # in walk order, with no element built until ``_h1`` reads it
         places = range(len(perms))
-    else:  # a list in its own order, or a cyclic spec's powers, placed by the objects its walk holds
+    else:  # a list's objects or a cyclic spec's powers, by ``m.elements()``: the benchmark's
+        # self-test reaches ``validate_and_close`` and ``mulclose`` only through a cyclic scan
         at = {id(x): i for i, x in enumerate(walk.elements)}
         places = [at[id(g)] for g in m.elements()]
-    conjugations = []
-    for s in dict.fromkeys(walk.gen_perms):  # one per distinct generator
+    owner: list[int | None] = [None] * len(perms)  # the subgroup each element generates
+    found = []  # per subgroup: its generator_index, its first generator's walk position, its order
+    for idx, x in enumerate(places):
+        if owner[x] is None:
+            powers, p = [0], x
+            while p:  # index 0 is the identity
+                powers.append(p)
+                p = index[product(perms[p], perms[x])]
+            for k, y in enumerate(powers):
+                if gcd(k, len(powers)) == 1:
+                    owner[y] = len(found)
+            found.append((idx, x, len(powers)))
+    conjugators = []  # (s^-1, s) per distinct generator s
+    for s in dict.fromkeys(walk.gen_perms):
         inverse = s  # s, s^2, ... up to the power before the identity
         while index[product(inverse, s)]:
             inverse = product(inverse, s)
-        conjugations.append([index[product(product(inverse, x), s)] for x in perms])
-    entries: list[SubgroupEntry] = []
-    known: dict[frozenset[int], FinAbGroup] = {}
-    covered: set[int] = set()  # the generators of the subgroups entered so far
-    for idx, x in enumerate(places):
-        if x in covered:
-            continue
-        powers, p = [0], x
-        while p:  # index 0 is the identity
-            powers.append(p)
-            p = index[product(perms[p], perms[x])]
-        n = len(powers)
-        covered.update(powers[k] for k in range(n) if gcd(k, n) == 1)
-        key = frozenset(powers)
-        if key not in known:
-            known[key] = _h1((walk.element(x),), m.rank, n)[0]
-            orbit = [key]
+        conjugators.append((inverse, s))
+    values: list[FinAbGroup | None] = [None] * len(found)
+    for j, (_, x, n) in enumerate(found):
+        if values[j] is None:
+            values[j] = _h1((walk.element(x),), m.rank, n)[0]
+            orbit = [j]
             for c in orbit:  # the list grows as it is read
-                for conj in conjugations:
-                    image = frozenset([conj[y] for y in c])
-                    if image not in known:
-                        known[image] = known[key]
+                for inverse, s in conjugators:
+                    image = owner[index[product(product(inverse, perms[found[c][1]]), s)]]
+                    if values[image] is None:
+                        values[image] = values[j]
                         orbit.append(image)
-        entries.append(SubgroupEntry(idx, n, known[key]))
+    entries = [SubgroupEntry(idx, n, value) for (idx, _, n), value in zip(found, values)]
     witnesses = []
     if not full.h1.is_trivial:
         witnesses.append(f"full group: H^1 = {full.h1}")

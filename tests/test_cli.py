@@ -703,7 +703,7 @@ WEYL_E6_SCAN_SHA256 = "877cfcf5002b57d0c97fda0369f5ac284a728be8f842fc93264626f60
 
 
 def test_weyl_e6_scan_is_byte_identical(capsys):
-    # every cyclic subgroup of W(E6) on Pic of a cubic surface, about 3 s on 2 x86_64 cores; the
+    # every cyclic subgroup of W(E6) on Pic of a cubic surface, about 0.5 s on 2 x86_64 cores; the
     # nonzero H^1 are two of Swinnerton-Dyer's values for cubic surfaces, (Z/2)^2 and (Z/3)^2
     assert run_command(["scan", "--input", str(WEYL_E6_DOC), "--json"]) == 0
     out = capsys.readouterr().out
@@ -718,17 +718,20 @@ def test_weyl_e6_scan_is_byte_identical(capsys):
 def test_generated_scan_builds_one_matrix_per_class(tmp_path, monkeypatch, capsys):
     # a generated walk builds an element's matrix only when it is read (``_Walk.element``): a scan
     # reads one per conjugacy class of cyclic subgroups, at most W(E6)'s 25 (Carter) and S_5's 7,
-    # and compute reads none
+    # and compute reads none; the W(E6) scan composes permutations (``_Walk.product``) to walk each
+    # cyclic subgroup's powers and to conjugate one generator per subgroup by each of the six
+    # generators, 319,523 compositions, where a table of the conjugates of every element took 724,715
     import dataclasses
 
     import glattice.cohomology as coh
 
-    read = []
+    read, composed = [], []
     walk_of = coh._closed_walk
 
     def spied(*args, **kwargs):
         walk = walk_of(*args, **kwargs)
-        return walk and dataclasses.replace(walk, element=lambda i: read.append(i) or walk.element(i))
+        return walk and dataclasses.replace(walk, element=lambda i: read.append(i) or walk.element(i),
+                                            product=lambda x, y: composed.append(1) or walk.product(x, y))
 
     monkeypatch.setattr(coh, "_closed_walk", spied)
     pairs = [write_doc(tmp_path, golden_doc("S5pairs", signed, "generated"), f"pairs{signed}.json")
@@ -736,9 +739,12 @@ def test_generated_scan_builds_one_matrix_per_class(tmp_path, monkeypatch, capsy
     for command, path, most in (("scan", WEYL_E6_DOC, 25), ("scan", pairs[0], 7), ("scan", pairs[1], 7),
                                 ("compute", WEYL_E6_DOC, 0), ("compute", pairs[1], 0)):
         read.clear()
+        composed.clear()
         assert run_command([command, "--input", str(path), "--json"]) == 0
         # each element read once; the scan's representatives are read through the spy
         assert len(set(read)) == len(read) <= most and bool(read) == (command == "scan"), (command, path)
+        if (command, path) == ("scan", WEYL_E6_DOC):
+            assert len(composed) <= 330_000
 
 
 CYCLIC_RANK81_DOC = Path(__file__).resolve().parent / "data" / "cyclic_rank81_order3603600.json"

@@ -493,6 +493,10 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
         GLattice(4, Generated([-g for g in permutation_module(s4, kind="generated").group.matrices])),
         GLattice(3, Cyclic(random_finite_order_action(rng, 3, 6))),
         GLattice(4, Explicit(GLattice(4, Cyclic(random_finite_order_action(rng, 4, 4))).elements())),
+        # classes that are not rational, so a subgroup's generators are not all conjugate: A_5
+        # (its 5-cycles x and x^2 are not) and the Frobenius group of order 21 (x and x^-1 of order 3)
+        permutation_module([[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),
+        permutation_module([[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]]),
     ]
     for m in lattices:
         elements = m.elements()
@@ -513,6 +517,9 @@ def test_scan_subgroups_match_h1_cyclic_of_each_subgroup(monkeypatch):
         obstruction_scan(GLattice(m.rank, m.group, m.form))
         assert len(calls) == 2 + len(cyclic_subgroup_classes(elements))
         monkeypatch.undo()
+    # subgroups and classes of A_5 and of the Frobenius group of order 21
+    assert [len(obstruction_scan(m).subgroups) for m in lattices[-2:]] == [32, 9]
+    assert [len(cyclic_subgroup_classes(m.elements())) for m in lattices[-2:]] == [4, 3]
     # subgroup entries assert what CohomologyResult asserts of H^1
     with pytest.raises(AssertionError, match="finite"):
         SubgroupEntry(0, 2, FinAbGroup((2,), 1))
