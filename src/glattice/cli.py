@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 invalid input or schema, 2 search exhausted,
 
 Machine reports (``--json``) are deterministic: fields appear in a fixed
 order and timing is included only when ``--timing`` is passed, so equal
-inputs (and equal seeds) produce byte-identical output.
+inputs (and equal seeds) produce byte-identical output.  ``timing_ms`` and
+the human report's closing ``done in N ms`` time the same span: the whole
+subcommand, from reading its input until its report is built, printing not.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -220,16 +223,6 @@ def _indented_json(obj, pad: str = "\n") -> str:
     return json.dumps(obj)  # a float, a boolean or None
 
 
-def _emit(report: dict, as_json: bool, timing_ms: float, with_timing: bool, human: str) -> None:
-    if as_json:
-        if with_timing:
-            report["timing_ms"] = round(timing_ms, 3)
-        print(_indented_json(report))
-    else:
-        print(human.rstrip())
-        print(f"done in {timing_ms:.0f} ms")
-
-
 def _glattice_echo(m: GLattice) -> dict:
     gen = m.group.matrices[0]
     return InputDocument(
@@ -245,7 +238,16 @@ def _glattice_echo(m: GLattice) -> dict:
 # subcommands
 
 
-def _cmd_verify_table(args) -> int:
+# what a subcommand returns: its exit code, its JSON report and a renderer of its human text
+_Outcome = tuple[int, dict, Callable[[], str]]
+
+
+def _read_document(path: str) -> InputDocument:
+    with open(path, encoding="utf-8") as fh:
+        return parse_input(fh.read())
+
+
+def _cmd_verify_table(args) -> _Outcome:
     if args.max_genus < 0:  # range() would drop every conic-bundle row and report a pass
         raise InputError(f"verify-table --max-genus must be at least 0, got {args.max_genus}")
     if args.max_genus > MAX_GENUS:
@@ -253,39 +255,35 @@ def _cmd_verify_table(args) -> int:
     cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
     cases = [("dejonquieres", g) for g in range(1, args.max_genus + 1)]
     cases += [(c, None) for c in DEL_PEZZO_CASES]
-    rows = []
-    t0 = time.perf_counter()
-    for case, genus in cases:
-        rows.append(verify_row(case, genus=genus, cfg=cfg))
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    rows = [verify_row(case, genus=genus, cfg=cfg) for case, genus in cases]
     all_passed = all(r.passed for r in rows)
-    if args.json:
-        report = {
-            "command": "verify-table",
-            "seed": args.seed,
-            "rows": [
-                {
-                    "case": r.case,
-                    "p": r.p,
-                    "g": r.g,
-                    "K2": r.k2,
-                    "model": r.model,
-                    "h1": _h1_json(r.h1_pic),
-                    "h1_q": _h1_json(r.h1_q),
-                    "predicted_h1_order": r.predicted_h1_order,
-                    "passed": r.passed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in r.checks
-                    ],
-                }
-                for r in rows
-            ],
-            "all_passed": all_passed,
-            "verdict": "all rows PASS" if all_passed else "verification FAILED",
-        }
-        _emit(report, True, elapsed, args.timing, "")
-    else:
+    verdict = "all rows PASS" if all_passed else "verification FAILED"
+    report = {
+        "command": "verify-table",
+        "seed": args.seed,
+        "rows": [
+            {
+                "case": r.case,
+                "p": r.p,
+                "g": r.g,
+                "K2": r.k2,
+                "model": r.model,
+                "h1": _h1_json(r.h1_pic),
+                "h1_q": _h1_json(r.h1_q),
+                "predicted_h1_order": r.predicted_h1_order,
+                "passed": r.passed,
+                "checks": [
+                    {"name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in r.checks
+                ],
+            }
+            for r in rows
+        ],
+        "all_passed": all_passed,
+        "verdict": verdict,
+    }
+
+    def text():
         header = f"{'case':<18} {'p':>2} {'g':>2} {'K^2':>3}  {'model':<38} {'H^1':<12} status"
         lines = [header, "-" * len(header)]
         for r in rows:
@@ -293,22 +291,15 @@ def _cmd_verify_table(args) -> int:
             lines.append(
                 f"{r.case:<18} {r.p:>2} {r.g:>2} {r.k2:>3}  {r.model:<38} {str(r.h1_pic):<12} {status}"
             )
-            if not r.passed:
-                for c in r.checks:
-                    if not c.passed:
-                        lines.append(f"    FAILED {c.name}: {c.detail}")
-        lines.append("all rows PASS" if all_passed else "verification FAILED")
-        _emit({}, False, elapsed, False, "\n".join(lines))
-    return EXIT_OK if all_passed else EXIT_VERIFY
+            lines += [f"    FAILED {c.name}: {c.detail}" for c in r.checks if not c.passed]
+        return "\n".join(lines + [verdict])
+
+    return (EXIT_OK if all_passed else EXIT_VERIFY), report, text
 
 
-def _cmd_compute(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = parse_input(fh.read())
-    m = doc.lattice
-    t0 = time.perf_counter()
-    res = h1(m)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+def _cmd_compute(args) -> _Outcome:
+    doc = _read_document(args.input)
+    res = h1(doc.lattice)
     report = {
         "command": "compute",
         "input": doc.echo(),
@@ -318,17 +309,14 @@ def _cmd_compute(args) -> int:
         "method": res.method,
         "verdict": f"H^1 = {res.h1}",
     }
-    human = (
+    return EXIT_OK, report, lambda: (
         f"group order {res.group_order} ({res.method} method)\n"
         f"H^0 rank: {res.h0_rank}\n"
         f"H^1 = {res.h1}"
     )
-    _emit(report, args.json, elapsed, args.timing, human)
-    return EXIT_OK
 
 
-def _cmd_builtin(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_builtin(args) -> _Outcome:
     predicted = None
     if args.name == "dejonquieres":
         if args.genus is None:
@@ -342,7 +330,6 @@ def _cmd_builtin(args) -> int:
         m = geiser_involution() if args.name == "geiser" else bertini_involution()
         predicted = charpoly_order(m)
     res = h1(m)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     case = args.name if args.genus is None else f"{args.name}-g{args.genus}"
     report = {
         "command": "builtin",
@@ -355,23 +342,22 @@ def _cmd_builtin(args) -> int:
     }
     if predicted is not None:
         report["predicted_h1_order"] = predicted
-    human = f"{case}: H^0 rank {res.h0_rank}, H^1 = {res.h1}"
-    if predicted is not None:
-        human += f"\npredicted |H^1| from the Q characteristic polynomial: {predicted}"
-    _emit(report, args.json, elapsed, args.timing, human)
-    return EXIT_OK
+
+    def text():
+        line = f"{case}: H^0 rank {res.h0_rank}, H^1 = {res.h1}"
+        return line if predicted is None else f"{line}\npredicted |H^1| from the Q characteristic polynomial: {predicted}"
+
+    return EXIT_OK, report, text
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Outcome:
     cfg = WeylSearchConfig(
         seed=args.seed,
         max_trials=args.max_trials,
         word_min=args.word_min,
         word_max=args.word_max,
     )
-    t0 = time.perf_counter()
     m = weyl_search(args.degree, args.prime, cfg=cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     res = h1(m)
     predicted = charpoly_order(m)
     report = {
@@ -386,23 +372,17 @@ def _cmd_search(args) -> int:
         "predicted_h1_order": predicted,
         "verdict": f"H^1 = {res.h1}",
     }
-    human = (
+    return EXIT_OK, report, lambda: (
         f"found an order-{args.prime} isometry on the degree-{args.degree} lattice "
         f"(seed {args.seed})\n"
         f"H^1 = {res.h1}; predicted order {predicted}\n"
         f"generator:\n" + "\n".join(str(list(row)) for row in m.group.matrices[0])
     )
-    _emit(report, args.json, elapsed, args.timing, human)
-    return EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = parse_input(fh.read())
-    m = doc.lattice
-    t0 = time.perf_counter()
-    scan = obstruction_scan(m)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+def _cmd_scan(args) -> _Outcome:
+    doc = _read_document(args.input)
+    scan = obstruction_scan(doc.lattice)
     report = {
         "command": "scan",
         "input": doc.echo(),
@@ -420,12 +400,11 @@ def _cmd_scan(args) -> int:
         "witnesses": list(scan.witnesses),
         "verdict": scan.verdict,
     }
-    lines = [f"full group: H^1 = {scan.full_group.h1}"]
-    for e in scan.subgroups:
-        lines.append(f"  element {e.generator_index} (order {e.order}): H^1 = {e.h1}")
-    lines.append(scan.verdict)
-    _emit(report, args.json, elapsed, args.timing, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, report, lambda: "\n".join(
+        [f"full group: H^1 = {scan.full_group.h1}"]
+        + [f"  element {e.generator_index} (order {e.order}): H^1 = {e.h1}" for e in scan.subgroups]
+        + [scan.verdict]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +418,56 @@ def _build_parser() -> argparse.ArgumentParser:
         description="H^1 of finite group actions on integer lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)  # the report options every subcommand takes
+    report.add_argument("--json", action="store_true")
+    report.add_argument("--timing", action="store_true", help="include timing in JSON reports")
 
-    p = sub.add_parser("verify-table", help="verify every built-in case")
+    p = sub.add_parser("verify-table", parents=[report], help="verify every built-in case")
     p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 2-3 s, 31 MB peak)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
     p.add_argument("--max-trials", type=int, default=1_000_000)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true", help="include timing in JSON reports")
     p.set_defaults(func=_cmd_verify_table)
 
-    p = sub.add_parser("compute", help="H^1 of an action described in a JSON file")
+    p = sub.add_parser("compute", parents=[report], help="H^1 of an action described in a JSON file")
     p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("builtin", help="one of the built-in actions")
+    p = sub.add_parser("builtin", parents=[report], help="one of the built-in actions")
     p.add_argument("name", choices=("geiser", "bertini", "dejonquieres"))
     p.add_argument("--genus", type=int, default=None, help=f"de Jonquieres genus, at most {MAX_GENUS} ({MAX_GENUS}: about 22 MB peak)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_builtin)
 
-    p = sub.add_parser("search", help="random search for a prime-order isometry")
+    p = sub.add_parser("search", parents=[report], help="random search for a prime-order isometry")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.add_argument("--word-min", type=int, default=2)
     p.add_argument("--word-max", type=int, default=16)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("scan", help="H^1 over all cyclic subgroups, with verdict")
+    p = sub.add_parser("scan", parents=[report], help="H^1 over all cyclic subgroups, with verdict")
     p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
     return parser
 
 
 def run_command(argv: list[str] | None = None) -> int:
+    """Run one subcommand, timed from reading its input until its report is built, and print the report."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        code, report, text = args.func(args)
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        if args.json and args.timing:
+            report["timing_ms"] = round(elapsed, 3)
+        print(_indented_json(report) if args.json else f"{text()}\ndone in {elapsed:.0f} ms")
+        return code
     except SearchExhausted as e:
         print(f"search exhausted: {e}", file=sys.stderr)
         return EXIT_EXHAUSTED

@@ -36,7 +36,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, h1_cyclic, invariants_h0, leading_block
+from .cohomology import Cyclic, GLattice, _order_mod3, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -543,8 +543,10 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     system = root_system(d)
     lat, q = system.lattice, system.q
     delta = m.group.generator
-    # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it
-    mq = GLattice(q.rank, Cyclic(restrict_action(delta, q.basis))._keep(q.gram_q), q.gram_q)
+    # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it;
+    # the restriction's order divides delta's, so by Minkowski's lemma it is its order mod 3
+    gq = restrict_action(delta, q.basis)
+    mq = GLattice(q.rank, Cyclic(gq)._keep(q.gram_q, order=_order_mod3(gq, m.group._order)), q.gram_q)
     res = h1_cyclic(m)
     resq = h1_cyclic(mq)
     expected = FinAbGroup((p,) * (2 * g))

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import glattice
 import glattice.cli as cli
 from glattice.cli import InputError, parse_input, run_command
-from glattice.intlinalg import IntMatrix
+from glattice.intlinalg import FinAbGroup, IntMatrix
 
 
 SWAP_DOC = {
@@ -539,6 +540,7 @@ def test_verify_table_regression_exits_3(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL" in out and "simulated regression" in out
+    assert hashlib.sha256(_drop_done_line(out).encode("utf-8")).hexdigest() == FAILED_TABLE_SHA256
 
 
 def test_usage_error_maps_to_exit_1(capsys):
@@ -661,6 +663,49 @@ def test_group_reports_are_byte_identical(command, grp, signed, kind, tmp_path, 
     assert run_command([command, "--input", path, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command, grp, signed, kind]
+
+
+# sha256 of the human reports (no `--json`), their closing `done in N ms` line dropped, taken
+# while each subcommand still timed and printed its own report; `{golden}` is the sign-twisted
+# S_4 generated golden_doc
+TEXT_SHA256 = {
+    "verify-table --max-genus 3": "fe99f435b23ebfbad49ab7cbd8520142af431dc3523997793e93544009526b58",
+    "compute --input {golden}": "170dca12e8383bf0d7f000c25297acf9ff26b227b2cbd795e12a9ddc8ee715de",
+    "scan --input {golden}": "d7c2127d49252a93aa847400dd92f168ec5146bbe5c081706bb94cc2791a72e5",
+    "builtin geiser": "ca620972433fff5e8b796984296d5bb7d1d08038a585130385f37123c10d036d",
+    "builtin dejonquieres --genus 2": "18f4301d1a4e90549737f62d51ea858d1881774943e849d5b5c2f623209c8051",
+    "search --degree 3 --prime 3 --seed 0": "49295eaaa99802dab727add140d5c4767bda162f9bc917d7e196665f2ecae64d",
+}
+# the same for the table with the Geiser row failing in test_verify_table_regression_exits_3
+FAILED_TABLE_SHA256 = "2a1d9b0f1c2a2c97df760ecec2701052efcc59724216c8a4f86675bbf254744b"
+
+
+def _drop_done_line(out: str) -> str:
+    body, done = out.removesuffix("\n").rsplit("\n", 1)
+    assert re.fullmatch(r"done in \d+ ms", done), done
+    return body + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_SHA256))
+def test_text_reports_are_byte_identical(command, tmp_path, capsys):
+    path = write_doc(tmp_path, golden_doc("S4", True, "generated"))
+    assert run_command([arg.format(golden=path) for arg in command.split()]) == 0
+    out = _drop_done_line(capsys.readouterr().out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_SHA256[command]
+
+
+def test_json_scan_formats_no_text_report(tmp_path, monkeypatch, capsys):
+    # S_5 on pairs has 67 cyclic subgroups; a JSON report formats an H^1 only for a witness line
+    formatted = []
+    real = FinAbGroup.__str__
+    monkeypatch.setattr(FinAbGroup, "__str__", lambda g: formatted.append(g) or real(g))
+    for signed in (False, True):
+        formatted.clear()
+        path = write_doc(tmp_path, golden_doc("S5pairs", signed, "generated"))
+        assert run_command(["scan", "--input", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["subgroups"]) == 67
+        assert len(formatted) <= len(report["witnesses"])
 
 
 # sha256 of the exit code, stdout and stderr of each of the 240 `groups`
