@@ -17,9 +17,9 @@ Exit codes: 0 success, 1 invalid input or schema, 2 search exhausted,
 
 Machine reports (``--json``) are deterministic: fields appear in a fixed
 order and timing is included only when ``--timing`` is passed, so equal
-inputs (and equal seeds) produce byte-identical output.  ``timing_ms`` and
-the human report's closing ``done in N ms`` time the same span: the whole
-subcommand, from reading its input until its report is built, printing not.
+inputs (and equal seeds) produce byte-identical output.  A command builds
+only the report it prints; ``timing_ms`` and the closing ``done in N ms``
+time it from reading its input until that report is built, printing not.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
@@ -238,8 +238,8 @@ def _glattice_echo(m: GLattice) -> dict:
 # subcommands
 
 
-# what a subcommand returns: its exit code, its JSON report and a renderer of its human text
-_Outcome = tuple[int, dict, Callable[[], str]]
+# what a subcommand returns: its exit code and renderers of its JSON report and of its human text
+_Outcome = tuple[int, Callable[[], dict], Callable[[], str]]
 
 
 def _read_document(path: str) -> InputDocument:
@@ -258,7 +258,19 @@ def _cmd_verify_table(args) -> _Outcome:
     rows = [verify_row(case, genus=genus, cfg=cfg) for case, genus in cases]
     all_passed = all(r.passed for r in rows)
     verdict = "all rows PASS" if all_passed else "verification FAILED"
-    report = {
+
+    def text():
+        header = f"{'case':<18} {'p':>2} {'g':>2} {'K^2':>3}  {'model':<38} {'H^1':<12} status"
+        lines = [header, "-" * len(header)]
+        for r in rows:
+            status = "PASS" if r.passed else "FAIL"
+            lines.append(
+                f"{r.case:<18} {r.p:>2} {r.g:>2} {r.k2:>3}  {r.model:<38} {str(r.h1_pic):<12} {status}"
+            )
+            lines += [f"    FAILED {c.name}: {c.detail}" for c in r.checks if not c.passed]
+        return "\n".join(lines + [verdict])
+
+    return (EXIT_OK if all_passed else EXIT_VERIFY), lambda: {
         "command": "verify-table",
         "seed": args.seed,
         "rows": [
@@ -281,26 +293,13 @@ def _cmd_verify_table(args) -> _Outcome:
         ],
         "all_passed": all_passed,
         "verdict": verdict,
-    }
-
-    def text():
-        header = f"{'case':<18} {'p':>2} {'g':>2} {'K^2':>3}  {'model':<38} {'H^1':<12} status"
-        lines = [header, "-" * len(header)]
-        for r in rows:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"{r.case:<18} {r.p:>2} {r.g:>2} {r.k2:>3}  {r.model:<38} {str(r.h1_pic):<12} {status}"
-            )
-            lines += [f"    FAILED {c.name}: {c.detail}" for c in r.checks if not c.passed]
-        return "\n".join(lines + [verdict])
-
-    return (EXIT_OK if all_passed else EXIT_VERIFY), report, text
+    }, text
 
 
 def _cmd_compute(args) -> _Outcome:
     doc = _read_document(args.input)
     res = h1(doc.lattice)
-    report = {
+    return EXIT_OK, lambda: {
         "command": "compute",
         "input": doc.echo(),
         "h0_rank": res.h0_rank,
@@ -308,8 +307,7 @@ def _cmd_compute(args) -> _Outcome:
         "group_order": res.group_order,
         "method": res.method,
         "verdict": f"H^1 = {res.h1}",
-    }
-    return EXIT_OK, report, lambda: (
+    }, lambda: (
         f"group order {res.group_order} ({res.method} method)\n"
         f"H^0 rank: {res.h0_rank}\n"
         f"H^1 = {res.h1}"
@@ -331,17 +329,20 @@ def _cmd_builtin(args) -> _Outcome:
         predicted = charpoly_order(m)
     res = h1(m)
     case = args.name if args.genus is None else f"{args.name}-g{args.genus}"
-    report = {
-        "command": "builtin",
-        "case": case,
-        "input": _glattice_echo(m),
-        "h0_rank": res.h0_rank,
-        "h1": _h1_json(res.h1),
-        "group_order": res.group_order,
-        "verdict": f"H^1 = {res.h1}",
-    }
-    if predicted is not None:
-        report["predicted_h1_order"] = predicted
+
+    def report():
+        out = {
+            "command": "builtin",
+            "case": case,
+            "input": _glattice_echo(m),
+            "h0_rank": res.h0_rank,
+            "h1": _h1_json(res.h1),
+            "group_order": res.group_order,
+            "verdict": f"H^1 = {res.h1}",
+        }
+        if predicted is not None:
+            out["predicted_h1_order"] = predicted
+        return out
 
     def text():
         line = f"{case}: H^0 rank {res.h0_rank}, H^1 = {res.h1}"
@@ -360,7 +361,7 @@ def _cmd_search(args) -> _Outcome:
     m = weyl_search(args.degree, args.prime, cfg=cfg)
     res = h1(m)
     predicted = charpoly_order(m)
-    report = {
+    return EXIT_OK, lambda: {
         "command": "search",
         "degree": args.degree,
         "prime": args.prime,
@@ -371,8 +372,7 @@ def _cmd_search(args) -> _Outcome:
         "h1": _h1_json(res.h1),
         "predicted_h1_order": predicted,
         "verdict": f"H^1 = {res.h1}",
-    }
-    return EXIT_OK, report, lambda: (
+    }, lambda: (
         f"found an order-{args.prime} isometry on the degree-{args.degree} lattice "
         f"(seed {args.seed})\n"
         f"H^1 = {res.h1}; predicted order {predicted}\n"
@@ -383,7 +383,8 @@ def _cmd_search(args) -> _Outcome:
 def _cmd_scan(args) -> _Outcome:
     doc = _read_document(args.input)
     scan = obstruction_scan(doc.lattice)
-    report = {
+    doc = replace(doc)  # the report echoes the document: a copy without the cached lattice lets the walk go
+    return EXIT_OK, lambda: {
         "command": "scan",
         "input": doc.echo(),
         "h0_rank": scan.full_group.h0_rank,
@@ -399,8 +400,7 @@ def _cmd_scan(args) -> _Outcome:
         "obstructed": scan.obstructed,
         "witnesses": list(scan.witnesses),
         "verdict": scan.verdict,
-    }
-    return EXIT_OK, report, lambda: "\n".join(
+    }, lambda: "\n".join(
         [f"full group: H^1 = {scan.full_group.h1}"]
         + [f"  element {e.generator_index} (order {e.order}): H^1 = {e.h1}" for e in scan.subgroups]
         + [scan.verdict]
@@ -454,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    """Run one subcommand, timed from reading its input until its report is built, and print the report."""
+    """Run one subcommand, timed from reading its input until the report it prints is built, and print it."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -463,10 +463,11 @@ def run_command(argv: list[str] | None = None) -> int:
     try:
         t0 = time.perf_counter()
         code, report, text = args.func(args)
+        out = report() if args.json else text()
         elapsed = (time.perf_counter() - t0) * 1000.0
         if args.json and args.timing:
-            report["timing_ms"] = round(elapsed, 3)
-        print(_indented_json(report) if args.json else f"{text()}\ndone in {elapsed:.0f} ms")
+            out["timing_ms"] = round(elapsed, 3)
+        print(_indented_json(out) if args.json else f"{out}\ndone in {elapsed:.0f} ms")
         return code
     except SearchExhausted as e:
         print(f"search exhausted: {e}", file=sys.stderr)

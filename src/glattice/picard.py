@@ -23,8 +23,9 @@ Each fact about an action built here is checked once.  :class:`GLattice`
 checks unimodularity and the form, as for a user's document; the cyclic
 spec confirms the order exactly (``matrix_order``), which a row reads as
 ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
-checked only by the row.  Matrices written here skip the per-entry check
-(their arguments are checked up front); a conic bundle's Q action is a
+checked by the row, and ``charpoly_order`` refuses an action moving K, as
+its formula reads the Pic matrix.  Matrices written here skip the per-entry
+check (their arguments are checked up front); a conic bundle's Q action is a
 leading block of its Pic lattice, with its checks (``leading_block``).
 """
 
@@ -44,7 +45,6 @@ from .intlinalg import (
     char_poly,
     express_in_row_basis,
     kernel_basis,
-    poly_eval,
     poly_pow,
     poly_str,
 )
@@ -362,8 +362,8 @@ class WeylSearchConfig:
 _MAX_WEYL_ORDER = 60
 
 
-def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | None = None) -> GLattice:
-    """Find an order-p isometry of Pic with char polynomial Phi_p^s on Q.
+def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice:
+    """Find an order-p isometry of Pic with char polynomial Phi_p^s on Q, s = (9 - d)/(p - 1).
 
     Each trial draws a word of random length in [word_min, word_max] over
     uniformly sampled roots and multiplies the reflections.  When p divides
@@ -397,11 +397,7 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
         raise ValueError(f"p must be prime, got {p}")
     if p - 1 > 9 - d or (9 - d) % (p - 1) != 0:
         raise ValueError(f"(9-d) = {9 - d} is not divisible by (p-1) = {p - 1}")
-    mult = (9 - d) // (p - 1)
-    if s is None:
-        s = mult
-    elif s != mult:
-        raise ValueError(f"multiplicity must be (9-d)/(p-1) = {mult}, got {s}")
+    s = (9 - d) // (p - 1)
     if cfg is None:
         cfg = WeylSearchConfig()
 
@@ -449,10 +445,12 @@ def weyl_search(d: int, p: int, s: int | None = None, cfg: WeylSearchConfig | No
 def charpoly_order(m: GLattice) -> int:
     """Predicted order of H^1 from the Q-characteristic polynomial.
 
-    For a cyclic prime-order action on a del Pezzo Picard lattice whose
-    fixed sublattice is spanned by K alone, the order of H^1(G, Pic) equals
-    |chi(1)| / d where chi is the characteristic polynomial of the generator
-    on Q = K^perp and d the degree.
+    For a cyclic prime-order action on a del Pezzo Picard lattice that fixes
+    K, with fixed sublattice spanned by K alone, the order of H^1(G, Pic)
+    equals |chi(1)| / d where chi is the characteristic polynomial of the
+    generator on Q = K^perp and d the degree.  As K.K = d is nonzero, chi_Pic
+    = (t - 1) chi, so chi(1) = chi_Pic'(1): for an element of finite order it
+    is nonzero exactly when the fixed sublattice has rank 1.
     """
     if not isinstance(m.group, Cyclic):
         raise ValueError("charpoly_order needs a cyclic action")
@@ -463,11 +461,12 @@ def charpoly_order(m: GLattice) -> int:
     n = m.group._order
     if not _is_prime(n):
         raise ValueError(f"the generator must have prime order, got {n}")
-    if (rank := invariants_h0(m).rows) != 1:
-        raise ValueError(f"fixed sublattice has rank {rank}, expected 1")
-    q = root_system(d).q
-    chi = char_poly(restrict_action(m.group.generator, q.basis))
-    value = abs(poly_eval(chi, 1))
+    if m.group.generator @ lat.k_column() != lat.k_column():
+        raise ValueError("the generator does not fix K, the canonical class")
+    # chi(1) = chi_Pic'(1) read from the Pic matrix, with no restriction to Q
+    value = abs(sum(i * c for i, c in enumerate(char_poly(m.group.generator))))
+    if value == 0:
+        raise ValueError(f"fixed sublattice has rank {invariants_h0(m).rows}, expected 1")
     if value % d != 0:
         raise ValueError(f"|chi(1)| = {value} is not divisible by the degree {d}")
     return value // d

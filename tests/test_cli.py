@@ -708,6 +708,17 @@ def test_json_scan_formats_no_text_report(tmp_path, monkeypatch, capsys):
         assert len(formatted) <= len(report["witnesses"])
 
 
+def test_text_scan_builds_no_json_report(tmp_path, monkeypatch, capsys):
+    # the JSON report's H^1 entries, one per cyclic subgroup and one for the group, are built only for --json
+    calls = []
+    real = cli._h1_json
+    monkeypatch.setattr(cli, "_h1_json", lambda g: calls.append(g) or real(g))
+    path = write_doc(tmp_path, golden_doc("S5pairs", False, "generated"))
+    assert run_command(["scan", "--input", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 67 + 3
+    assert calls == []
+
+
 # sha256 of the exit code, stdout and stderr of each of the 240 `groups`
 # benchmark ops (five passes of its 48-op template) at seeds 1 and 11, taken
 # before the walk composed permutations: every report and refusal must stay

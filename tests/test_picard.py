@@ -5,7 +5,7 @@ import re
 import pytest
 
 from glattice.cohomology import Cyclic, Generated, GLattice, h1_cyclic, invariants_h0, matrix_order
-from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_mul, poly_pow
+from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_eval, poly_mul, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
     ConicBundlePic,
@@ -465,8 +465,6 @@ def test_weyl_search_parameter_errors():
         weyl_search(2, 3)
     with pytest.raises(ValueError, match="prime"):
         weyl_search(1, 4)
-    with pytest.raises(ValueError, match="multiplicity"):
-        weyl_search(1, 3, s=3)
     with pytest.raises(ValueError, match="degree"):
         weyl_search(7, 3)
 
@@ -510,6 +508,35 @@ def test_charpoly_order_rejects_bad_inputs():
         charpoly_order(GLattice(8, Cyclic(IntMatrix.diagonal([-1] * 8))))
     with pytest.raises(ValueError, match="^charpoly_order needs a cyclic action$"):
         charpoly_order(GLattice(8, Generated([IntMatrix.identity(8)]), form=p.gram))
+
+
+def test_charpoly_order_refuses_an_action_moving_k():
+    # order 2, preserves the form, Pic^G = ZH of rank 1, and sends K = -3H + sum(E_i) to -3H - sum(E_i)
+    p = del_pezzo_pic(1)
+    flip = GLattice(9, Cyclic(IntMatrix.diagonal([1] + [-1] * 8)), form=p.gram)
+    assert invariants_h0(flip).rows == 1
+    with pytest.raises(ValueError, match="fix K"):
+        charpoly_order(flip)
+
+
+def test_charpoly_order_reads_only_the_picard_matrix(monkeypatch):
+    from glattice import cohomology, intlinalg, picard
+
+    cases = [build_case(case, WeylSearchConfig(seed=0)) for case in CASE_PARAMS]
+    calls = []
+    for module, name in [(picard, "restrict_action"), (picard, "root_system"), (picard, "kernel_basis"),
+                         (cohomology, "kernel_basis"), (intlinalg, "kernel_basis")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    assert [charpoly_order(m) for m in cases] == [p ** (2 * g) for p, g, _ in CASE_PARAMS.values()]
+    assert calls == []
+
+
+def test_charpoly_order_matches_the_restriction_to_k_perp():
+    # the reference: |chi(1)| / d with chi the char poly of the restriction to K^perp's basis
+    for (d, p), seed in itertools.product([(3, 3), (1, 3), (1, 5), (5, 5), (1, 2), (2, 2)], range(10)):
+        m = weyl_search(d, p, cfg=WeylSearchConfig(seed=seed))
+        chi = char_poly(restrict_action(m.group.generator, root_system(d).q.basis))
+        assert charpoly_order(m) == abs(poly_eval(chi, 1)) // d
 
 
 # --- the verification harness ------------------------------------------------------------
