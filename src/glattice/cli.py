@@ -281,7 +281,7 @@ def _cmd_verify_table(args) -> _Outcome:
                 "K2": r.k2,
                 "model": r.model,
                 "h1": _h1_json(r.h1_pic),
-                "h1_q": _h1_json(r.h1_q),
+                "h1_q": None if r.h1_q is None else _h1_json(r.h1_q),
                 "predicted_h1_order": r.predicted_h1_order,
                 "passed": r.passed,
                 "checks": [

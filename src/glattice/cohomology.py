@@ -268,14 +268,19 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
     exact ones (one for an involution, two for order 3).
     """
     k = _order_mod3(g, bound)
+    if _power(g, k) != IntMatrix.identity(g.rows):
+        raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
+    return k
+
+
+def _power(g: IntMatrix, k: int) -> IntMatrix:
+    """``g^k`` for ``k >= 1`` by binary powering: at most 2 log2(k) products."""
     power = g
     for bit in bin(k)[3:]:
         power = power @ power
         if bit == "1":
             power = power @ g
-    if power != IntMatrix.identity(g.rows):
-        raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
-    return k
+    return power
 
 
 def _order_mod3(g: IntMatrix, bound: int) -> int:
@@ -642,7 +647,7 @@ def invariants_h0(m: GLattice) -> IntMatrix:
     nothing and is made on every call: each caller asks once.  Every spec
     lists a matrix; at rank 0 the kernel is the 0x0 identity.
     """
-    return kernel_basis(_stacked(m.group.matrices, IntMatrix.identity(m.rank)))
+    return kernel_basis(_stacked(m.group.matrices, m.rank))
 
 
 def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, int]:
@@ -663,7 +668,7 @@ def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, i
     """
     ident = IntMatrix.identity(rank)
     gens = [g for g in dict.fromkeys(gens) if g != ident]
-    rows = _stacked(gens, ident)
+    rows = _stacked(gens, rank)
     if _is_prime(order):
         b, rest = divmod(rank - sum([gens[0][i][i] for i in range(rank)]), order)
         if rest:
@@ -674,9 +679,12 @@ def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, i
     return FinAbGroup(coker.invariant_factors), coker.free_rank
 
 
-def _stacked(gens: Sequence[IntMatrix], ident: IntMatrix) -> IntMatrix:
-    """B^T: the blocks g - 1 stacked, with no rows for no generators."""
-    return IntMatrix._from_rows(tuple([row for g in gens for row in g - ident]), ident.cols)
+def _stacked(gens: Sequence[IntMatrix], rank: int) -> IntMatrix:
+    """B^T: the blocks g - 1 stacked, with no rows for no generators; row i
+    of g - 1 is row i of g with 1 taken from its diagonal entry."""
+    return IntMatrix._from_rows(
+        tuple([row[:i] + (row[i] - 1,) + row[i + 1:] for g in gens for i, row in enumerate(g)]), rank
+    )
 
 
 def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
@@ -685,7 +693,7 @@ def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, wit
     h1, h0_rank = _h1(gens, m.rank, order)
     cert = None
     if witness:
-        b1 = _stacked(gens, IntMatrix.identity(m.rank)).transpose()
+        b1 = _stacked(gens, m.rank).transpose()
         z1 = kernel_basis(kernel_basis(b1))
         if method == "cyclic":  # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
             cert = Witness(z1, -b1, "ker(N) basis and eta(M) generators")

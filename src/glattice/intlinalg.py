@@ -23,10 +23,11 @@ that clear to zero, and ``smith_form``, on rows and on columns.
 The actions met in practice (permutation modules, de Jonquieres and Weyl
 group elements) are mostly zeros with tiny entries, so the kernels are
 sparse-aware: ``A @ B`` sums ``a * B[k]`` over the nonzero ``a`` of each row
-of ``A`` (Gustavson); row and column operations skip zero source entries;
-``det`` skips the Bareiss updates that are the identity; ``kernel_basis``
-eliminates the sparsest rows first (``_fill_in_order``); ``subquotient`` of
-the identity basis solves nothing.
+of ``A`` (Gustavson), adding a row ``B[k]`` with fewer than a quarter
+nonzeros at its nonzero columns alone; row and column operations skip zero
+source entries; ``det`` skips the Bareiss updates that are the identity;
+``kernel_basis`` eliminates the sparsest rows first (``_fill_in_order``);
+``subquotient`` of the identity basis solves nothing.
 Characteristic polynomials are computed modulo a prime above their
 coefficient bound (see ``char_poly``).
 
@@ -270,19 +271,29 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: i
     """Rows of the product of ``a`` and ``b``, where ``b`` has ``width`` columns.
 
     Output row i is the sum of ``x * b[k]`` over the nonzero entries
-    ``x = a[i][k]``, with ``+1`` and ``-1`` taken without multiplying; rows
-    of ``a`` with no nonzero entry share one zero tuple.
+    ``x = a[i][k]``, which ``compress`` finds; rows of ``a`` with no nonzero
+    entry share one zero tuple.  The first term starts the sum (``b[k]``
+    itself when ``x`` is 1).  A later row ``b[k]`` with fewer than a quarter
+    nonzeros is scattered into the sum at its nonzero columns; a denser one
+    is added across the whole width, with ``+1`` and ``-1`` taken without
+    multiplying.  The choice reads that row alone, so rows of ``b`` that no
+    entry of ``a`` selects cost nothing.
     """
     zero = (0,) * width
+    columns, inner = range(width), range(len(b))
     out = []
     for row in a:
         acc = None
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            r = b[k]
+        for k in compress(inner, row):
+            x, r = row[k], b[k]
             if acc is None:
+                first = r
                 acc = r if x == 1 else [-y for y in r] if x == -1 else [x * y for y in r]
+            elif 4 * (width - r.count(0)) < width:
+                if acc is first:  # a row of b itself: never write into it
+                    acc = list(acc)
+                for j in compress(columns, r):
+                    acc[j] += x * r[j]
             elif x == 1:
                 acc = [s + y for s, y in zip(acc, r)]
             elif x == -1:

@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, _order_mod3, h1_cyclic, invariants_h0, leading_block
+from .cohomology import Cyclic, GLattice, _order_mod3, _power, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -169,15 +169,18 @@ class RootSystem:
     (there are at most 240 roots).  ``a.translate(b)`` is then a followed
     by b.  ``simple[k]`` is the index of the k-th simple root, and
     ``coords[i]`` are the coordinates of ``roots[i]`` in the simple roots.
-    ``q`` is K^perp.
     """
 
     lattice: PicardLattice
-    q: QLattice
     roots: tuple[tuple[int, ...], ...]
     simple: tuple[int, ...]
     coords: tuple[tuple[int, ...], ...]
     reflections: tuple[bytes, ...]
+
+    @cached_property
+    def q(self) -> QLattice:
+        """K^perp, built on first use: the Weyl search never reads it."""
+        return q_sublattice(self.lattice)
 
 
 @cache
@@ -224,7 +227,6 @@ def root_system(d: int) -> RootSystem:
         tables.append(tables[k].translate(tables[i]).translate(tables[k]))
     return RootSystem(
         lattice=lat,
-        q=q_sublattice(lat),
         roots=tuple([found[i] for i in order]),
         simple=tuple(rank[:n]),
         coords=tuple([coords[i] for i in order]),
@@ -401,7 +403,6 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
     if cfg is None:
         cfg = WeylSearchConfig()
 
-    target = poly_pow((1,) * p, s)
     target_trace = -s  # s copies of the primitive p-th roots of unity summed: b = 0, a = s
     tables = system.reflections
     coords = system.coords
@@ -427,13 +428,10 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
         u = powers[order // p]
         if sum([coords[u[r]][j] for j, r in enumerate(simple)]) != target_trace:
             continue
-        full = _word_matrix(lat, [system.roots[idx] for idx in word])
-        found = full
-        for _ in range(order // p - 1):
-            found = found @ full
+        found = _power(_word_matrix(lat, [system.roots[idx] for idx in word]), order // p)
         return GLattice(rank=lat.rank, group=Cyclic(found), form=lat.gram)
     raise SearchExhausted(
-        f"no order-{p} isometry with Q-char-polynomial {poly_str(target)} "
+        f"no order-{p} isometry with Q-char-polynomial {poly_str(poly_pow((1,) * p, s))} "
         f"found in {cfg.max_trials} trials (seed {cfg.seed})"
     )
 
@@ -521,7 +519,7 @@ class RowReport:
     k2: int
     model: str
     h1_pic: FinAbGroup
-    h1_q: FinAbGroup
+    h1_q: FinAbGroup | None  # None when the generator moves K, so that K^perp is not invariant
     h0_rank: int
     predicted_h1_order: int | None
     generator: IntMatrix
@@ -540,35 +538,43 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     p, g, d = CASE_PARAMS[case]
     m = build_case(case, cfg)
     system = root_system(d)
-    lat, q = system.lattice, system.q
+    lat = system.lattice
     delta = m.group.generator
-    # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it;
-    # the restriction's order divides delta's, so by Minkowski's lemma it is its order mod 3
-    gq = restrict_action(delta, q.basis)
-    mq = GLattice(q.rank, Cyclic(gq)._keep(q.gram_q, order=_order_mod3(gq, m.group._order)), q.gram_q)
     res = h1_cyclic(m)
-    resq = h1_cyclic(mq)
     expected = FinAbGroup((p,) * (2 * g))
-    predicted = charpoly_order(m)
-    j = 1 if d == p else 0
-    count = (9 - d) // (p - 1) - j
-    order = res.group_order
-    checks = (
+    fixes_k = delta @ lat.k_column() == lat.k_column()
+    h1_q = predicted = None
+    checks = [
         _check(
             "H^1(Pic) = (Z/p)^2g",
             res.h1 == expected,
             f"computed {res.h1}, expected {expected}",
         ),
-        _check(
-            "|H^1(Q)| = d * |H^1(Pic)|",
-            resq.h1.order() == d * res.h1.order(),
-            f"|H^1(Q)| = {resq.h1.order()}, d * |H^1(Pic)| = {d * res.h1.order()}",
-        ),
-        _check(
-            "char-poly order formula",
-            predicted == res.h1.order(),
-            f"|chi(1)|/d = {predicted}, |H^1(Pic)| = {res.h1.order()}",
-        ),
+    ]
+    if fixes_k:  # K^perp and the order formula need an action that fixes K
+        # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it;
+        # the restriction's order divides delta's, so by Minkowski's lemma it is its order mod 3
+        q = system.q
+        gq = restrict_action(delta, q.basis)
+        mq = GLattice(q.rank, Cyclic(gq)._keep(q.gram_q, order=_order_mod3(gq, m.group._order)), q.gram_q)
+        h1_q = h1_cyclic(mq).h1
+        predicted = charpoly_order(m)
+        checks += [
+            _check(
+                "|H^1(Q)| = d * |H^1(Pic)|",
+                h1_q.order() == d * res.h1.order(),
+                f"|H^1(Q)| = {h1_q.order()}, d * |H^1(Pic)| = {d * res.h1.order()}",
+            ),
+            _check(
+                "char-poly order formula",
+                predicted == res.h1.order(),
+                f"|chi(1)|/d = {predicted}, |H^1(Pic)| = {res.h1.order()}",
+            ),
+        ]
+    j = 1 if d == p else 0
+    count = (9 - d) // (p - 1) - j
+    order = res.group_order
+    checks += [
         _check(
             "invariant-factor count = (9-d)/(p-1) - j",
             len(res.h1.invariant_factors) == count,
@@ -576,8 +582,8 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
         ),
         _check(
             "generator has order p and fixes K",
-            order == p and delta @ lat.k_column() == lat.k_column(),
-            f"order {order}",
+            order == p and fixes_k,
+            f"order {order}" if fixes_k else f"order {order}, moves K",
         ),
         _check(
             "fixed sublattice has rank 1",
@@ -589,7 +595,7 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
             m.form == lat.gram,  # GLattice has checked g^T.form.g = form
             "checked g^T.gram.g = gram",
         ),
-    )
+    ]
     return RowReport(
         case=case,
         p=p,
@@ -597,11 +603,11 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
         k2=d,
         model=CASE_MODELS[case],
         h1_pic=res.h1,
-        h1_q=resq.h1,
+        h1_q=h1_q,
         h0_rank=res.h0_rank,
         predicted_h1_order=predicted,
         generator=delta,
-        checks=checks,
+        checks=tuple(checks),
     )
 
 

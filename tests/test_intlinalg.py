@@ -17,6 +17,7 @@ from glattice.intlinalg import (
     express_in_row_basis,
     hermite_form,
     kernel_basis,
+    matmul_rows,
     poly_eval,
     poly_mul,
     poly_pow,
@@ -644,11 +645,35 @@ def test_matmul_matches_naive_product():
         (dense, huge),
         (IntMatrix([], cols=4), random_matrix(rng, 4, 3)),
     ]
+    # rows of B with fewer than a quarter nonzeros are scattered into the sum, denser ones added in full;
+    # A's rows mix 1, -1 and other entries, and start on sparse and dense rows alike
+    mixed = IntMatrix([
+        [i + 1 if j == i else -2 if j == (i + 5) % 12 else 0 for j in range(12)] if i % 2 == 0
+        else [(3 * i + j) % 7 - 3 for j in range(12)]
+        for i in range(10)
+    ])
+    picks = IntMatrix([
+        [1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, -1, 0, 5, 0, 0, 0],
+        [1, 1, 0, -1, 0, 0, 0, 0, 1, 0],
+        [0, -1, 0, 0, 1, 0, 0, 0, -7, 0],
+        [3, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+        [0] * 10,
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+    ] + [[rng.choice((0, 0, 0, 1, -1, 5, -7)) for _ in range(10)] for _ in range(4)])
+    cases += [(picks, mixed), (picks @ mixed @ mixed.transpose(), mixed), (mixed.transpose(), mixed)]
+    # the genus-20 de Jonquieres involution and its form
+    cb = dejonquieres(20)
+    cases += [(cb.delta, cb.delta), (cb.delta.transpose(), cb.gram), (cb.delta.transpose() @ cb.gram, cb.delta)]
     for a, b in cases:
         prod = a @ b
         assert prod.rows == a.rows and prod.cols == b.cols
         assert prod.tolists() == naive_product(a, b)
         assert_check_free_result(prod)
+    # B given as lists, as express_in_row_basis passes them, is read and never written
+    b = mixed.tolists()
+    assert matmul_rows(picks.tolists(), b, 12) == list(map(tuple, naive_product(picks, mixed)))
+    assert b == mixed.tolists()
     # an empty inner dimension gives the zero matrix of the outer shape
     prod = IntMatrix([[], [], []], cols=0) @ IntMatrix([], cols=4)
     assert prod == IntMatrix.zeros(3, 4)

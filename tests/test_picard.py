@@ -428,6 +428,32 @@ def test_weyl_search_exhaustion_is_distinct():
         weyl_search(1, 5, cfg=cfg)
 
 
+def test_weyl_search_builds_no_k_perp(monkeypatch):
+    # a search reads the roots alone: K^perp, with its kernel and minors, is built on first use of .q
+    from glattice import cohomology, intlinalg, picard
+
+    calls = []
+    for module in (picard, cohomology, intlinalg):
+        monkeypatch.setattr(module, "kernel_basis", lambda *a: calls.append(a))
+    root_system.cache_clear()
+    weyl_search(1, 5)
+    assert calls == []
+
+
+def test_power_matches_repeated_products_on_weyl_words():
+    from glattice.cohomology import _power
+
+    rng = random.Random(5)
+    for d in (1, 3):
+        lat = del_pezzo_pic(d)
+        system = root_system(d)
+        w = _word_matrix(lat, [rng.choice(system.roots) for _ in range(9)])
+        power = w
+        for k in range(1, 61):
+            assert _power(w, k) == power
+            power = power @ w
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_trace_fixes_the_char_poly_of_a_prime_order_weyl_element(d):
     # u of order p acts on Q (rank 9 - d) with char poly (t - 1)^b Phi_p^a: b + (p - 1) a = 9 - d and
@@ -607,6 +633,25 @@ def test_verify_row_reports_a_broken_construction(monkeypatch, capsys):
     assert check.detail == f"|det gram| = {2 ** r.generator.rows}"
     assert run_command(["verify-table", "--max-genus", "1"]) == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_row_reports_a_generator_that_moves_k(monkeypatch):
+    # diag(1, -1, ..., -1) preserves the form but moves K: the row records its failed check instead of
+    # raising from a restriction to K^perp, which it skips along with the order formula
+    import glattice.picard as picard
+
+    lat = del_pezzo_pic(1)
+    flip = GLattice(9, Cyclic(IntMatrix.diagonal([1] + [-1] * 8)), form=lat.gram)
+    monkeypatch.setattr(picard, "build_case", lambda case, cfg=None: flip)
+    calls = []
+    for name in ("restrict_action", "charpoly_order"):
+        monkeypatch.setattr(picard, name, lambda *a, name=name: calls.append(name))
+    r = verify_row("bertini")
+    assert calls == []
+    assert not r.passed
+    assert [c.name for c in r.checks if not c.passed] == ["generator has order p and fixes K"]
+    assert r.checks[-3].detail == "order 2, moves K"
+    assert r.h1_q is None and r.predicted_h1_order is None
 
 
 def test_no_assert_statements_in_src():
