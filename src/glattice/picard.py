@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, _order_mod3, _power, h1_cyclic, invariants_h0, leading_block
+from .cohomology import Cyclic, GLattice, _order_mod3, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -133,21 +133,6 @@ def q_sublattice(p: PicardLattice) -> QLattice:
     return QLattice(parent=p, basis=basis, gram_q=gram_q)
 
 
-def _reflect(p: PicardLattice, x, alpha):
-    c = p.dot(x, alpha)
-    return tuple(a + c * b for a, b in zip(x, alpha))
-
-
-def _word_matrix(p: PicardLattice, word) -> IntMatrix:
-    """Product of the reflections in the roots of ``word``; its last root acts first."""
-    cols = []
-    for x in IntMatrix.identity(p.rank):  # column j: e_j reflected along the word
-        for alpha in reversed(word):
-            x = _reflect(p, x, alpha)
-        cols.append(x)
-    return IntMatrix._from_rows(tuple(cols), p.rank).transpose()
-
-
 def simple_roots(p: PicardLattice) -> list[tuple[int, ...]]:
     """H - E1 - E2 - E3 followed by the differences E_i - E_{i+1}."""
     n = p.rank
@@ -240,11 +225,17 @@ def roots(p: PicardLattice) -> list[tuple[int, ...]]:
 
 
 def reflection(p: PicardLattice, alpha) -> IntMatrix:
-    """Matrix of x -> x + (x.alpha) alpha; an involution fixing K."""
+    """Matrix of x -> x + (x.alpha) alpha; an involution fixing K.
+
+    Entry (i, j) is delta_ij + alpha_i (e_j.alpha), where e_j.alpha is
+    alpha_0 for j = 0 and -alpha_j otherwise.
+    """
     alpha = tuple(alpha)
-    if p.dot(alpha, alpha) != -2 or p.dot(alpha, p.k) != 0:
+    if len(alpha) != p.rank or p.dot(alpha, alpha) != -2 or p.dot(alpha, p.k) != 0:
         raise ValueError(f"not a root: {alpha}")
-    return _word_matrix(p, [alpha])
+    pairing = (alpha[0],) + tuple([-a for a in alpha[1:]])  # e_j.alpha
+    rows = tuple([tuple([int(i == j) + a * c for j, c in enumerate(pairing)]) for i, a in enumerate(alpha)])
+    return IntMatrix._from_rows(rows, p.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +378,10 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
     similar over Q to u's matrix on the basis of Q.  Its trace decides the
     test: u has order p, so its char poly on Q is (t - 1)^b Phi_p^a with
     b + (p - 1) a = 9 - d and trace b - a, which fix a and b.  The accepted
-    word's matrix on Pic is then formed once, by reflecting each basis
-    vector along the word.
+    u's matrix M on Pic is then read off the same permutation: with B the
+    matrix whose columns are the simple roots and then K (|det B| = d), and
+    B' the matrix of their images under u (u fixes K), M is the unique
+    integer solution of M B = B'.
 
     Deterministic for a fixed seed.  Raises :class:`SearchExhausted` after
     max_trials misses; parameter errors are ordinary ValueErrors.
@@ -407,6 +400,8 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
     tables = system.reflections
     coords = system.coords
     simple = system.simple
+    # columns: the simple roots and then K, and below their images under the accepted element
+    basis = IntMatrix._from_rows(tuple(zip(*[system.roots[r] for r in simple], lat.k)), lat.rank)
     rng = random.Random(cfg.seed)
     nroots = len(tables)
     ident = bytes(range(256))
@@ -428,7 +423,8 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
         u = powers[order // p]
         if sum([coords[u[r]][j] for j, r in enumerate(simple)]) != target_trace:
             continue
-        found = _power(_word_matrix(lat, [system.roots[idx] for idx in word]), order // p)
+        images = IntMatrix._from_rows(tuple(zip(*[system.roots[u[r]] for r in simple], lat.k)), lat.rank)
+        found = express_in_row_basis(basis, images)  # found @ basis == images
         return GLattice(rank=lat.rank, group=Cyclic(found), form=lat.gram)
     raise SearchExhausted(
         f"no order-{p} isometry with Q-char-polynomial {poly_str(poly_pow((1,) * p, s))} "

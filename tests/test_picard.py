@@ -5,7 +5,7 @@ import re
 import pytest
 
 from glattice.cohomology import Cyclic, Generated, GLattice, h1_cyclic, invariants_h0, matrix_order
-from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, poly_eval, poly_mul, poly_pow
+from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, express_in_row_basis, poly_eval, poly_mul, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
     ConicBundlePic,
@@ -26,7 +26,6 @@ from glattice.picard import (
     simple_roots,
     verify_row,
     weyl_search,
-    _word_matrix,
 )
 
 
@@ -172,19 +171,36 @@ def test_reflection_rejects_non_roots():
         reflection(p, (1, 0, 0, 0, 0, 0, 0))
 
 
+def test_reflection_refuses_a_vector_of_the_wrong_length():
+    # PicardLattice.dot zips its arguments: the first passes both root tests on its leading entries,
+    # the second is a root once truncated to the rank
+    p = del_pezzo_pic(3)
+    for bad in [(1, -1, -1, -1), (0, 1, -1, 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match=f"^not a root: {re.escape(str(bad))}$"):
+            reflection(p, bad)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_word_matrix_is_the_product_of_its_reflections(d):
-    import random
-
+    # weyl_search reads a word's matrix M off its permutation of the roots as the solution of M B = B',
+    # where B has the simple roots and then K as columns and B' their images: the product of the
+    # reflections must send each simple root where the composed tables do and fix K
     p = del_pezzo_pic(d)
-    all_roots = roots(p)
+    system = root_system(d)
+    basis = IntMatrix([system.roots[r] for r in system.simple] + [p.k]).transpose()
+    assert abs(basis.det()) == d
     rng = random.Random(d)
-    for _ in range(50):
-        word = [rng.choice(all_roots) for _ in range(rng.randint(1, 16))]
-        product = reflection(p, word[0])
-        for alpha in word[1:]:
-            product = product @ reflection(p, alpha)
-        assert _word_matrix(p, word) == product
+    for _ in range(40):
+        word = [rng.randrange(len(system.roots)) for _ in range(rng.randint(1, 16))]
+        table = system.reflections[word[-1]]
+        for idx in reversed(word[:-1]):  # composed as weyl_search composes them
+            table = table.translate(system.reflections[idx])
+        product = IntMatrix.identity(p.rank)
+        for idx in word:
+            product = product @ reflection(p, system.roots[idx])
+        images = IntMatrix([system.roots[table[r]] for r in system.simple] + [p.k]).transpose()
+        assert product @ basis == images
+        assert express_in_row_basis(basis, images) == product
     bad = (1,) + (0,) * (p.rank - 1)
     with pytest.raises(ValueError, match=f"^not a root: {re.escape(str(bad))}$"):
         reflection(p, bad)
@@ -447,7 +463,9 @@ def test_power_matches_repeated_products_on_weyl_words():
     for d in (1, 3):
         lat = del_pezzo_pic(d)
         system = root_system(d)
-        w = _word_matrix(lat, [rng.choice(system.roots) for _ in range(9)])
+        w = IntMatrix.identity(lat.rank)
+        for _ in range(9):
+            w = w @ reflection(lat, rng.choice(system.roots))
         power = w
         for k in range(1, 61):
             assert _power(w, k) == power
