@@ -18,7 +18,8 @@ inserting rows one at a time into a basis kept in reduced Hermite form
 entries above the pivots.  Column elimination (``_clear_below``, which
 zeroes a column below its pivot) is left where no reduced basis is read:
 ``kernel_basis``'s first pass, which keeps only the transforms of the rows
-that clear to zero, and ``smith_form``, on rows and on columns.
+that clear to zero, and ``smith_form``, on rows and on columns.  Outside
+``smith_form`` a transform, when kept, is its row's tail: one call for both.
 
 The actions met in practice (permutation modules, de Jonquieres and Weyl
 group elements) are mostly zeros with tiny entries, so the kernels are
@@ -366,10 +367,15 @@ def _fill_in_order(row: Sequence[int]) -> int:
     return -end
 
 
-def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: list[int], urow: list[int]) -> bool:
-    """Clear ``row`` against the reduced Hermite basis ``h``, whose pivots lie
-    in the columns ``cols``, ``urow`` taking the same operations as ``row``
-    and ``hu`` as ``h``; return whether anything is left of ``row``.
+def _with_identity(a: IntMatrix) -> list[list[int]]:
+    """The rows of ``a``, each with the matching identity row as its tail."""
+    return [list(row + unit) for row, unit in zip(a, IntMatrix.identity(a.rows))]
+
+
+def _insert_row(h: list[list[int]], cols: list[int], row: list[int], n: int) -> bool:
+    """Clear the first ``n`` entries of ``row`` against the reduced Hermite
+    basis ``h``, whose pivots lie in the columns ``cols``; return whether any
+    is left.  Each operation covers the whole row, so a tail follows along.
 
     A pivot that divides the row's entry clears it by an exact quotient;
     any other takes the xgcd transform with the row, which leaves their gcd
@@ -378,7 +384,7 @@ def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: l
     the entries above each pivot are reduced again into ``[0, pivot)``.
     """
     first = None
-    n, m = len(row), len(cols)
+    m = len(cols)
     k = j = 0
     while True:
         while j < n and not row[j]:
@@ -389,20 +395,17 @@ def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: l
             k += 1
         if k == m or cols[k] != j:
             if row[j] < 0:
-                row, urow = [-x for x in row], [-x for x in urow]
+                row = [-x for x in row]
             cols.insert(k, j)
             h.insert(k, row)
-            hu.insert(k, urow)
             first = k if first is None else first
             break
         p, b = h[k][j], row[j]
         if b % p == 0:
             _row_sub(row, h[k], b // p, j)
-            _row_sub(urow, hu[k], b // p)
         else:
             x, y, g = xgcd(p, b)
             _combine_rows(h[k], row, x, y, -(b // g), p // g, j)
-            _combine_rows(hu[k], urow, x, y, -(b // g), p // g)
             first = k if first is None else first
     if first is not None:
         for l in range(first, len(h)):
@@ -412,21 +415,18 @@ def _insert_row(h: list[list[int]], hu: list[list[int]], cols: list[int], row: l
                 q = h[i][c] // p  # floor: leaves the entry in [0, p)
                 if q:
                     _row_sub(h[i], h[l], q, c)
-                    _row_sub(hu[i], hu[l], q)
     return j < n
 
 
-def _reduced_basis(rows: list[list[int]], units: list[list[int]]):
-    """Insert ``rows`` in order into an empty reduced Hermite basis, each
-    taking its transform from ``units`` along (``_insert_row``); return the
-    basis, its transforms, its pivot columns and the transforms of the rows
-    that cleared to zero, in order.  A caller that needs no transforms
-    passes empty ones: the row operations skip them at no cost."""
-    h, hu, cols, zero_u = [], [], [], []
-    for row, urow in zip(rows, units):
-        if not _insert_row(h, hu, cols, row, urow):
-            zero_u.append(urow)
-    return h, hu, cols, zero_u
+def _reduced_basis(rows: list[list[int]], n: int):
+    """Insert ``rows`` in order into an empty reduced Hermite basis on the
+    first ``n`` columns (``_insert_row``); return the basis, its pivot
+    columns and the tails past ``n`` of the rows that cleared, in order."""
+    h, cols, zero_tails = [], [], []
+    for row in rows:
+        if not _insert_row(h, cols, row, n):
+            zero_tails.append(row[n:])
+    return h, cols, zero_tails
 
 
 def hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -435,28 +435,29 @@ def hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     ``H`` keeps the shape of ``A``: the nonzero rows, a basis of the row
     lattice of ``A``, come first, followed by zero rows.
 
-    The rows of ``A`` are inserted one at a time into a basis that is kept
-    in reduced Hermite form (``_insert_row``), the rows of ``U`` following,
-    as Kannan and Bachem do ("Polynomial algorithms for computing the Smith
-    and Hermite normal forms of an integer matrix", SIAM J. Comput. 8,
-    1979): the entries above each pivot stay below it, so they cannot grow
-    from one elimination to the next.  ``U``'s last rows are the transforms
-    of the rows that cleared to zero, in the order of ``A``.  On dense
-    30 x 30 matrices with entries in [-20, 20] this takes 0.008-0.013 s,
-    where eliminating column by column and reducing above each pivot took
-    0.05-3.1 s on nine of ten seeds and over 120 s on the tenth (2-core
-    x86_64, Python 3.11.7).  ``H`` is unique, and so is ``U`` when ``A`` is
-    square and nonsingular.
+    The rows of ``A``, each with the matching identity row as its tail, are
+    inserted one at a time into a basis kept in reduced Hermite form
+    (``_insert_row``), as Kannan and Bachem do ("Polynomial algorithms for
+    computing the Smith and Hermite normal forms of an integer matrix",
+    SIAM J. Comput. 8, 1979): the entries above each pivot stay below it,
+    so they cannot grow from one elimination to the next.  The tails end
+    as ``U``'s rows, those of the rows that cleared to zero last, in the
+    order of ``A``.  On dense 30 x 30 matrices with entries in [-20, 20]
+    this takes 0.008-0.013 s, where eliminating column by column and
+    reducing above each pivot took 0.05-3.1 s on nine of ten seeds and over
+    120 s on the tenth (2-core x86_64, Python 3.11.7).  ``H`` is unique,
+    and so is ``U`` when ``A`` is square and nonsingular.
     """
-    h, hu, _, zero_u = _reduced_basis(a.tolists(), IntMatrix.identity(a.rows).tolists())
-    zero = [(0,) * a.cols] * len(zero_u)
-    return _matrix(h + zero, a.cols), _matrix(hu + zero_u, a.rows)
+    n = a.cols
+    h, _, zero_u = _reduced_basis(_with_identity(a), n)
+    zero = [(0,) * n] * len(zero_u)
+    return _matrix([row[:n] for row in h] + zero, n), _matrix([row[n:] for row in h] + zero_u, a.rows)
 
 
 def row_basis(a: IntMatrix) -> IntMatrix:
     """Canonical (Hermite) basis of the lattice spanned by the rows of ``a``:
     the nonzero rows of ``hermite_form(a)``'s ``H``, found without ``U``."""
-    return _matrix(_reduced_basis(a.tolists(), [[]] * a.rows)[0], a.cols)
+    return _matrix(_reduced_basis(a.tolists(), a.cols)[0], a.cols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -476,8 +477,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """
     # the kernel is a lattice and its Hermite basis is unique, so the rows
     # may be eliminated in any order
-    rows = sorted(zip(a.transpose(), IntMatrix.identity(a.cols)), key=lambda pair: _fill_in_order(pair[0]))
-    t = [list(row + unit) for row, unit in rows]
+    t = sorted(_with_identity(a.transpose()), key=lambda row: _fill_in_order(row[:a.rows]))
     r = 0
     for j in range(a.rows):
         piv = None
@@ -488,13 +488,12 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
             t[r], t[piv] = t[piv], t[r]
             _clear_below(t, None, r, j)
             r += 1
-    ker = [row[a.rows:] for row in t[r:]]
-    return _matrix(_reduced_basis(ker, [[]] * len(ker))[0], a.cols)
+    return _matrix(_reduced_basis([row[a.rows:] for row in t[r:]], a.cols)[0], a.cols)
 
 
 def _solve_against_hnf(h: list[list[int]], cols: list[int], v: Sequence[int]) -> list[int] | None:
     """Integer coordinates of ``v`` in the Hermite basis ``h``, whose pivots
-    lie in the columns ``cols``, or None."""
+    lie in the columns ``cols``, or None; row tails past ``len(v)`` go unread."""
     residue = list(v)
     coeffs = []
     for row, c in zip(h, cols):
@@ -512,21 +511,18 @@ def express_in_row_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
 
     The rows of ``basis`` must be linearly independent and as wide as the
     vectors; raises :class:`NotSublattice` when a vector is not an integer
-    combination.
+    combination.  Rows carry their transforms as tails, as in ``hermite_form``.
     """
     if basis.cols != vectors.cols:
         raise ValueError("ambient dimensions differ")
-    h, hu, cols, zero_u = _reduced_basis(basis.tolists(), IntMatrix.identity(basis.rows).tolists())
+    h, cols, zero_u = _reduced_basis(_with_identity(basis), basis.cols)
     if zero_u:
         raise ValueError("basis rows are linearly dependent")
-    coords = []
-    for i, v in enumerate(vectors):
-        c = _solve_against_hnf(h, cols, v)
-        if c is None:
-            raise NotSublattice(f"vector {i} is not in the spanned lattice")
-        coords.append(c)
+    coords = [_solve_against_hnf(h, cols, v) for v in vectors]
+    if None in coords:
+        raise NotSublattice(f"vector {coords.index(None)} is not in the spanned lattice")
     # coordinates were found against H = U*basis; translate back
-    return IntMatrix._from_rows(tuple(matmul_rows(coords, hu, basis.rows)), basis.rows)
+    return IntMatrix._from_rows(tuple(matmul_rows(coords, [row[basis.cols:] for row in h], basis.rows)), basis.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +557,8 @@ def smith_form(a: IntMatrix) -> SmithForm:
     at the end restores the shape.  On dense 30 x 30 matrices with entries
     in [-20, 20] the transforms reach 436-3,213 bits (eight seeds), where
     clearing the rows first at every pivot reached 9,654-2,323,405.
+    ``U`` and ``V^T`` stay apart: as tails, each transpose would split and
+    rejoin every row, 5% slower on dense 16 x 16 inputs (2-core x86_64).
     """
     m, n = a.rows, a.cols
     d = a.tolists()
@@ -710,17 +708,15 @@ def subquotient(a_basis: IntMatrix, b_gens: IntMatrix) -> FinAbGroup:
         r = a_basis.rows
         coeff_rows = list(map(list, gens))
     else:
-        h, _, cols, _ = _reduced_basis(a_basis.tolists(), [[]] * a_basis.rows)
+        h, cols, _ = _reduced_basis(a_basis.tolists(), a_basis.cols)
         r = len(h)
-        coeff_rows = []
-        for v, i in gens.items():
-            c = _solve_against_hnf(h, cols, v)
-            if c is None:
-                raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")
-            coeff_rows.append(c)
+        coeff_rows = [_solve_against_hnf(h, cols, v) for v in gens]
+        if None in coeff_rows:
+            i = list(gens.values())[coeff_rows.index(None)]
+            raise NotSublattice(f"not a sublattice: generator {i} lies outside the lattice")
     # unimodular row operations keep the invariant factors and the rank, so
     # Smith gets the (at most r) nonzero Hermite rows
-    sf = smith_form(_matrix(_reduced_basis(coeff_rows, [[]] * len(coeff_rows))[0], r))
+    sf = smith_form(_matrix(_reduced_basis(coeff_rows, r)[0], r))
     factors = tuple(f for f in sf.invariant_factors if f > 1)
     return FinAbGroup(factors, free_rank=r - len(sf.invariant_factors))
 

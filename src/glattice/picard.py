@@ -228,9 +228,12 @@ def reflection(p: PicardLattice, alpha) -> IntMatrix:
     """Matrix of x -> x + (x.alpha) alpha; an involution fixing K.
 
     Entry (i, j) is delta_ij + alpha_i (e_j.alpha), where e_j.alpha is
-    alpha_0 for j = 0 and -alpha_j otherwise.
+    alpha_0 for j = 0 and -alpha_j otherwise.  Entries must be ``int``.
     """
     alpha = tuple(alpha)
+    for x in alpha:
+        if type(x) is not int:
+            raise TypeError(f"integer entry required, got {x!r}")
     if len(alpha) != p.rank or p.dot(alpha, alpha) != -2 or p.dot(alpha, p.k) != 0:
         raise ValueError(f"not a root: {alpha}")
     pairing = (alpha[0],) + tuple([-a for a in alpha[1:]])  # e_j.alpha

@@ -253,6 +253,36 @@ def test_hermite_transforms_of_dense_matrices_are_pinned():
         assert hasher.hexdigest() == pin, seed
 
 
+def spy_row_operations(monkeypatch):
+    """Record the width of the first row of every ``_row_sub`` and ``_combine_rows`` call."""
+    widths = []
+    for name in ("_row_sub", "_combine_rows"):
+        op = getattr(intlinalg, name)
+        monkeypatch.setattr(intlinalg, name, lambda row, *args, op=op: widths.append(len(row)) or op(row, *args))
+    return widths
+
+
+def test_bases_without_transforms_make_no_row_operation_on_an_empty_row(monkeypatch):
+    # row_basis, the kernel's second pass and both subquotient passes insert plain rows: no empty
+    # placeholder transform takes a second call for each operation
+    widths = spy_row_operations(monkeypatch)
+    rng = random.Random(34)
+    for _ in range(4):
+        row_basis(random_matrix(rng, 12, 16))
+        kernel_basis(random_matrix(rng, 12, 16))
+        a = random_matrix(rng, 10, 14)
+        subquotient(a, random_matrix(rng, 10, 10) @ a)
+    assert widths and 0 not in widths
+
+
+def test_hermite_form_makes_each_row_operation_once_on_the_row_and_its_transform(monkeypatch):
+    # each row carries its transform as its tail, so one call covers both: on a 16 x 16 input
+    # every operation is made on rows of width 32, none on the row or the transform alone
+    widths = spy_row_operations(monkeypatch)
+    hermite_form(random_matrix(random.Random(34), 16, 16))
+    assert widths and set(widths) == {32}
+
+
 @pytest.mark.parametrize("fn, seed", [pytest.param("hermite_form", s, id=str(s)) for s in (1, 2, 3)] + [
     pytest.param(fn, s, id=f"{fn}-{s}")
     for fn, s in (("row_basis", 16), ("express_in_row_basis", 6), ("subquotient", 2))
@@ -1002,7 +1032,7 @@ def test_smith_transforms_are_pinned():
 def test_subquotient_takes_each_distinct_nonzero_generator_once(monkeypatch):
     rows = []
     reduce = intlinalg._reduced_basis
-    monkeypatch.setattr(intlinalg, "_reduced_basis", lambda r, u: rows.append(len(r)) or reduce(r, u))
+    monkeypatch.setattr(intlinalg, "_reduced_basis", lambda r, n: rows.append(len(r)) or reduce(r, n))
     rng = random.Random(47)
     for _ in range(20):
         n = rng.randint(1, 6)

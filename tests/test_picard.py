@@ -180,6 +180,15 @@ def test_reflection_refuses_a_vector_of_the_wrong_length():
             reflection(p, bad)
 
 
+def test_reflection_refuses_entries_that_are_not_int():
+    # the matrix is built unchecked, so a float or bool entry must be refused before the root tests,
+    # which both vectors pass
+    p = del_pezzo_pic(3)
+    for bad, entry in [((0, 1.0, -1.0, 0, 0, 0, 0), "1.0"), ((0, True, -1, 0, 0, 0, 0), "True")]:
+        with pytest.raises(TypeError, match=f"^integer entry required, got {entry}$"):
+            reflection(p, bad)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_word_matrix_is_the_product_of_its_reflections(d):
     # weyl_search reads a word's matrix M off its permutation of the roots as the solution of M B = B',
