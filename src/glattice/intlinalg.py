@@ -29,8 +29,9 @@ nonzeros at its nonzero columns alone; row and column operations skip zero
 source entries; ``det`` skips the Bareiss updates that are the identity;
 ``kernel_basis`` eliminates the sparsest rows first (``_fill_in_order``);
 ``subquotient`` of the identity basis solves nothing.
-Characteristic polynomials are computed modulo a prime above their
-coefficient bound (see ``char_poly``).
+Characteristic polynomials are computed modulo the narrowest listed prime
+above their coefficient bound, and each product of ``A`` with a vector is one
+big-integer product per column of ``A`` (see ``char_poly``).
 
 Values are immutable and functions pure, so the module is thread-safe.
 """
@@ -753,13 +754,19 @@ def _rank_mod(a: IntMatrix, p: int) -> int:
 # Characteristic polynomials and polynomial helpers (coefficient tuples,
 # ascending degree)
 
-# proven primes, ascending; 2^61 - 1 is left out, so checks modulo it stay independent
-_PRIMES = (2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19) + tuple(2**k - 1 for k in (
-    521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497))
+# proven primes, ascending; 2^61 - 1 is left out, so checks modulo it stay independent.
+# Below 2^192 a Proth prime N = k 2^m + 1 sits just under each multiple of 30 bits (one
+# CPython digit); Proth's theorem proves it: k is odd, k < 2^m and a^((N - 1)/2) = -1 mod N
+_PROTH_RUNGS = ((1005, 20, 7), (979, 50, 3), (1005, 80, 7), (1003, 110, 3), (897, 140, 5), (807, 170, 13))  # (k, m, a)
+_PRIMES = tuple(sorted([k * 2**m + 1 for k, m, _ in _PROTH_RUNGS] + [2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19] + [
+    2**k - 1 for k in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497)]))
 
 
 def _moduli(bound: int) -> tuple[int, ...]:
-    """The smallest prime above ``2 * bound``, else the fewest largest whose product is."""
+    """The smallest listed prime above ``2 * bound``, else the fewest largest whose
+    product is.  Below 2^192 a rung lies within a factor 1.27 under each multiple
+    of 30 bits, so the prime takes no more CPython digits than ``2 * bound``
+    unless ``2 * bound`` falls in such a gap."""
     for p in _PRIMES:
         if p > 2 * bound:
             return (p,)
@@ -777,16 +784,28 @@ def _char_poly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     (Cohen, Algorithm 2.2.9, built by inner products as in Wilkinson's direct
     reduction).  ``N`` is lower triangular, ``n_0 = e_0``, and ``n_{r+1}`` is
     ``A n_r`` less its parts along ``n_0 .. n_r``, so ``H``'s subdiagonal is
-    0 or 1; ``A`` keeps its own (small) entries, only permuted."""
-    a = [list(row) for row in rows]
-    n = len(a)
+    0 or 1.  ``A`` keeps its own (small) entries and order: a zero pivot swaps
+    two entries of ``perm``, so row ``i`` of the permuted ``A`` is row
+    ``perm[i]`` of ``rows``.  ``A n_r`` is one big-integer product per column
+    (Kronecker substitution): column ``j`` is packed once as an integer with
+    ``A[i][j] + c`` in byte slot ``i``, ``c`` the largest entry size, and a
+    slot of ``nb`` bytes holds ``2c n (p - 1)``, so no slot of a sum of residue
+    multiples of columns goes negative or overflows; ``c`` times the sum of the
+    residues is taken off after."""
+    n = len(rows)
+    c = max((abs(x) for row in rows for x in row), default=0)
+    nb = ((2 * c * n * (p - 1)).bit_length() + 7) // 8
+    packed = [int.from_bytes(b"".join((x + c).to_bytes(nb, "little") for x in col), "little") for col in zip(*rows)]
+    perm = list(range(n))
     low = [[0] if i else [] for i in range(n)]  # low[i]: row i of N left of the diagonal
     diag, inv = [1] * n, [1] * n  # the diagonal of N and its inverses mod p
     cols = []  # cols[r]: h[0][r], ..., h[r][r]
     sub = [0] * n  # sub[r]: h[r][r - 1]
     for r in range(n):
         ncol = [diag[r]] + [low[i][r] for i in range(r + 1, n)]
-        v = [sum(map(mul, row[r:], ncol)) for row in a]
+        acc = sum(map(mul, ncol, [packed[k] for k in perm[r:]])).to_bytes(n * nb, "little")
+        shift = c * sum(ncol)
+        v = [int.from_bytes(acc[k * nb:(k + 1) * nb], "little") - shift for k in perm]
         hc = []
         for i in range(r + 1):
             hc.append((v[i] - sum(map(mul, low[i], hc))) * inv[i] % p)
@@ -802,9 +821,7 @@ def _char_poly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
             continue
         if j:  # a zero pivot: swap s with the first nonzero below it
             t = s + j
-            a[s], a[t] = a[t], a[s]
-            for row in a:
-                row[s], row[t] = row[t], row[s]
+            perm[s], perm[t] = perm[t], perm[s]
             low[s], low[t] = low[t], low[s]
             w[0], w[j] = w[j], w[0]
         sub[s], diag[s], inv[s] = 1, w[0], pow(w[0], -1, p)
@@ -832,9 +849,11 @@ def char_poly(a: IntMatrix) -> tuple[int, ...]:
     By Hadamard's inequality on the principal minors, each coefficient is
     at most ``B = prod_i (isqrt(sum_j a_ij^2) + 2)``.  The polynomial is
     found in O(n^3) steps modulo the smallest listed proven prime above
-    ``2B`` (``2^127 - 1``, ``2^192 - 2^64 - 1``, ``2^255 - 19``, Mersenne
-    primes to ``2^44497 - 1``), else several joined by Chinese remainders,
-    and lifted to the symmetric range; ``ValueError`` beyond them all.
+    ``2B`` (Proth primes of 30, 60, 90, 120, 150 and 180 bits, ``2^127 - 1``,
+    ``2^192 - 2^64 - 1``, ``2^255 - 19``, Mersenne primes to ``2^44497 - 1``),
+    else several joined by Chinese remainders, and lifted to the symmetric
+    range; ``ValueError`` beyond them all.  Modulo each prime, ``A n`` costs
+    one big-integer product per column of ``A`` (see ``_char_poly_mod``).
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")

@@ -576,10 +576,62 @@ def test_charpoly_primes_are_listed_ascending():
     primes = intlinalg._PRIMES
     assert list(primes) == sorted(set(primes))
     assert 2**61 - 1 not in primes  # the benchmark oracle's modulus
-    assert primes[:6] == (2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19, 2**521 - 1, 2**607 - 1, 2**1279 - 1)
+    assert primes[:10] == (
+        1005 * 2**20 + 1, 979 * 2**50 + 1, 1005 * 2**80 + 1, 1003 * 2**110 + 1, 2**127 - 1,
+        897 * 2**140 + 1, 807 * 2**170 + 1, 2**192 - 2**64 - 1, 2**255 - 19, 2**521 - 1,
+    )
     for p in primes:
         if p.bit_length() <= 2300:
             assert pow(3, p - 1, p) == 1
+
+
+def test_charpoly_rungs_carry_proth_certificates():
+    # N = k 2^m + 1 with k odd and k < 2^m is prime when a^((N - 1)/2) = -1 mod N (Proth)
+    rungs = [k * 2**m + 1 for k, m, _ in intlinalg._PROTH_RUNGS]
+    assert [n.bit_length() for n in rungs] == [30, 60, 90, 120, 150, 180]  # one per CPython digit below 2^192
+    for (k, m, a), n in zip(intlinalg._PROTH_RUNGS, rungs):
+        assert k % 2 == 1 and k < 2**m
+        assert pow(a, (n - 1) // 2, n) == n - 1
+        assert n in intlinalg._PRIMES
+
+
+def test_charpoly_lattice_inputs_take_a_six_digit_modulus(monkeypatch):
+    # 28 x 28 matrices with entries in [-20, 20], drawn as the lattice benchmark draws them, have
+    # 2B of 167-171 bits: the 180-bit rung, 6 digits of 30 bits, where 2^192 - 2^64 - 1 takes 7
+    seen = []
+    mod = intlinalg._char_poly_mod
+
+    def spy(rows, p):
+        seen.append(p)
+        return mod(rows, p)
+
+    monkeypatch.setattr(intlinalg, "_char_poly_mod", spy)
+    rng = random.Random("lattice:5")
+    for _ in range(40):
+        flat = rng.choices(range(-20, 21), k=28 * 28)
+        char_poly(IntMatrix([flat[i:i + 28] for i in range(0, 28 * 28, 28)]))
+    assert len(seen) == 40
+    assert {-(-p.bit_length() // 30) for p in seen} == {6}
+
+
+def test_charpoly_packed_slot_edges():
+    # A n_r packs each column of A + c into byte slots, c the largest entry size: entries at -c
+    # and +c fill a slot's range, for c on both sides of byte edges, and swaps move only perm
+    rng = random.Random(47)
+    cases = [IntMatrix([]), IntMatrix([[0]]), IntMatrix([[-7]]), IntMatrix([[2**90]]), IntMatrix.zeros(6, 6)]
+    for n in (2, 5, 13, 28):
+        for c in (1, 20, 127, 128, 255, 256, 2**64 - 1, 2**70):
+            cases.append(IntMatrix([[rng.choice((-c, c)) for _ in range(n)] for _ in range(n)]))
+        cases.append(random_matrix(rng, n, n, -20, -1))  # all negative
+        huge = IntMatrix.zeros(n, n).tolists()
+        huge[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 1)) * 2**100
+        cases.append(IntMatrix(huge))
+    # under the 23-cycle i -> i + 5, A n_r rarely leads at position r + 1: 20 of the 22 steps swap
+    cycle = perm_matrix([(i + 5) % 23 for i in range(23)])
+    cases += [cycle, cycle + IntMatrix.diagonal([rng.randint(-3, 3) for _ in range(23)])]
+    for a in cases:
+        assert char_poly(a) == charpoly_berkowitz(a)
+    assert char_poly(cycle) == (-1,) + (0,) * 22 + (1,)  # t^23 - 1
 
 
 def test_charpoly_cayley_hamilton():
