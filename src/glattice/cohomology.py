@@ -522,14 +522,14 @@ def _orbits(gens: Sequence[IntMatrix], bound: int) -> tuple[list, list[list[int]
 def _spanning(points: list, chosen: list[int], n: int) -> tuple[list[int], list] | None:
     """``(support, C)`` writing each basis vector from the ``chosen`` points, or None when they do not span Z^n.
 
-    A chosen basis vector is its own combination; once the rank mod 2 is
-    full, the others are read off ``U`` of the chosen points' ``hermite_form``,
-    shortest first.  ``_orbits`` asks only while an orbit is open, and every
+    One ``hermite_form`` of the chosen points, shortest first, decides:
+    they span exactly when the first n rows of ``H`` are the identity, and
+    then ``U``'s first n rows write the basis.  ``_orbits`` passes at least
+    n points, so ``H`` has those rows.  A chosen basis vector is its own
+    combination; ``_orbits`` asks only while an orbit is open, and every
     orbit holds a basis vector, so some basis vector is not chosen.
     """
     inside = set(chosen)
-    if _rank_mod(IntMatrix._from_rows(tuple([points[k] for k in chosen]), n), 2) < n:
-        return None
     shortest = sorted(chosen, key=lambda k: sum(map(abs, points[k])))
     h, u = hermite_form(IntMatrix._from_rows(tuple([points[k] for k in shortest]), n))
     if any(h[j][j] != 1 for j in range(n)):  # index 1: the first n rows of H are the identity
@@ -793,18 +793,21 @@ def leading_block(m: GLattice, n: int) -> GLattice:
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     """Block-diagonal action on the direct sum of the two lattices.
 
-    Both sides must present the same abstract group in the same way; the
-    listed matrices are paired positionally.  A rank-0 summand is absorbed,
-    whatever its presentation, since only one group can act on 0.  A list
-    or generated pairing is proved by walking the paired spec once, with no
-    matrix product: the sum maps onto both summands, so the pairing is an
-    isomorphism exactly when the sum's order equals both summands' orders.
-    A list of paired blocks must then be a group itself; a generated sum is
-    walked by its block generators and refused past |G1| elements, with no
-    order check of the generators, since the summands are finite.  The sum
-    keeps the block form its summands have passed and its walk, so it is
-    not validated or walked again; its bound is the larger of the summands'
-    bounds.
+    Both sides must be specs of the same kind, their listed matrices paired
+    positionally.  Cyclic summands pair by their generators whatever their
+    orders: the sum is the cyclic action of order lcm(n1, n2), and its H^1
+    is the sum of the summands', as inflation is an isomorphism on lattices
+    (H^1(K, M) = Hom(K, M) = 0 for the kernel K).  A rank-0 summand is
+    absorbed, whatever its presentation, since only one group can act on 0.
+    A list or generated pairing must present the same abstract group; it is
+    proved by walking the paired spec once, with no matrix product: the sum
+    maps onto both summands, so the pairing is an isomorphism exactly when
+    the sum's order equals both summands' orders.  A list of paired blocks
+    must then be a group itself; a generated sum is walked by its block
+    generators and refused past |G1| elements, with no order check of the
+    generators, since the summands are finite.  The sum keeps the block form
+    its summands have passed and its walk, so it is not validated or walked
+    again; its bound is the larger of the summands' bounds.
     """
     if m1.rank == 0:
         return m2

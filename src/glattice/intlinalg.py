@@ -277,9 +277,8 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: i
     entry share one zero tuple.  The first term starts the sum (``b[k]``
     itself when ``x`` is 1).  A later row ``b[k]`` with fewer than a quarter
     nonzeros is scattered into the sum at its nonzero columns; a denser one
-    is added across the whole width, with ``+1`` and ``-1`` taken without
-    multiplying.  The choice reads that row alone, so rows of ``b`` that no
-    entry of ``a`` selects cost nothing.
+    is added across the whole width.  The choice reads that row alone, so
+    rows of ``b`` that no entry of ``a`` selects cost nothing.
     """
     zero = (0,) * width
     columns, inner = range(width), range(len(b))
@@ -290,16 +289,12 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: i
             x, r = row[k], b[k]
             if acc is None:
                 first = r
-                acc = r if x == 1 else [-y for y in r] if x == -1 else [x * y for y in r]
+                acc = r if x == 1 else [x * y for y in r]
             elif 4 * (width - r.count(0)) < width:
                 if acc is first:  # a row of b itself: never write into it
                     acc = list(acc)
                 for j in compress(columns, r):
                     acc[j] += x * r[j]
-            elif x == 1:
-                acc = [s + y for s, y in zip(acc, r)]
-            elif x == -1:
-                acc = [s - y for s, y in zip(acc, r)]
             else:
                 acc = [s + x * y for s, y in zip(acc, r)]
         out.append(zero if acc is None else tuple(acc))

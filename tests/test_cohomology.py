@@ -325,6 +325,16 @@ def test_direct_sum_additivity_example():
     assert h1(m).h1 == FinAbGroup((2, 2))
 
 
+def test_direct_sum_of_cyclic_lattices_of_coprime_orders():
+    # cyclic summands pair by their generators whatever their orders: -1 on Z (order 2) and the
+    # order-3 rotation of Z^2 give the cyclic action of order 6, with H^1 = Z/2 + Z/3 = Z/6
+    sign, rotation = sign_lattice(1), GLattice(2, Cyclic(IntMatrix([[0, -1], [1, -1]])))
+    res = h1(direct_sum(sign, rotation))
+    assert res.group_order == 6
+    assert res.h1 == FinAbGroup((6,)) == h1(sign).h1.direct_sum(h1(rotation).h1)
+    assert (h1(sign).h1, h1(rotation).h1) == (FinAbGroup((2,)), FinAbGroup((3,)))
+
+
 def test_direct_sum_mismatch():
     with pytest.raises(GroupMismatch):
         direct_sum(sign_lattice(1), GLattice(2, Explicit([IntMatrix.identity(2), MINUS_I2])))
@@ -1567,6 +1577,25 @@ def test_omega_spans_with_a_few_orbits():
         # H lies outside Ω, and is written from the support
         basis = [tuple(sum(c * x for c, x in zip(row, col)) for col in zip(*points[:s])) for row in combos]
         assert basis == list(IntMatrix.identity(lat.rank))
+
+
+def test_spanning_decides_by_index_and_writes_the_basis():
+    import glattice.cohomology as coh
+
+    # points as _orbits keeps them: e0, e1, e2 first, then the extra points; the chosen ones by index
+    e0, e1, e2 = IntMatrix.identity(3)
+
+    def spanning(extra, chosen):  # the support as vectors, and the rows C
+        points = [e0, e1, e2, *extra]
+        span = coh._spanning(points, [points.index(v) for v in chosen], 3)
+        return span and ([points[k] for k in span[0]], span[1])
+
+    two_e0, three_e0, e01, e20 = (2, 0, 0), (3, 0, 0), (1, 1, 0), (-1, 0, 1)
+    assert spanning([two_e0], [e1, e2, two_e0]) is None  # index 2: even, so singular mod 2 as well
+    assert spanning([three_e0], [e1, e2, three_e0]) is None  # index 3, with full rank mod 2
+    assert spanning([e01], [e0, e1, e01]) is None  # rank 2
+    # no e0 is chosen: it is rebuilt from e0 + e1 and e1, and e1, e2 are their own combinations
+    assert spanning([e01, e20], [e1, e2, e01, e20]) == ([e1, e01, e2], [(-1, 1, 0), (1, 0, 0), (0, 0, 1)])
 
 
 def test_omega_is_small_on_benchmark_documents(monkeypatch):
