@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--timing", action="store_true", help="include timing in JSON reports")
 
     p = sub.add_parser("verify-table", parents=[report], help="verify every built-in case")
-    p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 2-3 s, 31 MB peak)")
+    p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 1.5 s, 31 MB peak)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.set_defaults(func=_cmd_verify_table)

@@ -27,15 +27,16 @@ matrix, built from its images only when read (``_Walk.element``):
 cyclic subgroups, and ``restrict_subgroup`` tests a matrix by its images of
 Ω (``_Walk.contains``), building none.
 Each spec keeps the walk that closed it (``_checked_walk``) as the
-permutations it reached and their composition (``_Walk.product``): a
-group acting faithfully on Ω is its permutations (Seress, *Permutation
-Group Algorithms*, ch. 4), and they are the only group structure used
-after the closure.  Orders come from residues mod 3 and one exact
-confirmation: by Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3) is
-torsion-free, so a finite order equals the order mod 3, and an
+permutations it reached and their composition (``_Walk.product``): a group
+acting faithfully on Ω is its permutations (Seress, *Permutation Group
+Algorithms*, ch. 4), and they are the only group structure used after the
+closure.  An order is 1 or 2 when an element or its exact square is the
+identity; any other comes from residues mod 3 and one exact confirmation
+from that square: by Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3)
+is torsion-free, so a finite order equals the order mod 3, and an
 infinite-order input is refused after a few cheap products on bit-packed
-residue rows instead of ``bound`` growing exact ones.  A cyclic spec
-keeps its generator's order.
+residue rows instead of ``bound`` growing exact ones.  A cyclic spec keeps
+its generator's order, from which a sub-action's is read (``_sub_order``).
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -260,27 +261,47 @@ class Generated(GroupSpec):
 def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Multiplicative order of ``g``; error if it exceeds ``bound``.
 
-    The candidate order ``k`` is the order of ``g`` mod 3 (``_order_mod3``);
-    ``g^k == I`` is then confirmed exactly by binary powering.  By
-    Minkowski's lemma a finite order equals the order mod 3, so a failed
-    confirmation proves it infinite.  Cost: min(k, bound) packed products of
-    O(nonzeros of g) operations on rank-bit ints, plus at most 2 log2(k)
-    exact ones (one for an involution, two for order 3).
+    The identity has order 1 and g with g^2 == I order 2.  Any other
+    candidate ``k`` is the order of ``g`` mod 3 (``_order_mod3``), and
+    ``g^k == I`` is confirmed exactly by binary powering from that square.
+    By Minkowski's lemma a finite order equals the order mod 3, so a failed
+    confirmation proves it infinite.  Cost: no product for the identity and
+    one for an involution; otherwise min(k, bound) packed products of
+    O(nonzeros of g) operations on rank-bit ints, plus the square and at
+    most 2 log2(k) - 1 more exact ones (one for order 3).
     """
+    if bound >= 1 and _is_identity(g):
+        return 1
+    square = g @ g
+    if bound >= 2 and _is_identity(square):
+        return 2
     k = _order_mod3(g, bound)
-    if _power(g, k) != IntMatrix.identity(g.rows):
+    if not _is_identity(_power(g, k, square)):
         raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
     return k
 
 
-def _power(g: IntMatrix, k: int) -> IntMatrix:
-    """``g^k`` for ``k >= 1`` by binary powering: at most 2 log2(k) products."""
+def _is_identity(m: IntMatrix) -> bool:
+    """Whether the square matrix ``m`` is the identity, with no identity built to compare."""
+    return all(row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(m))
+
+
+def _power(g: IntMatrix, k: int, square: IntMatrix | None = None) -> IntMatrix:
+    """``g^k`` for ``k >= 1`` by binary powering: at most 2 log2(k) products, one fewer given ``square`` = g^2."""
     power = g
     for bit in bin(k)[3:]:
-        power = power @ power
+        power, square = power @ power if square is None else square, None
         if bit == "1":
             power = power @ g
     return power
+
+
+def _sub_order(g: IntMatrix, order: int) -> int:
+    """The order of ``g``, the action of an element of ``order`` on an invariant sublattice, which divides it:
+    1 or a prime ``order`` by one identity test, else the order mod 3 with no confirmation (Minkowski's lemma)."""
+    if _is_prime(order):
+        return 1 if _is_identity(g) else order
+    return _order_mod3(g, order)
 
 
 def _order_mod3(g: IntMatrix, bound: int) -> int:
@@ -666,8 +687,7 @@ def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, i
     g != 1 has char poly (t - 1)^a Phi_p^b, so r = (p - 1) b = (p - 1)(rank - tr g) / p.
     Ranks cannot tell Z/4 from (Z/2)^2, so any other order takes ``subquotient``.
     """
-    ident = IntMatrix.identity(rank)
-    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    gens = [g for g in dict.fromkeys(gens) if not _is_identity(g)]
     rows = _stacked(gens, rank)
     if _is_prime(order):
         b, rest = divmod(rank - sum([gens[0][i][i] for i in range(rank)]), order)
@@ -675,7 +695,7 @@ def _h1(gens: Sequence[IntMatrix], rank: int, order: int) -> tuple[FinAbGroup, i
             raise AssertionError(f"a generator's trace does not fit an action of order {order}")
         r = (order - 1) * b
         return FinAbGroup((order,) * (r - _rank_mod(rows, order))), rank - r
-    coker = subquotient(ident, rows)
+    coker = subquotient(IntMatrix.identity(rank), rows)
     return FinAbGroup(coker.invariant_factors), coker.free_rank
 
 
@@ -779,14 +799,13 @@ def leading_block(m: GLattice, n: int) -> GLattice:
 
     The block inherits what ``m`` has passed, so nothing is checked again:
     det g is its determinant times the rest's, it preserves the form's
-    leading block, and its order divides g's, so by Minkowski's lemma it is
-    the block's order mod 3, with no exact confirmation.
+    leading block, and its order divides g's (``_sub_order``).
     """
     if not isinstance(m.group, Cyclic) or any(any(row[:n]) for row in m.group.generator[n:]):
         raise ValidationError(f"the first {n} basis vectors do not span an invariant block of a cyclic action")
     g, form = [None if a is None else IntMatrix._from_rows(tuple([row[:n] for row in a[:n]]), n)
                for a in (m.group.generator, m.form)]
-    spec = Cyclic(g, m.group.closure_bound)._keep(form, order=_order_mod3(g, m.group._order))
+    spec = Cyclic(g, m.group.closure_bound)._keep(form, order=_sub_order(g, m.group._order))
     return GLattice(n, spec, form)
 
 

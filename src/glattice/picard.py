@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, _order_mod3, h1_cyclic, invariants_h0, leading_block
+from .cohomology import Cyclic, GLattice, _sub_order, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -552,10 +552,10 @@ def _verify_del_pezzo(case: str, cfg: WeylSearchConfig | None) -> RowReport:
     ]
     if fixes_k:  # K^perp and the order formula need an action that fixes K
         # delta fixes K, so it restricts to K^perp unimodular and preserving the induced form: m has checked it;
-        # the restriction's order divides delta's, so by Minkowski's lemma it is its order mod 3
+        # the restriction's order divides delta's prime order, so it is 1 or p by one identity test
         q = system.q
         gq = restrict_action(delta, q.basis)
-        mq = GLattice(q.rank, Cyclic(gq)._keep(q.gram_q, order=_order_mod3(gq, m.group._order)), q.gram_q)
+        mq = GLattice(q.rank, Cyclic(gq)._keep(q.gram_q, order=_sub_order(gq, m.group._order)), q.gram_q)
         h1_q = h1_cyclic(mq).h1
         predicted = charpoly_order(m)
         checks += [

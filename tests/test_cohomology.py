@@ -1209,7 +1209,7 @@ def test_cyclic_h1_reads_the_order_and_takes_no_walk(monkeypatch):
     assert charpoly_order(geiser) == 64
     assert verify_row("dejonquieres", genus=3).passed
     # one exact order per lattice (Geiser, then the conic bundle's Pic), kept by the spec; the Q block's
-    # order is its order mod 3 (see leading_block); no walk
+    # order is 1 or 2 by one identity test (see leading_block); no walk
     assert len(orders) == 2 and walks == []
     assert geiser.group._walk is None and "_elements" not in geiser.__dict__
 
@@ -1774,3 +1774,101 @@ def test_leading_block_inherits_the_lattice_checks(monkeypatch):
     for bad, n in ((m, 1), (GLattice(4, Generated([g])), 3)):  # e_0 -> e_1 leaves the span of e_0
         with pytest.raises(ValidationError, match="invariant block of a cyclic action"):
             leading_block(bad, n)
+
+
+def test_matrix_order_early_returns_keep_bounds_and_refusals():
+    from glattice.cohomology import _power
+    from glattice.picard import reflection, root_system
+
+    refusal = "^group too large or infinite: order exceeds {}$"
+    # the identity and an involution are read off g and g^2, within the bound as before
+    with pytest.raises(GroupTooLarge, match=refusal.format(0)):
+        matrix_order(IntMatrix.identity(3), 0)
+    assert matrix_order(IntMatrix.identity(3), 1) == 1
+    with pytest.raises(GroupTooLarge, match=refusal.format(1)):
+        matrix_order(SWAP, 1)
+    assert matrix_order(SWAP, 2) == 2
+    # orders 3, 4 and 6 go through the residues and the confirmation from the square
+    rotations = [augmentation_shift(3), augmentation_shift(4), -augmentation_shift(3), perm_matrix([1, 2, 3, 0], True)]
+    for g in rotations:
+        expected = naive_order_within(g, 10)
+        assert expected in (3, 4, 6) and matrix_order(g) == expected
+        assert_order_matches_exact_powers(g, expected - 1)
+    # I mod 3 but of infinite order, and a unipotent: refused with the same text at every bound
+    for g in (IntMatrix([[1, 3], [0, 1]]), IntMatrix([[1, 1], [0, 1]])):
+        for bound in (1, 2, 3, 50, DEFAULT_ORDER_BOUND):
+            with pytest.raises(GroupTooLarge, match=refusal.format(bound)):
+                matrix_order(g, bound)
+    # the confirmation's given square is the first squaring of binary powering
+    system = root_system(3)
+    rng = random.Random(37)
+    w = IntMatrix.identity(system.lattice.rank)
+    for _ in range(7):
+        w = w @ reflection(system.lattice, rng.choice(system.roots))
+    for k in range(1, 13):
+        assert _power(w, k, w @ w) == _power(w, k)
+
+
+def test_sub_action_orders_match_their_exact_orders(monkeypatch):
+    import glattice.cohomology as coh
+    import glattice.picard as pic
+    from glattice.cohomology import leading_block
+    from glattice.picard import CASE_PARAMS, WeylSearchConfig, verify_row
+
+    kept = []
+    real = coh._sub_order
+
+    def recorded(g, order):
+        kept.append((g, real(g, order)))
+        return kept[-1][1]
+
+    for module in (coh, pic):
+        monkeypatch.setattr(module, "_sub_order", recorded)
+    for genus in range(1, 11):
+        assert verify_row("dejonquieres", genus=genus).passed
+    for seed in range(5):
+        for case in CASE_PARAMS:
+            assert verify_row(case, cfg=WeylSearchConfig(seed=seed)).passed
+    # a leading block per conic bundle; a K^perp restriction per del Pezzo row, as each fixes K
+    assert len(kept) == 10 + 5 * len(CASE_PARAMS)
+    assert all(order == matrix_order(g) for g, order in kept)
+    monkeypatch.undo()
+
+    # a prime order p gives the block the order 1 or p by one identity test
+    block = leading_block(GLattice(2, Cyclic(IntMatrix([[1, 1], [0, -1]]))), 1)
+    assert block.group._order == 1 == matrix_order(block.group.generator)
+    # a composite order keeps the residue loop: the order-4 rotation block of an order-4 action
+    calls = []
+    real_mod3 = coh._order_mod3
+    monkeypatch.setattr(coh, "_order_mod3", lambda g, bound: calls.append((g, bound)) or real_mod3(g, bound))
+    m = GLattice(3, Cyclic(IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, -1]])))
+    assert m.group._order == 4
+    calls.clear()
+    block = leading_block(m, 2)
+    assert block.group._order == 4 and calls == [(IntMatrix([[0, -1], [1, 0]]), 4)]
+
+
+def test_verify_table_finds_only_the_odd_orders_mod_3(monkeypatch, capsys):
+    import sys
+
+    import glattice.cohomology as coh
+    import glattice.picard as pic
+    from glattice.cli import run_command
+
+    assert not hasattr(pic, "_order_mod3")  # picard reaches residues only through cohomology
+    orders, builders = [], []
+    real_mod3 = coh._order_mod3
+    monkeypatch.setattr(coh, "_order_mod3", lambda g, bound: orders.append(real_mod3(g, bound)) or orders[-1])
+    real_identity = IntMatrix.identity.__func__
+
+    def identity(cls, n):
+        builders.append(sys._getframe(1).f_code.co_name)
+        return real_identity(cls, n)
+
+    monkeypatch.setattr(IntMatrix, "identity", classmethod(identity))
+    assert run_command(["verify-table", "--max-genus", "20", "--seed", "0"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    # the generators of order 3, 3 and 5; every involution, leading block and K^perp restriction skips the residues
+    assert orders == [3, 3, 5]
+    assert "matrix_order" not in builders and "_h1" not in builders
