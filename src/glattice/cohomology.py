@@ -37,6 +37,10 @@ is torsion-free, so a finite order equals the order mod 3, and an
 infinite-order input is refused after a few cheap products on bit-packed
 residue rows instead of ``bound`` growing exact ones.  A cyclic spec keeps
 its generator's order, from which a sub-action's is read (``_sub_order``).
+Its check forms the generator's square, which the order then starts from;
+the square proves an involution g unimodular, as det(g)^2 = 1, and
+form-preserving when F.g is symmetric, for a symmetric form F: no
+determinant and one product (``GroupSpec._check``).
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -133,6 +137,7 @@ class GroupSpec:
     """
 
     _walk: _Walk | None = None
+    _square: IntMatrix | None = None  # a cyclic spec's generator's square, read by its check and then its order
 
     def __init__(self, matrices: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
         what = type(self).__name__
@@ -176,14 +181,18 @@ class GroupSpec:
 
     def _check(self, form: IntMatrix | None) -> None:
         """Raise ValidationError unless every listed matrix is unimodular and
-        preserves ``form``; a spec keeps the forms it has passed, so each is checked once."""
+        preserves ``form``; a spec keeps the forms it has passed, so each is checked once.  An involution g
+        has det(g)^2 = 1 and, being its own inverse, preserves a symmetric F exactly when F.g is symmetric:
+        one product and no determinant, where any other matrix or form takes a determinant and g^T.F.g."""
         passed = self.__dict__.setdefault("_passed", set())
         if form in passed:
             return
+        square = self._square  # None unless the spec is cyclic, whose one listed matrix it squares
         for i, g in enumerate(self.matrices):
-            if not g.is_unimodular():
+            involution = square is not None and _is_identity(square) and (form is None or _is_symmetric(form))
+            if not involution and not g.is_unimodular():
                 raise ValidationError(f"matrix {i} is not unimodular", i, "unimodular")
-            if form is not None and g.transpose() @ form @ g != form:
+            if form is not None and not (_is_symmetric(form @ g) if involution else g.transpose() @ form @ g == form):
                 raise ValidationError(f"matrix {i} does not preserve the bilinear form", i, "form")
         passed.add(form)
 
@@ -197,7 +206,7 @@ class GroupSpec:
 
 
 class Cyclic(GroupSpec):
-    """Cyclic group presented by a single generator of finite order."""
+    """Cyclic group presented by a single generator of finite order, checked and ordered from its square."""
 
     def __init__(self, generator, closure_bound: int = DEFAULT_ORDER_BOUND):
         super().__init__([generator], closure_bound)
@@ -207,9 +216,14 @@ class Cyclic(GroupSpec):
         return self.matrices[0]
 
     @cached_property
+    def _square(self) -> IntMatrix:
+        """The generator's square, formed by the check and held until the order is read from it."""
+        return self.generator @ self.generator
+
+    @cached_property
     def _order(self) -> int:
-        """The generator's order within ``closure_bound``, found once per spec."""
-        return matrix_order(self.generator, self.closure_bound)
+        """The generator's order within ``closure_bound``, found once per spec, from its square if formed."""
+        return matrix_order(self.generator, self.closure_bound, self.__dict__.pop("_square", None))
 
     def _walk_group(self) -> _Walk:
         """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n, d^k walked as k."""
@@ -258,21 +272,23 @@ class Generated(GroupSpec):
         return _closed_walk(self.generators, bound=bound)
 
 
-def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
+def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND, square: IntMatrix | None = None) -> int:
     """Multiplicative order of ``g``; error if it exceeds ``bound``.
 
     The identity has order 1 and g with g^2 == I order 2.  Any other
     candidate ``k`` is the order of ``g`` mod 3 (``_order_mod3``), and
     ``g^k == I`` is confirmed exactly by binary powering from that square.
     By Minkowski's lemma a finite order equals the order mod 3, so a failed
-    confirmation proves it infinite.  Cost: no product for the identity and
-    one for an involution; otherwise min(k, bound) packed products of
-    O(nonzeros of g) operations on rank-bit ints, plus the square and at
-    most 2 log2(k) - 1 more exact ones (one for order 3).
+    confirmation proves it infinite.  A given ``square`` must be g^2 (a
+    cyclic spec's check forms it).  Cost: no product for the identity, and
+    for an involution one, the square, unless given; otherwise min(k, bound)
+    packed products of O(nonzeros of g) operations on rank-bit ints, plus
+    the square and at most 2 log2(k) - 1 more exact ones (one for order 3).
     """
     if bound >= 1 and _is_identity(g):
         return 1
-    square = g @ g
+    if square is None:
+        square = g @ g
     if bound >= 2 and _is_identity(square):
         return 2
     k = _order_mod3(g, bound)
@@ -284,6 +300,11 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
 def _is_identity(m: IntMatrix) -> bool:
     """Whether the square matrix ``m`` is the identity, with no identity built to compare."""
     return all(row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(m))
+
+
+def _is_symmetric(m: IntMatrix) -> bool:
+    """Whether the square matrix ``m`` equals its transpose, with no transpose built."""
+    return all(row == col for row, col in zip(m, zip(*m)))
 
 
 def _power(g: IntMatrix, k: int, square: IntMatrix | None = None) -> IntMatrix:
@@ -615,7 +636,7 @@ class GLattice:
         if self.form is not None:
             if self.form.rows != self.rank or self.form.cols != self.rank:
                 raise ValidationError("form has the wrong shape")
-            if self.form != self.form.transpose():
+            if not _is_symmetric(self.form):
                 raise ValidationError("form is not symmetric")
         if self.group.size != self.rank:  # the spec's matrices are square and of one size
             raise ValidationError(f"matrix 0 is not {self.rank}x{self.rank}")

@@ -20,8 +20,9 @@ This module constructs:
   along with the order bookkeeping that links H^1(G, Q) and H^1(G, Pic).
 
 Each fact about an action built here is checked once.  :class:`GLattice`
-checks unimodularity and the form, as for a user's document; the cyclic
-spec confirms the order exactly (``matrix_order``), which a row reads as
+checks unimodularity and the form, as for a user's document, an involution
+by its square with no determinant; the cyclic spec confirms the order
+exactly from that square (``matrix_order``), and a row reads it as
 ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
 checked by the row, and ``charpoly_order`` refuses an action moving K, as
 its formula reads the Pic matrix.  Matrices written here skip the per-entry

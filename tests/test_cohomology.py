@@ -1809,6 +1809,86 @@ def test_matrix_order_early_returns_keep_bounds_and_refusals():
         assert _power(w, k, w @ w) == _power(w, k)
 
 
+def random_involution(rng, n):
+    """P s P^-1 for a random signed permutation s with s^2 = I and a random unimodular P."""
+    perm, rest = list(range(n)), list(range(n))
+    rng.shuffle(rest)
+    while len(rest) > 1 and rng.random() < 0.7:  # a 2-cycle, with one sign on both of its points
+        i, j = rest.pop(), rest.pop()
+        perm[i], perm[j] = j, i
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        s[perm[i]][i] = signs[min(i, perm[i])]
+    p, pinv = conjugator(rng, n)
+    return p @ IntMatrix(s) @ pinv
+
+
+def test_involution_checks_match_the_form_equation():
+    rng = random.Random(38)
+    outcomes = set()
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        g = IntMatrix.identity(n) if trial % 10 == 0 else random_involution(rng, n)
+        assert g @ g == IntMatrix.identity(n)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        sym = a + a.transpose()
+        # a symmetric form averaged over <g> is preserved, a random one usually not
+        for form in (sym + g.transpose() @ sym @ g, sym):
+            preserved = g.transpose() @ form @ g == form
+            try:
+                m = GLattice(n, Cyclic(g), form)
+            except ValidationError as e:
+                assert not preserved
+                assert (str(e), e.index, e.reason) == ("matrix 0 does not preserve the bilinear form", 0, "form")
+            else:
+                assert preserved and m.group._order == (1 if g == IntMatrix.identity(n) else 2)
+            outcomes.add(preserved)
+        # the public closure takes a form that is not symmetric, and still decides by g^T.F.g = F
+        for form in (a + g.transpose() @ a @ g, a):
+            if form == form.transpose():
+                continue
+            if g.transpose() @ form @ g == form:
+                assert len(validate_and_close(Cyclic(g), form)) == matrix_order(g)
+            else:
+                with pytest.raises(ValidationError, match="^matrix 0 does not preserve the bilinear form$"):
+                    validate_and_close(Cyclic(g), form)
+            outcomes.add(("not symmetric", g.transpose() @ form @ g == form))
+    assert len(outcomes) == 4
+
+
+def test_involution_is_checked_and_ordered_by_its_square(monkeypatch):
+    rng = random.Random(5)
+    g = random_involution(rng, 6)
+    while g == IntMatrix.identity(6):
+        g = random_involution(rng, 6)
+    form = IntMatrix.identity(6) + g.transpose() @ g
+    rotation, rotation_form = augmentation_shift(3), IntMatrix([[2, -1], [-1, 2]])  # C_3 on the A_2 root lattice
+    dets, products = [], []
+    for name, calls in (("det", dets), ("__matmul__", products)):
+        real = getattr(IntMatrix, name)
+        monkeypatch.setattr(IntMatrix, name, lambda *a, real=real, calls=calls: calls.append(1) or real(*a))
+    # g^2, formed by the check and read by the order, and F.g: no determinant; the spec then drops the square
+    spec = GLattice(6, Cyclic(g), form).group
+    assert spec._order == 2 and "_square" not in spec.__dict__
+    assert (len(dets), len(products)) == (0, 2)
+    # an order-3 generator keeps its determinant and g^T.F.g; its square also starts the confirmation g^2.g
+    dets.clear()
+    products.clear()
+    assert GLattice(2, Cyclic(rotation), rotation_form).group._order == 3
+    assert (len(dets), len(products)) == (1, 4)
+    monkeypatch.undo()
+    for h in (IntMatrix.identity(2), SWAP, rotation, IntMatrix([[1, 1], [0, 1]])):
+        for bound in (0, 1, 2):
+            outcomes = []
+            for args in ((h, bound), (h, bound, h @ h)):
+                try:
+                    outcomes.append(matrix_order(*args))
+                except GroupTooLarge as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
+
+
 def test_sub_action_orders_match_their_exact_orders(monkeypatch):
     import glattice.cohomology as coh
     import glattice.picard as pic

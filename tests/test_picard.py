@@ -605,15 +605,17 @@ def test_verify_row_geiser():
 
 def test_verify_row_checks_only_the_picard_lattice(monkeypatch):
     # the K^perp lattice restricts an isometry the Pic lattice has passed and inherits its checks:
-    # once the root system and its K^perp minors are cached, a row takes the Pic lattice's determinant alone
+    # once the root system and its K^perp minors are cached, a row takes at most the Pic lattice's
+    # determinant; an involution is proven unimodular by its square and takes none, and a
+    # de Jonquieres row takes only its own det gram
     real = IntMatrix.det
-    for case, rank in (("geiser", 8), ("dp3-p3", 7)):
-        verify_row(case)
+    for case, genus, ranks_expected in (("geiser", None, []), ("dp3-p3", None, [7]), ("dejonquieres", 3, [10])):
+        verify_row(case, genus)
         ranks = []
         monkeypatch.setattr(IntMatrix, "det", lambda a: ranks.append(a.rows) or real(a))
-        assert verify_row(case).passed
+        assert verify_row(case, genus).passed
         monkeypatch.undo()
-        assert ranks == [rank]
+        assert ranks == ranks_expected
 
 
 def test_verify_row_dejonquieres_genus_2():
