@@ -5,126 +5,9 @@ group cohomology of G-lattices, and the del Pezzo / conic-bundle actions
 whose first cohomology detects obstructions to stable linearization.
 """
 
-from .cohomology import (
-    CohomologyResult,
-    Cyclic,
-    Explicit,
-    Generated,
-    GLattice,
-    GroupMismatch,
-    GroupSpec,
-    GroupTooLarge,
-    NotSubgroup,
-    ScanReport,
-    ValidationError,
-    Witness,
-    direct_sum,
-    h1,
-    h1_cocycle,
-    h1_cyclic,
-    invariants_h0,
-    matrix_order,
-    mulclose,
-    obstruction_scan,
-    permutation_module,
-    restrict_subgroup,
-    validate_and_close,
-)
-from .intlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    NotSublattice,
-    SmithForm,
-    char_poly,
-    express_in_row_basis,
-    hermite_form,
-    kernel_basis,
-    poly_eval,
-    poly_mul,
-    poly_pow,
-    poly_str,
-    row_basis,
-    smith_form,
-    subquotient,
-    xgcd,
-)
-from .picard import (
-    ConicBundlePic,
-    ConstructionError,
-    PicardLattice,
-    QLattice,
-    RowReport,
-    SearchExhausted,
-    WeylSearchConfig,
-    bertini_involution,
-    charpoly_order,
-    dejonquieres,
-    del_pezzo_pic,
-    geiser_involution,
-    q_sublattice,
-    reflection,
-    restrict_action,
-    roots,
-    verify_row,
-    weyl_search,
-)
+from . import cohomology, intlinalg, picard
+from .cohomology import *
+from .intlinalg import *
+from .picard import *
 
-__all__ = [
-    "CohomologyResult",
-    "ConicBundlePic",
-    "ConstructionError",
-    "Cyclic",
-    "Explicit",
-    "FinAbGroup",
-    "GLattice",
-    "Generated",
-    "GroupMismatch",
-    "GroupSpec",
-    "GroupTooLarge",
-    "IntMatrix",
-    "NotSubgroup",
-    "NotSublattice",
-    "PicardLattice",
-    "QLattice",
-    "RowReport",
-    "ScanReport",
-    "SearchExhausted",
-    "SmithForm",
-    "ValidationError",
-    "WeylSearchConfig",
-    "Witness",
-    "bertini_involution",
-    "char_poly",
-    "charpoly_order",
-    "dejonquieres",
-    "del_pezzo_pic",
-    "direct_sum",
-    "express_in_row_basis",
-    "geiser_involution",
-    "h1",
-    "h1_cocycle",
-    "h1_cyclic",
-    "hermite_form",
-    "invariants_h0",
-    "kernel_basis",
-    "matrix_order",
-    "mulclose",
-    "obstruction_scan",
-    "permutation_module",
-    "poly_eval",
-    "poly_mul",
-    "poly_pow",
-    "poly_str",
-    "q_sublattice",
-    "reflection",
-    "restrict_action",
-    "restrict_subgroup",
-    "roots",
-    "row_basis",
-    "smith_form",
-    "subquotient",
-    "validate_and_close",
-    "verify_row",
-    "weyl_search",
-    "xgcd",
-]
+__all__ = intlinalg.__all__ + cohomology.__all__ + picard.__all__

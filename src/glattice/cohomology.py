@@ -97,6 +97,32 @@ from .intlinalg import (
     subquotient,
 )
 
+__all__ = [
+    "CohomologyResult",
+    "Cyclic",
+    "Explicit",
+    "Generated",
+    "GLattice",
+    "GroupMismatch",
+    "GroupSpec",
+    "GroupTooLarge",
+    "NotSubgroup",
+    "ScanReport",
+    "ValidationError",
+    "Witness",
+    "direct_sum",
+    "h1",
+    "h1_cocycle",
+    "h1_cyclic",
+    "invariants_h0",
+    "matrix_order",
+    "mulclose",
+    "obstruction_scan",
+    "permutation_module",
+    "restrict_subgroup",
+    "validate_and_close",
+]
+
 DEFAULT_ORDER_BOUND = 10_000
 
 
@@ -147,6 +173,7 @@ class GroupSpec:
         n = self.size
         if any(not m.is_square or m.rows != n for m in self.matrices):
             raise ValidationError(f"{what}: matrices must all be square of the same size")
+        _require_int(closure_bound, "closure bound")
         if closure_bound < 1:
             raise ValueError("closure bound must be positive")
         self.closure_bound = closure_bound
@@ -285,6 +312,9 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND, square: IntMatr
     packed products of O(nonzeros of g) operations on rank-bit ints, plus
     the square and at most 2 log2(k) - 1 more exact ones (one for order 3).
     """
+    _require_int(bound, "order bound")
+    if not g.is_square:
+        raise ValueError("order of a non-square matrix")
     if bound >= 1 and _is_identity(g):
         return 1
     if square is None:
@@ -295,6 +325,12 @@ def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND, square: IntMatr
     if not _is_identity(_power(g, k, square)):
         raise GroupTooLarge(f"group too large or infinite: order exceeds {bound}")
     return k
+
+
+def _require_int(value, what: str) -> None:
+    """Refuse a size or bound that is not an int: a walk never meets a float bound, and a bool reads as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 def _is_identity(m: IntMatrix) -> bool:
@@ -357,6 +393,7 @@ def _order_mod3(g: IntMatrix, bound: int) -> int:
 
 def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) -> list[IntMatrix]:
     """Closure of the generators under multiplication, in breadth-first order: their walk's elements."""
+    _require_int(bound, "closure bound")
     if not generators:
         raise ValueError("no generators")
     return list(_closed_walk(generators, bound=bound).elements)
@@ -631,6 +668,7 @@ class GLattice:
     form: IntMatrix | None = None
 
     def __post_init__(self) -> None:
+        _require_int(self.rank, "rank")
         if self.rank < 0:
             raise ValueError("negative rank")
         if self.form is not None:

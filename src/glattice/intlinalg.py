@@ -44,6 +44,25 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+__all__ = [
+    "FinAbGroup",
+    "IntMatrix",
+    "NotSublattice",
+    "SmithForm",
+    "char_poly",
+    "express_in_row_basis",
+    "hermite_form",
+    "kernel_basis",
+    "poly_eval",
+    "poly_mul",
+    "poly_pow",
+    "poly_str",
+    "row_basis",
+    "smith_form",
+    "subquotient",
+    "xgcd",
+]
+
 
 class NotSublattice(ValueError):
     """Raised when a vector falls outside the lattice that should contain it."""

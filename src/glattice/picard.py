@@ -50,6 +50,27 @@ from .intlinalg import (
     poly_str,
 )
 
+__all__ = [
+    "ConicBundlePic",
+    "ConstructionError",
+    "PicardLattice",
+    "QLattice",
+    "RowReport",
+    "SearchExhausted",
+    "WeylSearchConfig",
+    "bertini_involution",
+    "charpoly_order",
+    "dejonquieres",
+    "del_pezzo_pic",
+    "geiser_involution",
+    "q_sublattice",
+    "reflection",
+    "restrict_action",
+    "roots",
+    "verify_row",
+    "weyl_search",
+]
+
 
 class SearchExhausted(RuntimeError):
     """The randomized Weyl search ran out of trials without a hit."""
@@ -470,9 +491,7 @@ def charpoly_order(m: GLattice) -> int:
     return value // d
 
 
-DEL_PEZZO_CASES = ("geiser", "bertini", "dp3-p3", "dp1-p3", "dp1-p5")
-
-# case -> (p, genus of the fixed curve, degree K^2)
+# case -> (p, genus of the fixed curve, degree K^2), in the verify table's row order
 CASE_PARAMS = {
     "geiser": (2, 3, 2),
     "bertini": (2, 4, 1),
@@ -480,6 +499,7 @@ CASE_PARAMS = {
     "dp1-p3": (3, 2, 1),
     "dp1-p5": (5, 1, 1),
 }
+DEL_PEZZO_CASES = tuple(CASE_PARAMS)
 
 CASE_MODELS = {
     "geiser": "del Pezzo, Geiser involution",
@@ -674,11 +694,11 @@ def _verify_conic_bundle(g: int) -> RowReport:
 def verify_row(case: str, genus: int | None = None, cfg: WeylSearchConfig | None = None) -> RowReport:
     """Verify one table case and return the report with its certificates.
 
-    ``case`` is one of ``geiser``, ``bertini``, ``dp3-p3``, ``dp1-p3``,
-    ``dp1-p5`` or ``dejonquieres`` (the latter takes ``genus``).  An action
-    :class:`GLattice` refuses (not unimodular or not form-preserving) raises
-    ValidationError; every other failure is recorded check by check in the
-    report.  The module docstring says where each fact is checked.
+    ``case`` is a key of ``CASE_PARAMS`` or ``dejonquieres``, which takes
+    ``genus``.  An action :class:`GLattice` refuses (not unimodular or not
+    form-preserving) raises ValidationError; every other failure is recorded
+    check by check in the report.  The module docstring says where each fact
+    is checked.
     """
     if case == "dejonquieres":
         if genus is None:

@@ -140,6 +140,20 @@ def test_each_kind_is_closed_within_its_own_bound(spec, message):
         spec(0)
 
 
+def test_bounds_and_ranks_must_be_ints():
+    # a walk never meets a float bound, which let S_3 through at 5.5, and a bool reads as 0 or 1
+    s3 = [perm_matrix([1, 0, 2], False), perm_matrix([1, 2, 0], False)]
+    c6 = perm_matrix([1, 2, 3, 4, 5, 0], False)
+    for bound in (5.5, 6.0, True):
+        for call in (lambda: Generated(s3, closure_bound=bound), lambda: Cyclic(c6, closure_bound=bound),
+                     lambda: mulclose([c6], bound), lambda: matrix_order(c6, bound)):
+            with pytest.raises(TypeError, match=f"bound must be an int, got {bound}$"):
+                call()
+    for rank in (2.0, True):
+        with pytest.raises(TypeError, match=f"^rank must be an int, got {rank}$"):
+            GLattice(rank, Cyclic(SWAP))
+
+
 def test_specs_are_equal_only_with_equal_bounds():
     for make, _ in QUARTER_TURN_SPECS.values():
         assert make(4) != make(5)
@@ -1788,6 +1802,11 @@ def test_matrix_order_early_returns_keep_bounds_and_refusals():
     with pytest.raises(GroupTooLarge, match=refusal.format(1)):
         matrix_order(SWAP, 1)
     assert matrix_order(SWAP, 2) == 2
+    # a non-square matrix has no order, though its diagonal may read as the identity's; the empty one is I
+    for rows in ([[1, 0]], [[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+        with pytest.raises(ValueError, match="^order of a non-square matrix$"):
+            matrix_order(IntMatrix(rows))
+    assert matrix_order(IntMatrix([], cols=0)) == 1
     # orders 3, 4 and 6 go through the residues and the confirmation from the square
     rotations = [augmentation_shift(3), augmentation_shift(4), -augmentation_shift(3), perm_matrix([1, 2, 3, 0], True)]
     for g in rotations:
