@@ -31,6 +31,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
@@ -116,14 +117,22 @@ def _require_int(value, where, minimum=None):
 
 
 def _parse_matrix(value, rank, where) -> IntMatrix:
-    if not isinstance(value, list) or len(value) != rank:
-        raise InputError(f"{where}: expected {rank} rows")
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != rank:
-            raise InputError(f"{where}: row {i} must have {rank} entries")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InputError(f"{where}: row {i} has a non-integer entry {x!r}")
+    """``value`` as a rank x rank IntMatrix, or an InputError naming its first defect.
+
+    The shape and the entry types are read in C-level passes over the rows
+    and over all entries; only a matrix they do not pass takes the loop that
+    names the first defect, row by row.
+    """
+    if not (type(value) is list and len(value) == rank and {list}.issuperset(map(type, value))
+            and {rank}.issuperset(map(len, value)) and {int}.issuperset(map(type, chain.from_iterable(value)))):
+        if not isinstance(value, list) or len(value) != rank:
+            raise InputError(f"{where}: expected {rank} rows")
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != rank:
+                raise InputError(f"{where}: row {i} must have {rank} entries")
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise InputError(f"{where}: row {i} has a non-integer entry {x!r}")
     return IntMatrix._from_rows(tuple(map(tuple, value)), rank)  # every entry is checked above
 
 
@@ -198,21 +207,32 @@ def _indented_json(obj, pad: str = "\n") -> str:
 
     ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is
     set.  Here keys and strings go through the C
-    ``encode_basestring_ascii``, and a list of plain ints, such as a matrix
-    row, is one ``str.join``.  ``pad`` is the line break and indentation
-    that close ``obj``.
+    ``encode_basestring_ascii``, and a dict's str and int values are written
+    in place.  A list of plain ints, such as H^1's invariant factors, is one
+    ``str.join``.  A matrix, a list of equally long nonempty rows of plain
+    ints, is one comprehension that fills one row template per row, its
+    types and lengths read in C-level passes; any other list, ragged rows
+    included, renders item by item.  ``pad`` is the line break and
+    indentation that close ``obj``.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in obj.items()]
+        items = [encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(v) if type(v) is str else
+                                                      str(v) if type(v) is int else _indented_json(v, inner))
+                 for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all([type(x) is int for x in obj]):
+        if {int}.issuperset(map(type, obj)):
             items = map(str, obj)
+        elif ({list, tuple}.issuperset(map(type, obj)) and {int}.issuperset(map(type, chain.from_iterable(obj)))
+              and obj[0] and {len(obj[0])}.issuperset(map(len, obj))):  # a matrix: equal nonempty rows of ints
+            deeper = inner + "  "
+            row = "[" + deeper + ("%d," + deeper) * (len(obj[0]) - 1) + "%d" + inner + "]"
+            items = [row % tuple(r) for r in obj]
         else:
             items = [_indented_json(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"

@@ -40,7 +40,9 @@ its generator's order, from which a sub-action's is read (``_sub_order``).
 Its check forms the generator's square, which the order then starts from;
 the square proves an involution g unimodular, as det(g)^2 = 1, and
 form-preserving when F.g is symmetric, for a symmetric form F: no
-determinant and one product (``GroupSpec._check``).
+determinant and one product (``GroupSpec._check``).  A list's check takes
+its walk first and then determinants and form products of the walk's greedy
+generators only, which every listed matrix is a product of.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -138,6 +140,9 @@ class ValidationError(ValueError):
         self.index, self.reason = index, reason
 
 
+_DEFECTS = {"unimodular": "is not unimodular", "form": "does not preserve the bilinear form"}
+
+
 class GroupTooLarge(ValueError):
     """Closure exceeded its bound: the group is too large or infinite."""
 
@@ -207,21 +212,37 @@ class GroupSpec:
         return self._walk
 
     def _check(self, form: IntMatrix | None) -> None:
-        """Raise ValidationError unless every listed matrix is unimodular and
-        preserves ``form``; a spec keeps the forms it has passed, so each is checked once.  An involution g
-        has det(g)^2 = 1 and, being its own inverse, preserves a symmetric F exactly when F.g is symmetric:
-        one product and no determinant, where any other matrix or form takes a determinant and g^T.F.g."""
+        """Raise ValidationError unless every listed matrix is unimodular and preserves ``form``; a spec keeps
+        the forms it has passed, so each is checked once.  When the spec names matrices whose products are all
+        the listed ones (``_generating``: a list's greedy generators), only those are checked, as products of
+        unimodular, form-preserving matrices are; when there are none or one fails, every listed matrix is, in
+        list order, so a refusal names the first defective one."""
         passed = self.__dict__.setdefault("_passed", set())
         if form in passed:
             return
-        square = self._square  # None unless the spec is cyclic, whose one listed matrix it squares
-        for i, g in enumerate(self.matrices):
-            involution = square is not None and _is_identity(square) and (form is None or _is_symmetric(form))
-            if not involution and not g.is_unimodular():
-                raise ValidationError(f"matrix {i} is not unimodular", i, "unimodular")
-            if form is not None and not (_is_symmetric(form @ g) if involution else g.transpose() @ form @ g == form):
-                raise ValidationError(f"matrix {i} does not preserve the bilinear form", i, "form")
+        gens = self._generating()
+        if gens is None or any(self._defect(g, form) for g in gens):
+            for i, g in enumerate(self.matrices):
+                reason = self._defect(g, form)
+                if reason is not None:
+                    raise ValidationError(f"matrix {i} {_DEFECTS[reason]}", i, reason)
         passed.add(form)
+
+    def _generating(self) -> tuple[IntMatrix, ...] | None:
+        """Matrices whose products are all the listed ones, known before the check; only a list has them."""
+        return None
+
+    def _defect(self, g: IntMatrix, form: IntMatrix | None) -> str | None:
+        """``"unimodular"`` or ``"form"`` when the listed ``g`` fails that check, else None.  An involution g
+        has det(g)^2 = 1 and, being its own inverse, preserves a symmetric F exactly when F.g is symmetric:
+        one product and no determinant, where any other matrix or form takes a determinant and g^T.F.g."""
+        square = self._square  # None unless the spec is cyclic, whose one listed matrix it squares
+        involution = square is not None and _is_identity(square) and (form is None or _is_symmetric(form))
+        if not involution and not g.is_unimodular():
+            return "unimodular"
+        if form is not None and not (_is_symmetric(form @ g) if involution else g.transpose() @ form @ g == form):
+            return "form"
+        return None
 
     def _keep(self, form: IntMatrix | None, walk: _Walk | None = None, order: int | None = None) -> GroupSpec:
         """Mark a spec built from checked ones as preserving ``form``, and as walked by ``walk``
@@ -262,12 +283,25 @@ class Cyclic(GroupSpec):
 class Explicit(GroupSpec):
     """Full element list, closed under product and containing the identity."""
 
+    _refusal: ValueError | None = None  # why the list is no group, found by the check's walk
+
     @property
     def elements(self) -> tuple[IntMatrix, ...]:
         return self.matrices
 
+    def _generating(self) -> tuple[IntMatrix, ...] | None:
+        """The greedy generators of the list's walk, of which every listed matrix is a product, or None when
+        the list is no group: that refusal is kept and raised at first use, after any listed matrix's defect."""
+        try:
+            return self._checked_walk().gens
+        except (ValidationError, GroupTooLarge) as e:
+            self._refusal = e
+            return None
+
     def _walk_group(self) -> _Walk:
-        """The walk by greedy generators that proves the list a group."""
+        """The walk by greedy generators that proves the list a group, or the refusal a walk found before."""
+        if self._refusal is not None:
+            raise self._refusal.with_traceback(None)
         if len(self.elements) > self.closure_bound:
             raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {self.closure_bound}")
         members = set(self.elements)
@@ -632,6 +666,10 @@ def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[I
     built with, is refused with GroupTooLarge.  Checks that every listed
     matrix is unimodular and preserves ``form`` when one is given, once per
     spec and form, then walks the group once per spec, which keeps its walk.
+    An explicit list is walked first and checked on the walk's greedy
+    generators only, of which every listed matrix is a product; when the
+    walk or a generator fails, every listed matrix is checked in list order,
+    and a failed walk is raised after that check, without a second walk.
     A cyclic spec is walked by the powers of its generator, after its order
     (see :func:`matrix_order`), which the spec keeps.  A generated spec
     first has each generator's order checked, so an infinite-order generator
@@ -849,7 +887,7 @@ def permutation_module(perms: Sequence[Sequence[int]], kind: str = "generated") 
         raise ValueError(f"unknown kind {kind!r}")
     m = GLattice(rank=k, group=spec, form=None)
     if kind == "explicit":
-        spec._checked_walk()  # verifies closure and identity, and keeps the walk
+        spec._checked_walk()  # a list that is no group is refused here, by the walk its check took
     return m
 
 

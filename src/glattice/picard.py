@@ -38,7 +38,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .cohomology import Cyclic, GLattice, _sub_order, h1_cyclic, invariants_h0, leading_block
+from .cohomology import Cyclic, GLattice, _require_int, _sub_order, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -116,6 +116,7 @@ def del_pezzo_pic(d: int) -> PicardLattice:
     Degrees above 6 leave no room for the simple root H - E1 - E2 - E3, and
     none of the prime-order actions of interest live there.
     """
+    _require_int(d, "degree")
     if not 1 <= d <= 6:
         raise ValueError(f"degree must be between 1 and 6, got {d}")
     rank = 10 - d
@@ -370,6 +371,8 @@ class WeylSearchConfig:
     word_max: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("max_trials", "word_min", "word_max"):  # a bool counts trials as 0 or 1, a float fails in randrange
+            _require_int(getattr(self, name), name)
         if self.max_trials < 1:
             raise ValueError("max_trials must be at least 1")
         if not 1 <= self.word_min <= self.word_max:

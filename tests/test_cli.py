@@ -120,6 +120,34 @@ def test_parse_reports_the_first_defect_in_document_order(matrices, bound, gram,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# the dihedral group of order 8, generated by D = diag(1, -1) and the swap S, listed as
+# I, D, -I, -D, S, -S, SD, -SD: its greedy generators are D, -I and S, and of its members
+# only I, D, -I and -D preserve diag(1, 2)
+DIHEDRAL8 = [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]], [[-1, 0], [0, 1]],
+             [[0, 1], [1, 0]], [[0, -1], [-1, 0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "matrices, gram, message",
+    [
+        # not closed, as diag(2, 1)^2 is not listed, and not unimodular: the matrix is named
+        ([[[1, 0], [0, 1]], [[2, 0], [0, 1]]], None, "group.matrices[1]: not unimodular"),
+        # closed, as {I, 0} is, with a singular member
+        ([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], None, "group.matrices[1]: not unimodular"),
+        # closed under a gram: the first member that breaks it, after the generators D and -I and
+        # the product -D that keep it
+        (DIHEDRAL8, [[1, 0], [0, 2]], "group.matrices[4]: does not preserve the gram form"),
+    ],
+)
+def test_parse_reports_the_first_defect_of_a_list_in_document_order(matrices, gram, message, capsys, tmp_path):
+    doc = {"rank": 2, "gram": gram, "group": {"kind": "list", "matrices": matrices, "bound": None}}
+    with pytest.raises(InputError) as err:
+        parse_input(json.dumps(doc))
+    assert str(err.value) == message
+    assert run_command(["compute", "--input", write_doc(tmp_path, doc)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- compute ---------------------------------------------------------------------
 
 
@@ -838,9 +866,17 @@ def test_large_cyclic_order_is_refused_quickly():
     assert proc.stderr == "error: group too large or infinite: order exceeds 10000\n"
 
 
+# rows of ints as a report holds them, and the near misses that must not render as a matrix:
+# matrices, ragged arrays with empty rows, and rows that hold a bool, as lists or tuples
+INT_ROWS = st.one_of(
+    st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k), min_size=1)),
+    st.lists(st.lists(st.integers(), max_size=4)),
+    st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=4), min_size=1),
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(st.integers()),
-    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(st.integers())
+    | st.lists(st.integers()).map(tuple) | INT_ROWS | INT_ROWS.map(lambda rows: tuple(map(tuple, rows))),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
     max_leaves=40,
 )
 

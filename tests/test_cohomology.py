@@ -1304,10 +1304,28 @@ def test_listed_matrices_checked_once_per_lattice(monkeypatch):
     m = GLattice(3, Explicit(mats), IntMatrix.identity(3))
     h1(m)
     obstruction_scan(m)
-    assert len(calls) == len(mats)
-    # the public closure still checks every matrix it is given
+    # the six listed matrices are products of the walk's two greedy generators, whose determinants
+    # prove every member unimodular
+    gens = m.group._checked_walk().gens
+    assert len(gens) == 2 and calls == list(gens)
+    # the public closure checks the generators of every spec it is given
     validate_and_close(Explicit(mats))
-    assert len(calls) == 2 * len(mats)
+    assert len(calls) == 4
+
+
+def test_an_unclosed_list_is_walked_once_and_refused_at_first_use(monkeypatch):
+    import glattice.cohomology as coh
+
+    calls = []
+    real = coh._closed_walk
+    monkeypatch.setattr(coh, "_closed_walk", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    # S_3 without its last element: every listed matrix is unimodular and keeps the form, so the
+    # lattice is built, and the walk its check took is refused where the group is first used
+    m = GLattice(3, Explicit(symmetric_group_module(3, True)[:-1]), IntMatrix.identity(3))
+    for use in (h1, obstruction_scan, GLattice.elements, lambda m: restrict_subgroup(m, [IntMatrix.identity(3)])):
+        with pytest.raises(ValidationError, match="^Explicit element list is not closed under products$"):
+            use(m)
+    assert len(calls) == 1
 
 
 def test_cyclic_and_cocycle_methods_share_one_kernel():

@@ -89,6 +89,19 @@ def test_del_pezzo_range_check():
         del_pezzo_pic(0)
 
 
+def test_search_sizes_and_the_degree_must_be_ints():
+    # a bool counted trials as 0 or 1 ("found in True trials"), and a float failed inside
+    # randrange or list repetition with the standard library's untyped error
+    for field, value in (("max_trials", True), ("max_trials", 5.5), ("word_min", 1.5), ("word_min", True),
+                         ("word_max", 16.0)):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {value}$"):
+            weyl_search(3, 2, WeylSearchConfig(**{field: value}))
+    for d in (3.0, True):
+        with pytest.raises(TypeError, match=f"^degree must be an int, got {d}$"):
+            del_pezzo_pic(d)
+    assert WeylSearchConfig(max_trials=5, word_min=1, word_max=1).max_trials == 5
+
+
 def test_q_sublattice_discriminants():
     # |det| of the induced form: 1, 2, 3 for the E8, E7, E6 lattices
     for d, disc in [(1, 1), (2, 2), (3, 3)]:
