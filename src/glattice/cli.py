@@ -99,10 +99,10 @@ class InputDocument:
     def echo(self) -> dict:
         return {
             "rank": self.rank,
-            "gram": self.gram.tolists() if self.gram is not None else None,
+            "gram": tuple(self.gram) if self.gram is not None else None,
             "group": {
                 "kind": self.kind,
-                "matrices": [m.tolists() for m in self.matrices],
+                "matrices": [tuple(m) for m in self.matrices],
                 "bound": self.bound,
             },
         }

@@ -111,7 +111,6 @@ __all__ = [
     "NotSubgroup",
     "ScanReport",
     "ValidationError",
-    "Witness",
     "direct_sum",
     "h1",
     "h1_cocycle",
@@ -724,27 +723,11 @@ class GLattice:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Certificate bases behind a cohomology value.
-
-    For the cyclic method the numerator is a basis of ker(N) and the
-    denominator generates eta(M); for the cocycle method they are bases of
-    the cocycles and coboundaries in generator-value coordinates, on the
-    generators of the lattice's walk (the listed ones of a generated lattice).
-    """
-
-    numerator_basis: IntMatrix
-    denominator_gens: IntMatrix
-    description: str
-
-
-@dataclass(frozen=True)
 class CohomologyResult:
     h0_rank: int
     h1: FinAbGroup
     method: str
     group_order: int
-    witness: Witness | None = None
 
     def __post_init__(self) -> None:
         _check_h1(self.h1, self.group_order)
@@ -804,35 +787,20 @@ def _stacked(gens: Sequence[IntMatrix], rank: int) -> IntMatrix:
     )
 
 
-def _result(m: GLattice, gens: Sequence[IntMatrix], order: int, method: str, witness: bool) -> CohomologyResult:
-    """H^1 of ``m``, whose group of ``order`` elements ``gens`` generate; a witness
-    holds the rows of B, one per basis vector x, and the Hermite basis of their saturation Z^1."""
-    h1, h0_rank = _h1(gens, m.rank, order)
-    cert = None
-    if witness:
-        b1 = _stacked(gens, m.rank).transpose()
-        z1 = kernel_basis(kernel_basis(b1))
-        if method == "cyclic":  # row i of -B^1 = (1 - d)^T is eta applied to the i-th basis vector
-            cert = Witness(z1, -b1, "ker(N) basis and eta(M) generators")
-        else:
-            cert = Witness(z1, b1, "cocycle and coboundary bases (generator-value coordinates)")
-    return CohomologyResult(h0_rank=h0_rank, h1=h1, method=method, group_order=order, witness=cert)
-
-
-def h1_cyclic(m: GLattice, witness: bool = False) -> CohomologyResult:
+def h1_cyclic(m: GLattice) -> CohomologyResult:
     """H^1 for a cyclic action <d>: the torsion of coker(d - 1), which is ker(N) / eta(M).
 
-    ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d; the cocycles
-    and coboundaries are built only for a witness.  Only d and its order are
-    needed (Brown, *Cohomology of Groups*, III.1): no walk, and for a prime
-    order two ranks (see ``_h1``), else one ``subquotient``.
+    ``N`` is the norm 1 + d + ... + d^(n-1) and eta = 1 - d.  Only d and its
+    order are needed (Brown, *Cohomology of Groups*, III.1): no walk, and for
+    a prime order two ranks (see ``_h1``), else one ``subquotient``.
     """
     if not isinstance(m.group, Cyclic):
         raise ValidationError("h1_cyclic needs a cyclic group spec")
-    return _result(m, m.group.matrices, m.group._order, "cyclic", witness)
+    h1, h0_rank = _h1(m.group.matrices, m.rank, m.group._order)
+    return CohomologyResult(h0_rank=h0_rank, h1=h1, method="cyclic", group_order=m.group._order)
 
 
-def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
+def h1_cocycle(m: GLattice) -> CohomologyResult:
     """H^1 by crossed homomorphisms, for an arbitrary finite group.
 
     Cocycles are taken in the coordinates of their values on the generators
@@ -842,14 +810,15 @@ def h1_cocycle(m: GLattice, witness: bool = False) -> CohomologyResult:
     adds ``rank`` and changes neither H^1 nor the rank of M^G.  Only the closure's bound limits the group.
     """
     walk = m.group._checked_walk()  # the spec was checked when the lattice was made
-    return _result(m, walk.gens, walk.order, "cocycle", witness)
+    h1, h0_rank = _h1(walk.gens, m.rank, walk.order)
+    return CohomologyResult(h0_rank=h0_rank, h1=h1, method="cocycle", group_order=walk.order)
 
 
-def h1(m: GLattice, witness: bool = False) -> CohomologyResult:
+def h1(m: GLattice) -> CohomologyResult:
     """H^1 of the action: cyclic formula when available, cocycles otherwise."""
     if isinstance(m.group, Cyclic):
-        return h1_cyclic(m, witness=witness)
-    return h1_cocycle(m, witness=witness)
+        return h1_cyclic(m)
+    return h1_cocycle(m)
 
 
 # ---------------------------------------------------------------------------

@@ -69,18 +69,23 @@ class NotSublattice(ValueError):
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(x, y, g)`` with ``x*a + y*b == g == gcd(a, b)`` and ``g >= 0``."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+    """Return ``(x, y, g)`` with ``x*a + y*b == g == gcd(a, b)`` and ``g >= 0``.
+
+    The pair is the one the extended Euclidean algorithm ends on: x is the
+    inverse of a/g modulo m = |b|/g of least absolute value, the positive
+    one of a tie (m = 2) only when b > 0, and x = 0 when m = 1: one ``pow``
+    in C, with no Python step per quotient.
+    """
+    g = gcd(a, b)
+    if not b:
+        return (-1 if a < 0 else 1), 0, g
+    m = abs(b) // g
+    if m == 1:
+        return 0, (-1 if b < 0 else 1), g
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
+    return x, (g - a * x) // b, g
 
 
 class IntMatrix:

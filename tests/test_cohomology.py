@@ -209,13 +209,6 @@ def test_h1_cyclic_rejects_other_specs():
         h1_cyclic(GLattice(2, Explicit([IntMatrix.identity(2), MINUS_I2])))
 
 
-def test_h1_cyclic_witness():
-    res = h1_cyclic(sign_lattice(1), witness=True)
-    assert res.witness is not None
-    assert res.witness.numerator_basis == IntMatrix([[1]])
-    assert res.witness.denominator_gens == IntMatrix([[2]])
-
-
 # --- cocycle H^1 ---------------------------------------------------------------
 
 
@@ -678,16 +671,15 @@ def test_redundant_generators_add_no_cocycle_coordinate(monkeypatch):
                 greedy.append(g)
                 span = set(mulclose(greedy))
         calls.clear()
-        res = h1_cocycle(m, witness=True)
+        res = h1_cocycle(m)
         assert res.h1 == expected
         # the kernel takes the listed generators: each redundant one adds rank rows of B^T
         assert calls == [m.group.matrices]
         assert len(greedy) <= 3
-        # yet they add no cocycle coordinate: the rank of Z^1, H^1 and the rank of
-        # M^G are those of the lattice on the greedy generators
-        ref = h1_cocycle(GLattice(4, Generated(greedy)), witness=True)
+        # yet they add no cocycle coordinate: H^1 and the rank of M^G are
+        # those of the lattice on the greedy generators
+        ref = h1_cocycle(GLattice(4, Generated(greedy)))
         assert (res.h1, res.h0_rank) == (ref.h1, ref.h0_rank)
-        assert res.witness.numerator_basis.rows == ref.witness.numerator_basis.rows
 
 
 def test_scan_forms_no_product_after_the_closure(monkeypatch):
@@ -1087,10 +1079,9 @@ def test_single_pass_cocycle_matches_two_pass_reference():
             rng.shuffle(listed)
             gens = symmetric_group_generators(degree, signed)
             for m in (GLattice(degree, Explicit(listed)), GLattice(degree, Generated(gens))):
-                res = h1_cocycle(m, witness=True)
+                res = h1_cocycle(m)
                 z1, b1 = two_pass_cocycle_bases(m)
-                assert res.witness.numerator_basis == z1
-                assert res.witness.denominator_gens == b1
+                assert res.h1 == subquotient(z1, b1)
                 assert res.group_order == len(mats)
 
 
@@ -1128,11 +1119,9 @@ def signed_permutation_groups(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(signed_permutation_groups())
 def test_cocycle_kernel_matches_fox_reference(m):
-    res = h1_cocycle(m, witness=True)
+    res = h1_cocycle(m)
     z1, b1 = two_pass_cocycle_bases(m, m.group._checked_walk().gens)
     assert res.h1 == subquotient(z1, b1)
-    assert res.witness.numerator_basis == z1
-    assert res.witness.denominator_gens == b1
     assert res.h0_rank == invariants_h0(m).rows
 
 
@@ -1326,22 +1315,6 @@ def test_an_unclosed_list_is_walked_once_and_refused_at_first_use(monkeypatch):
         with pytest.raises(ValidationError, match="^Explicit element list is not closed under products$"):
             use(m)
     assert len(calls) == 1
-
-
-def test_cyclic_and_cocycle_methods_share_one_kernel():
-    rng = random.Random(47)
-    for _ in range(10):
-        rank = rng.randint(1, 5)
-        g = random_finite_order_action(rng, rank, 8)
-        if g == IntMatrix.identity(rank):
-            continue
-        m = GLattice(rank, Cyclic(g))
-        cyclic = h1_cyclic(m, witness=True).witness
-        cocycle = h1_cocycle(m, witness=True).witness
-        # on <g> the greedy generator is g itself: cocycles are ker(N), and
-        # the coboundaries (g - 1)x are eta(M) = (1 - g)M with the sign flipped
-        assert cocycle.numerator_basis == cyclic.numerator_basis
-        assert cocycle.denominator_gens == -cyclic.denominator_gens
 
 
 def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
@@ -1688,12 +1661,10 @@ def test_h1_stacks_each_distinct_generator_once(monkeypatch):
     monkeypatch.setattr(coh, "_rank_mod", lambda b, p: rows.append(b.rows) or real(b, p))
     transposition = perm_matrix((1, 0, 2, 3), True)
     m = GLattice(4, Generated([transposition] * 50 + [IntMatrix.identity(4)]))
-    res = h1_cocycle(m, witness=True)
+    res = h1_cocycle(m)
     assert res.h1 == FinAbGroup((2, 2))
     # one block of rank rows for the one distinct generator that is not the identity
     assert rows == [4]
-    # the witness keeps a coordinate block for each listed generator
-    assert res.witness.denominator_gens.cols == 51 * 4
 
 
 def subquotient_h1(gens, rank):

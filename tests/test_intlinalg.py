@@ -687,10 +687,45 @@ def test_poly_helpers():
     assert poly_str((1, 0, -1)) == "-t^2 + 1"
 
 
+def euclid_xgcd(a, b):
+    """The extended Euclidean loop: the reference whose ``(x, y, g)`` ``xgcd`` must return."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
 def test_xgcd():
     for a, b in [(12, 18), (-4, 6), (0, 0), (0, -7), (5, 0)]:
         x, y, g = xgcd(a, b)
         assert x * a + y * b == g == gcd(a, b)
+
+
+def test_xgcd_matches_the_euclidean_loop():
+    for a in range(-300, 301):
+        for b in range(-300, 301):
+            assert xgcd(a, b) == euclid_xgcd(a, b), (a, b)
+    # sizes log-uniform up to 2,000 bits, every sign, and pairs with a common factor or b | a
+    rng = random.Random(11)
+
+    def draw():
+        return rng.choice((-1, 1)) * rng.getrandbits(round(2000 ** rng.random()))
+
+    for _ in range(100_000):
+        a, b, c = draw(), draw(), draw()
+        kind = rng.randrange(3)
+        if kind == 1:
+            a, b = a * c, b * c
+        elif kind == 2:
+            a = b * c
+        assert xgcd(a, b) == euclid_xgcd(a, b), (a, b)
 
 
 # --- IntMatrix basics ----------------------------------------------------------
