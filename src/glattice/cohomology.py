@@ -26,7 +26,7 @@ matrix, built from its images only when read (``_Walk.element``):
 ``h1_cocycle`` reads none, ``obstruction_scan`` one per conjugacy class of
 cyclic subgroups, and ``restrict_subgroup`` tests a matrix by its images of
 Ω (``_Walk.contains``), building none.
-Each spec keeps the walk that closed it (``_checked_walk``) as the
+Each spec keeps what its walk ended in (``_checked_walk``): a refusal, or the
 permutations it reached and their composition (``_Walk.product``): a group
 acting faithfully on Ω is its permutations (Seress, *Permutation Group
 Algorithms*, ch. 4), and they are the only group structure used after the
@@ -40,9 +40,9 @@ its generator's order, from which a sub-action's is read (``_sub_order``).
 Its check forms the generator's square, which the order then starts from;
 the square proves an involution g unimodular, as det(g)^2 = 1, and
 form-preserving when F.g is symmetric, for a symmetric form F: no
-determinant and one product (``GroupSpec._check``).  A list's check takes
-its walk first and then determinants and form products of the walk's greedy
-generators only, which every listed matrix is a product of.
+determinant and one product (``GroupSpec._check``).  A list's walk raises
+every list refusal; its check then takes determinants and form products of
+the walk's greedy generators, or of every listed matrix if the walk refused.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -163,10 +163,10 @@ class GroupSpec:
 
     Every kind is built, compared and hashed here, on its listed matrices
     and its bound; a subclass says only how its kind is walked
-    (``_walk_group``), and keeps the walk that proved it a group.
+    (``_walk_group``), and keeps what that walk ended in.
     """
 
-    _walk: _Walk | None = None
+    _walk: _Walk | ValueError | None = None  # the walk that proved the spec a group, or the refusal it ended in
     _square: IntMatrix | None = None  # a cyclic spec's generator's square, read by its check and then its order
 
     def __init__(self, matrices: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
@@ -205,26 +205,32 @@ class GroupSpec:
         raise NotImplementedError
 
     def _checked_walk(self) -> _Walk:
-        """The walk within ``closure_bound``, found once per spec."""
+        """The walk within ``closure_bound``, taken once per spec: the spec keeps the walk or the refusal
+        (ValidationError or GroupTooLarge) it ended in, and raises that refusal again at every later use."""
         if self._walk is None:
-            self._walk = self._walk_group()
+            try:
+                self._walk = self._walk_group()
+            except (ValidationError, GroupTooLarge) as e:
+                self._walk = e
+        if isinstance(self._walk, ValueError):
+            raise self._walk.with_traceback(None)
         return self._walk
 
     def _check(self, form: IntMatrix | None) -> None:
-        """Raise ValidationError unless every listed matrix is unimodular and preserves ``form``; a spec keeps
-        the forms it has passed, so each is checked once.  When the spec names matrices whose products are all
-        the listed ones (``_generating``: a list's greedy generators), only those are checked, as products of
-        unimodular, form-preserving matrices are; when there are none or one fails, every listed matrix is, in
-        list order, so a refusal names the first defective one."""
+        """Raise ValidationError unless every listed matrix is unimodular and preserves ``form``, naming the first
+        defective one; a spec keeps the forms it has passed, so each is checked once.  One pass, in list order,
+        reads the matrices whose products are all the listed ones (``_generating``: a list's greedy generators),
+        or else every listed matrix.  The first defective listed matrix is always a greedy generator: any other
+        member is a product of the greedy generators listed before it, so it is sound when they are."""
         passed = self.__dict__.setdefault("_passed", set())
         if form in passed:
             return
         gens = self._generating()
-        if gens is None or any(self._defect(g, form) for g in gens):
-            for i, g in enumerate(self.matrices):
-                reason = self._defect(g, form)
-                if reason is not None:
-                    raise ValidationError(f"matrix {i} {_DEFECTS[reason]}", i, reason)
+        for g in self.matrices if gens is None else gens:
+            reason = self._defect(g, form)
+            if reason is not None:
+                i = self.matrices.index(g)
+                raise ValidationError(f"matrix {i} {_DEFECTS[reason]}", i, reason)
         passed.add(form)
 
     def _generating(self) -> tuple[IntMatrix, ...] | None:
@@ -280,38 +286,24 @@ class Cyclic(GroupSpec):
 
 
 class Explicit(GroupSpec):
-    """Full element list, closed under product and containing the identity."""
-
-    _refusal: ValueError | None = None  # why the list is no group, found by the check's walk
+    """Full element list, closed under product and containing the identity: its walk by greedy
+    generators (``_closed_walk``) proves it a group or refuses it, and the spec keeps either."""
 
     @property
     def elements(self) -> tuple[IntMatrix, ...]:
         return self.matrices
 
     def _generating(self) -> tuple[IntMatrix, ...] | None:
-        """The greedy generators of the list's walk, of which every listed matrix is a product, or None when
-        the list is no group: that refusal is kept and raised at first use, after any listed matrix's defect."""
+        """The greedy generators of the list's walk, of which every listed matrix is a product, or None when the
+        list is no group: the spec keeps that refusal and raises it at first use, after any listed matrix's defect."""
         try:
             return self._checked_walk().gens
-        except (ValidationError, GroupTooLarge) as e:
-            self._refusal = e
+        except (ValidationError, GroupTooLarge):
             return None
 
     def _walk_group(self) -> _Walk:
-        """The walk by greedy generators that proves the list a group, or the refusal a walk found before."""
-        if self._refusal is not None:
-            raise self._refusal.with_traceback(None)
-        if len(self.elements) > self.closure_bound:
-            raise GroupTooLarge(f"group too large or infinite: {len(self.elements)} > {self.closure_bound}")
-        members = set(self.elements)
-        if len(members) != len(self.elements):
-            raise ValidationError("Explicit element list contains duplicates")
-        if IntMatrix.identity(self.size) not in members:
-            raise ValidationError("Explicit element list is missing the identity")
-        walk = _closed_walk((), self.elements)
-        if walk is None:
-            raise ValidationError("Explicit element list is not closed under products")
-        return walk
+        """The walk by greedy generators that proves the list a group, or raises why it is none."""
+        return _closed_walk((), self.elements, bound=self.closure_bound)
 
 
 class Generated(GroupSpec):
@@ -465,9 +457,8 @@ class _Walk:
         return len(self.perms)
 
 
-def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
-                 bound: int | None = None) -> _Walk | None:
-    """The walk from the identity by ``gens``, then by each of ``members`` it has not reached when it comes to it.
+def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (), *, bound: int) -> _Walk:
+    """The walk from the identity by ``gens``, or by each of ``members`` it has not reached when it comes to it.
 
     Every element is walked as a permutation of Ω, a finite set of vectors
     that spans Z^rank and is stable under the group: the standard basis and
@@ -489,12 +480,15 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     a list); elements reached before need only the product with it, newly
     reached ones take every generator.  Without ``members`` a closure beyond
     ``bound`` raises GroupTooLarge.  With them the walk keeps the member
-    objects and returns None at the first product outside them, or at a
-    generator's first image outside Ω, which the columns of a group
-    contain: so it ends.
+    objects and refuses a list longer than ``bound`` before Ω is built,
+    then one with two equal column keys (a duplicate) or no key 0..n-1 (no
+    identity), then one not closed, at its first product outside it or
+    generator image outside Ω, which a group's columns hold: so it ends.
     """
     n = (gens or members)[0].rows
     if members:
+        if len(members) > bound:
+            raise GroupTooLarge(f"group too large or infinite: {len(members)} > {bound}")
         points, given, s, combos = list(IntMatrix.identity(n)), {}, n, None  # Ω, the basis first
         where = dict(zip(points, range(n)))
         for v in chain.from_iterable(zip(*g) for g in members):
@@ -523,6 +517,10 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
             return itemgetter(*y)(x)
 
     listed = {pack([where[v] for v in zip(*g)]): g for g in members}
+    if len(listed) < len(members):
+        raise ValidationError("Explicit element list contains duplicates")
+    if members and pack(range(n)) not in listed:
+        raise ValidationError("Explicit element list is missing the identity")
     reached = [pack(range(size))]
     # a list's member check reads the first s points; a generated walk keys ``seen`` by the kept
     # permutation itself (y[:None] of bytes or a tuple is y), so it holds no second object per element
@@ -535,9 +533,9 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
     for batch in chain([gens], ([g] for key, g in listed.items() if key not in seen)):
         first = len(moves)
         for g in batch:
-            images = given[g] if g in given else _images(g, points, where)
+            images = _images(g, points, where) if members else given[g]
             if images is None:
-                return None
+                raise ValidationError("Explicit element list is not closed under products")
             perm = pack(images)
             walk_gens.append(g)
             gen_perms.append(perm)
@@ -551,7 +549,7 @@ def _closed_walk(gens: Sequence[IntMatrix], members: Sequence[IntMatrix] = (),
                 if key not in seen:
                     if members:
                         if key not in listed:
-                            return None
+                            raise ValidationError("Explicit element list is not closed under products")
                     elif len(reached) == bound:
                         raise GroupTooLarge(f"group too large or infinite: closure exceeds {bound}")
                     seen.add(key)
@@ -661,27 +659,26 @@ def _images(g: IntMatrix, points: list, where: dict) -> list[int] | None:
 def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[IntMatrix]:
     """Validate a group spec and return its full element list.
 
-    A group larger than the spec's own bound, the ``closure_bound`` it was
-    built with, is refused with GroupTooLarge.  Checks that every listed
-    matrix is unimodular and preserves ``form`` when one is given, once per
-    spec and form, then walks the group once per spec, which keeps its walk.
-    An explicit list is walked first and checked on the walk's greedy
-    generators only, of which every listed matrix is a product; when the
-    walk or a generator fails, every listed matrix is checked in list order,
-    and a failed walk is raised after that check, without a second walk.
-    A cyclic spec is walked by the powers of its generator, after its order
-    (see :func:`matrix_order`), which the spec keeps.  A generated spec
-    first has each generator's order checked, so an infinite-order generator
-    is refused after a few packed residue products; a few orbits then give
-    Ω (``_orbits``), and the group is walked breadth first at
-    |G| * |generators| compositions of permutations of Ω.  An explicit list
-    is proved to contain the identity and be product-closed by one walk of
-    greedy generators S on Ω, the set of its columns: an image outside Ω
-    proves the list not closed, and the walk takes O(|G| * |S|)
-    compositions where the full table takes |G|^2 products.  The list comes
-    back in its own order; any other kind's in walk order, each element
-    taken from the walk (``_Walk.element``), which builds it on this first
-    read unless it is listed.
+    Checks that every listed matrix is unimodular and preserves ``form``
+    when one is given, once per spec and form (``GroupSpec._check``), and
+    walks the group once per spec, which keeps what the walk ended in: the
+    walk, or the refusal it raises again at every use.  A group larger than
+    the spec's own bound, the ``closure_bound`` it was built with, is
+    refused with GroupTooLarge.  A cyclic spec is walked by the powers of
+    its generator, after its order (see :func:`matrix_order`), which the
+    spec keeps.  A generated spec first has each generator's order checked,
+    so an infinite-order generator is refused after a few packed residue
+    products; a few orbits then give Ω (``_orbits``), and the group is
+    walked breadth first at |G| * |generators| compositions of permutations
+    of Ω.  An explicit list is walked first, by greedy generators S on Ω,
+    the set of its columns, in O(|G| * |S|) compositions where the full
+    table takes |G|^2 products; the walk refuses a list longer than the
+    bound, then one with a duplicate, without the identity, or not closed (a
+    product outside the list or an image outside Ω).  The check then reads
+    S, or every listed matrix when the walk refused, whose refusal comes
+    after any matrix's defect.  The list comes back in its own order; any
+    other kind's in walk order, each element taken from the walk
+    (``_Walk.element``), which builds it on this first read unless listed.
     """
     spec._check(form)
     walk = spec._checked_walk()

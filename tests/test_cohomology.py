@@ -1317,6 +1317,126 @@ def test_an_unclosed_list_is_walked_once_and_refused_at_first_use(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_refused_generated_walk_is_kept_and_raised_at_every_use(monkeypatch):
+    import glattice.cohomology as coh
+
+    orders = []
+    real = coh.matrix_order
+    monkeypatch.setattr(coh, "matrix_order", lambda *a: orders.append(a) or real(*a))
+    m = GLattice(2, Generated([IntMatrix([[1, 1], [0, 1]])], 50))
+    for use in (h1, obstruction_scan, GLattice.elements):
+        with pytest.raises(GroupTooLarge, match="^group too large or infinite: closure exceeds 50$"):
+            use(m)
+    # the spec keeps the refusal its walk ended in: the unipotent generator's order is sought once
+    assert len(orders) == 1
+
+
+def test_a_list_is_checked_on_its_greedy_generators_in_one_pass(monkeypatch):
+    import glattice.cohomology as coh
+
+    rng = random.Random(42)
+    p, pinv = conjugator(rng, 4)
+    listed = [p @ g @ pinv for g in symmetric_group_module(4, True)]
+    rng.shuffle(listed)
+    form = pinv.transpose() @ pinv  # the conjugated action preserves P^-T P^-1
+    hashed, defects = [], []
+    real_hash, real_defect = IntMatrix.__hash__, coh.GroupSpec._defect
+    monkeypatch.setattr(IntMatrix, "__hash__", lambda a: hashed.append(a) or real_hash(a))
+    monkeypatch.setattr(coh.GroupSpec, "_defect", lambda spec, g, f: defects.append(g) or real_defect(spec, g, f))
+    m = GLattice(4, Explicit(listed), form)
+    gens = m.group._checked_walk().gens
+    # the walk finds duplicates and the identity by column keys: no listed matrix is hashed
+    assert not [a for a in hashed if any(a is g for g in listed)]
+    assert 2 <= len(gens) < len(listed) and defects == list(gens)
+
+    # a walk reads only columns, so a greedy generator reported singular keeps the list closed: the one
+    # pass reaches it last and names its list index, with no second pass over the members before it
+    bad = gens[-1]
+    real_unimodular = IntMatrix.is_unimodular
+    monkeypatch.setattr(IntMatrix, "is_unimodular", lambda a: a is not bad and real_unimodular(a))
+    defects.clear()
+    with pytest.raises(ValidationError) as refused:
+        GLattice(4, Explicit(listed), form)
+    index = next(i for i, g in enumerate(listed) if g is bad)
+    assert (str(refused.value), refused.value.index, refused.value.reason) == (
+        f"matrix {index} is not unimodular", index, "unimodular")
+    assert defects == list(gens)
+
+    # a singular matrix that a closed list holds is walked as a greedy generator: the zero matrix,
+    # which absorbs every product, appended to the list is its last one and the first defect
+    monkeypatch.setattr(IntMatrix, "is_unimodular", real_unimodular)
+    defects.clear()
+    with pytest.raises(ValidationError, match=f"^matrix {len(listed)} is not unimodular$"):
+        GLattice(4, Explicit(listed + [IntMatrix.zeros(4, 4)]), form)
+    assert defects == [*gens, IntMatrix.zeros(4, 4)]
+
+
+LIST_FAULTS = ("singular", "form", "duplicate", "no identity", "missing member", "bound")
+
+
+def faulty_list(rng, degree, signed, faults):
+    """A shuffled, conjugated S_n list with ``faults`` applied in turn, the bound last: ``(list, bound, form)``."""
+    p, pinv = conjugator(rng, degree)
+    listed = [p @ g @ pinv for g in symmetric_group_module(degree, signed)]
+    rng.shuffle(listed)
+    ident = IntMatrix.identity(degree)
+    form = pinv.transpose() @ pinv if "form" in faults or rng.random() < 0.5 else None
+    for fault in faults:
+        i = rng.randrange(len(listed))
+        if fault == "singular":  # row 0 doubled
+            listed[i] = IntMatrix([[2 * x for x in listed[i][0]]] + [list(row) for row in listed[i][1:]])
+        elif fault == "form":  # unimodular, but times a conjugated shear it breaks the form
+            listed[i] = listed[i] @ p @ unipotent(degree) @ pinv
+        elif fault == "duplicate":
+            listed.insert(rng.randrange(len(listed) + 1), IntMatrix(listed[i].tolists()))
+        elif fault == "no identity":
+            listed = [g for g in listed if g != ident]
+        elif fault == "missing member":
+            listed.remove(rng.choice([g for g in listed if g != ident]))
+    return listed, len(listed) - 1 if "bound" in faults else DEFAULT_ORDER_BOUND, form
+
+
+def reference_refusal(listed, bound, form):
+    """``(stage, type, text, index, reason)`` of the documented first refusal, found by brute force, or None.
+
+    Each listed matrix's defect, in list order, is refused when the lattice
+    is built; a list that is no group is refused at its first use: over the
+    bound, then a duplicate, then no identity, then a product outside it.
+    """
+    for i, g in enumerate(listed):
+        if g.det() not in (1, -1):
+            return "built", ValidationError, f"matrix {i} is not unimodular", i, "unimodular"
+        if form is not None and g.transpose() @ form @ g != form:
+            return "built", ValidationError, f"matrix {i} does not preserve the bilinear form", i, "form"
+    members = set(listed)
+    if len(listed) > bound:
+        return "used", GroupTooLarge, f"group too large or infinite: {len(listed)} > {bound}", None, None
+    if len(members) < len(listed):
+        return "used", ValidationError, "Explicit element list contains duplicates", None, None
+    if IntMatrix.identity(listed[0].rows) not in members:
+        return "used", ValidationError, "Explicit element list is missing the identity", None, None
+    if not all(a @ b in members for a in listed for b in listed):
+        return "used", ValidationError, "Explicit element list is not closed under products", None, None
+    return None
+
+
+def test_a_list_with_combined_faults_gets_the_documented_first_refusal():
+    rng = random.Random(43)
+    combos = [()] + [(f,) for f in LIST_FAULTS] + list(itertools.combinations(LIST_FAULTS, 2))
+    for degree in (3, 4, 5):
+        for signed in (False, True):
+            for faults in combos:
+                listed, bound, form = faulty_list(rng, degree, signed, rng.sample(faults, len(faults)))
+                stage, got = "built", None
+                try:
+                    m = GLattice(degree, Explicit(listed, bound), form)
+                    stage = "used"
+                    h1(m)
+                except (ValidationError, GroupTooLarge) as e:
+                    got = stage, type(e), str(e), getattr(e, "index", None), getattr(e, "reason", None)
+                assert got == reference_refusal(listed, bound, form), (degree, signed, faults)
+
+
 def test_direct_sum_checks_explicit_pairing_along_the_walk(monkeypatch):
     calls, dets = [], []
     real, real_det = IntMatrix.__matmul__, IntMatrix.det
