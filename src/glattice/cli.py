@@ -29,11 +29,11 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+from ._record import Record
 from .cohomology import (
     DEFAULT_ORDER_BOUND,
     Cyclic,
@@ -77,13 +77,12 @@ class InputError(ValueError):
 # input documents
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    rank: int
-    gram: IntMatrix | None
-    kind: str
-    matrices: tuple[IntMatrix, ...]
-    bound: int | None
+class InputDocument(Record):
+    _fields = ("rank", "gram", "kind", "matrices", "bound")
+
+    def __init__(self, rank: int, gram: IntMatrix | None, kind: str, matrices: tuple[IntMatrix, ...],
+                 bound: int | None) -> None:
+        vars(self).update(rank=rank, gram=gram, kind=kind, matrices=matrices, bound=bound)
 
     def group_spec(self) -> GroupSpec:
         bound = DEFAULT_ORDER_BOUND if self.bound is None else self.bound  # every kind refuses a larger group
@@ -403,7 +402,7 @@ def _cmd_search(args) -> _Outcome:
 def _cmd_scan(args) -> _Outcome:
     doc = _read_document(args.input)
     scan = obstruction_scan(doc.lattice)
-    doc = replace(doc)  # the report echoes the document: a copy without the cached lattice lets the walk go
+    del vars(doc)["lattice"]  # the report echoes the document: dropping its cached lattice lets the walk go
     return EXIT_OK, lambda: {
         "command": "scan",
         "input": doc.echo(),

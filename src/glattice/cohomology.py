@@ -81,13 +81,13 @@ computed twice by racing threads is the same value either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from ._record import Record
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -275,8 +275,15 @@ class Cyclic(GroupSpec):
 
     @cached_property
     def _order(self) -> int:
-        """The generator's order within ``closure_bound``, found once per spec, from its square if formed."""
-        return matrix_order(self.generator, self.closure_bound, self.__dict__.pop("_square", None))
+        """The generator's order within ``closure_bound``, found once per spec, from its square if formed.
+        A refused order is kept as the walk's refusal, which the walk would end in, and raised again."""
+        if isinstance(self._walk, GroupTooLarge):
+            raise self._walk.with_traceback(None)
+        try:
+            return matrix_order(self.generator, self.closure_bound, self.__dict__.pop("_square", None))
+        except GroupTooLarge as e:
+            self._walk = e
+            raise
 
     def _walk_group(self) -> _Walk:
         """The walk of the powers 1, d, ..., d^(n-1) of the generator d, after its order n, d^k walked as k."""
@@ -424,8 +431,7 @@ def mulclose(generators: Sequence[IntMatrix], bound: int = DEFAULT_ORDER_BOUND) 
     return list(_closed_walk(generators, bound=bound).elements)
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(Record):
     """A finite group walked from the identity by right multiplication.
 
     ``perms`` lists the group in the order the walk reached it, the
@@ -438,15 +444,16 @@ class _Walk:
     Ω or read from the powers of g, and ``contains(g)`` tells whether a
     matrix is an element, from its images of Ω or among the powers; so a
     caller of the generators, the order, the permutations or a few
-    elements builds only the matrices it reads.
+    elements builds only the matrices it reads.  Only ``gens``,
+    ``gen_perms`` and ``perms`` are compared and shown.
     """
 
-    element: Callable[[int], IntMatrix] = field(repr=False, compare=False)
-    contains: Callable[[IntMatrix], bool] = field(repr=False, compare=False)
-    gens: tuple[IntMatrix, ...]
-    gen_perms: tuple
-    perms: Sequence
-    product: Callable = field(repr=False, compare=False)
+    _fields = ("gens", "gen_perms", "perms")
+
+    def __init__(self, element: Callable[[int], IntMatrix], contains: Callable[[IntMatrix], bool],
+                 gens: tuple[IntMatrix, ...], gen_perms: tuple, perms: Sequence, product: Callable) -> None:
+        vars(self).update(element=element, contains=contains, gens=gens, gen_perms=gen_perms, perms=perms,
+                          product=product)
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
@@ -689,19 +696,17 @@ def validate_and_close(spec: GroupSpec, form: IntMatrix | None = None) -> list[I
 # G-lattices
 
 
-@dataclass(frozen=True)
-class GLattice:
+class GLattice(Record):
     """A free Z-module of finite rank with a finite group acting on it.
 
     The optional ``form`` is a symmetric Gram matrix every action matrix
     must preserve (g^T . form . g == form).
     """
 
-    rank: int
-    group: GroupSpec
-    form: IntMatrix | None = None
+    _fields = ("rank", "group", "form")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, group: GroupSpec, form: IntMatrix | None = None) -> None:
+        vars(self).update(rank=rank, group=group, form=form)
         _require_int(self.rank, "rank")
         if self.rank < 0:
             raise ValueError("negative rank")
@@ -719,15 +724,15 @@ class GLattice:
         return validate_and_close(self.group, self.form)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    h0_rank: int
-    h1: FinAbGroup
-    method: str
-    group_order: int
+class CohomologyResult(Record):
+    __slots__ = _fields = ("h0_rank", "h1", "method", "group_order")
 
-    def __post_init__(self) -> None:
-        _check_h1(self.h1, self.group_order)
+    def __init__(self, h0_rank: int, h1: FinAbGroup, method: str, group_order: int) -> None:
+        _check_h1(h1, group_order)
+        self._set("h0_rank", h0_rank)
+        self._set("h1", h1)
+        self._set("method", method)
+        self._set("group_order", group_order)
 
 
 def _check_h1(h1: FinAbGroup, group_order: int) -> None:
@@ -943,6 +948,8 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
         raise NotSubgroup("subset not a subgroup: element does not belong to the group")
     if not subset:
         raise NotSubgroup("subset not a subgroup: the empty set has no identity")
+    if len(subset) > walk.order:  # every member is an element, so two are equal
+        raise NotSubgroup("subset not a subgroup: Explicit element list contains duplicates")
     bound = m.group.closure_bound  # a subgroup is no larger than the group
     if len(subset) == 1:
         return GLattice(m.rank, Cyclic(subset[0], bound)._keep(m.form), m.form)
@@ -954,18 +961,17 @@ def restrict_subgroup(m: GLattice, elements: IntMatrix | Sequence[IntMatrix]) ->
     return GLattice(m.rank, spec, m.form)
 
 
-@dataclass(frozen=True)
-class SubgroupEntry:
-    generator_index: int
-    order: int
-    h1: FinAbGroup
+class SubgroupEntry(Record):
+    __slots__ = _fields = ("generator_index", "order", "h1")
 
-    def __post_init__(self) -> None:
-        _check_h1(self.h1, self.order)
+    def __init__(self, generator_index: int, order: int, h1: FinAbGroup) -> None:
+        _check_h1(h1, order)
+        self._set("generator_index", generator_index)
+        self._set("order", order)
+        self._set("h1", h1)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of scanning H^1 over the group and its cyclic subgroups."""
 
     full_group: CohomologyResult

@@ -38,11 +38,12 @@ Values are immutable and functions pure, so the module is thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from ._record import Record
 
 __all__ = [
     "FinAbGroup",
@@ -66,6 +67,13 @@ __all__ = [
 
 class NotSublattice(ValueError):
     """Raised when a vector falls outside the lattice that should contain it."""
+
+
+def _require_int_entries(rows: Iterable[tuple]) -> None:
+    """Raise TypeError at the first entry, row by row, that is a bool or no ``int``."""
+    for x in chain.from_iterable(rows):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"integer entry required, got {x!r}")
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -105,17 +113,19 @@ class IntMatrix:
     __slots__ = ("_data", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[int]], *, cols: int | None = None):
-        data = []
-        for row in rows:
-            entries = []
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise TypeError(f"integer entry required, got {x!r}")
-                entries.append(x)
-            data.append(tuple(entries))
+        # C-level passes over the rows and over all entries; only input that fails them takes the
+        # entry loop, which names the first defect in row order, as a loop over each row would
+        data: list[tuple[int, ...]] = []
+        try:
+            data.extend(map(tuple, rows))  # the rows before one that is not iterable stay in ``data``
+        except TypeError:
+            _require_int_entries(data)
+            raise
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            _require_int_entries(data)  # an int subclass passes
         if data:
             width = len(data[0])
-            if any(len(r) != width for r in data):
+            if not {width}.issuperset(map(len, data)):
                 raise ValueError("rows have inconsistent lengths")
             if cols is not None and cols != width:
                 raise ValueError(f"expected {cols} columns, got {width}")
@@ -549,8 +559,7 @@ def express_in_row_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
 # Smith normal form and finite abelian groups
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """``U @ A @ V == D`` with unimodular transforms and a diagonal ``D``.
 
     The diagonal is nonnegative and each nonzero entry divides the next;
@@ -639,8 +648,7 @@ def smith_form(a: IntMatrix) -> SmithForm:
     )
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``invariant_factors`` is the canonical chain (every factor > 1, each
@@ -649,18 +657,18 @@ class FinAbGroup:
     ever needed.
     """
 
-    invariant_factors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = _fields = ("invariant_factors", "free_rank")
 
-    def __post_init__(self) -> None:
-        fs = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+    def __init__(self, invariant_factors: Iterable[int] = (), free_rank: int = 0) -> None:
+        fs = tuple(invariant_factors)
         if any(f <= 1 for f in fs):
             raise ValueError("invariant factors must exceed 1")
         if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("negative free rank")
+        self._set("invariant_factors", fs)
+        self._set("free_rank", free_rank)
 
     @property
     def is_trivial(self) -> bool:

@@ -33,11 +33,12 @@ leading block of its Pic lattice, with its checks (``leading_block``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
+from ._record import Record
 from .cohomology import Cyclic, GLattice, _require_int, _sub_order, h1_cyclic, invariants_h0, leading_block
 from .intlinalg import (
     FinAbGroup,
@@ -94,8 +95,7 @@ def restrict_action(action: IntMatrix, basis: IntMatrix) -> IntMatrix:
 # del Pezzo Picard lattices
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(NamedTuple):
     """Z^(1,9-d) with the canonical class of a degree-d del Pezzo surface."""
 
     degree: int
@@ -128,8 +128,7 @@ def del_pezzo_pic(d: int) -> PicardLattice:
     return lat
 
 
-@dataclass(frozen=True)
-class QLattice:
+class QLattice(NamedTuple):
     """Saturated orthogonal complement of K inside a Picard lattice."""
 
     parent: PicardLattice
@@ -167,8 +166,7 @@ def simple_roots(p: PicardLattice) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """The roots of a degree-d del Pezzo lattice, with its Weyl group acting on them.
 
     ``roots`` is sorted.  ``reflections[i]`` is the reflection in
@@ -179,11 +177,11 @@ class RootSystem:
     ``coords[i]`` are the coordinates of ``roots[i]`` in the simple roots.
     """
 
-    lattice: PicardLattice
-    roots: tuple[tuple[int, ...], ...]
-    simple: tuple[int, ...]
-    coords: tuple[tuple[int, ...], ...]
-    reflections: tuple[bytes, ...]
+    _fields = ("lattice", "roots", "simple", "coords", "reflections")
+
+    def __init__(self, lattice: PicardLattice, roots: tuple[tuple[int, ...], ...], simple: tuple[int, ...],
+                 coords: tuple[tuple[int, ...], ...], reflections: tuple[bytes, ...]) -> None:
+        vars(self).update(lattice=lattice, roots=roots, simple=simple, coords=coords, reflections=reflections)
 
     @cached_property
     def q(self) -> QLattice:
@@ -292,8 +290,7 @@ def bertini_involution() -> GLattice:
 # conic bundles
 
 
-@dataclass(frozen=True)
-class ConicBundlePic:
+class ConicBundlePic(Record):
     """Lattice of a genus-g conic bundle with its fiber-swapping involution.
 
     Basis: the fiber class F, one component F_i' of each of the 2g+2
@@ -302,11 +299,10 @@ class ConicBundlePic:
     intersection form with S.F_i' = 0.
     """
 
-    genus: int
-    rank: int
-    gram: IntMatrix
-    delta: IntMatrix
-    section_square: int
+    _fields = ("genus", "rank", "gram", "delta", "section_square")
+
+    def __init__(self, genus: int, rank: int, gram: IntMatrix, delta: IntMatrix, section_square: int) -> None:
+        vars(self).update(genus=genus, rank=rank, gram=gram, delta=delta, section_square=section_square)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -363,20 +359,20 @@ def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:
 # randomized Weyl search
 
 
-@dataclass(frozen=True)
-class WeylSearchConfig:
-    seed: int = 0
-    max_trials: int = 1_000_000
-    word_min: int = 2
-    word_max: int = 16
+class WeylSearchConfig(Record):
+    __slots__ = _fields = ("seed", "max_trials", "word_min", "word_max")
 
-    def __post_init__(self) -> None:
-        for name in ("max_trials", "word_min", "word_max"):  # a bool counts trials as 0 or 1, a float fails in randrange
-            _require_int(getattr(self, name), name)
-        if self.max_trials < 1:
+    def __init__(self, seed: int = 0, max_trials: int = 1_000_000, word_min: int = 2, word_max: int = 16) -> None:
+        for name, value in zip(self._fields[1:], (max_trials, word_min, word_max)):
+            _require_int(value, name)  # a bool counts trials as 0 or 1, a float fails in randrange
+        if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
-        if not 1 <= self.word_min <= self.word_max:
+        if not 1 <= word_min <= word_max:
             raise ValueError("need 1 <= word_min <= word_max")
+        self._set("seed", seed)
+        self._set("max_trials", max_trials)
+        self._set("word_min", word_min)
+        self._set("word_max", word_max)
 
 
 # no Weyl group element has order above this; used to cap order detection
@@ -525,15 +521,13 @@ def build_case(case: str, cfg: WeylSearchConfig | None = None) -> GLattice:
     raise ValueError(f"unknown case {case!r}")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     """Verification outcome for one table case, with per-check certificates."""
 
     case: str

@@ -435,6 +435,16 @@ def test_restrict_rejects_the_empty_set():
         restrict_subgroup(full, [])
 
 
+def test_a_subset_longer_than_the_group_is_refused_as_holding_duplicates():
+    # every member is proven an element first, so seven of them in S_3 repeat one, whatever the bound:
+    # the list walk would refuse seven members at bound 6 as too large before it looked for duplicates
+    s3 = symmetric_group_module(3, False)
+    sevens = [IntMatrix.identity(3)] * 7
+    for spec in (Generated(s3[1:3]), Generated(s3[1:3], 6), Explicit(s3), Explicit(s3, 6)):
+        with pytest.raises(NotSubgroup, match="^subset not a subgroup: Explicit element list contains duplicates$"):
+            restrict_subgroup(GLattice(3, spec), sevens)
+
+
 def test_restrict_tests_membership_by_the_images_of_omega():
     # the cyclic group of a 4-cycle in every kind: Ω is the standard basis, the orbit of e_0 and
     # the columns of the list, and a transposition permutes it, yet is no member
@@ -1328,6 +1338,20 @@ def test_a_refused_generated_walk_is_kept_and_raised_at_every_use(monkeypatch):
         with pytest.raises(GroupTooLarge, match="^group too large or infinite: closure exceeds 50$"):
             use(m)
     # the spec keeps the refusal its walk ended in: the unipotent generator's order is sought once
+    assert len(orders) == 1
+
+
+def test_a_refused_cyclic_order_is_kept_and_raised_at_every_use(monkeypatch):
+    import glattice.cohomology as coh
+
+    orders = []
+    real = coh.matrix_order
+    monkeypatch.setattr(coh, "matrix_order", lambda *a: orders.append(a) or real(*a))
+    m = GLattice(2, Cyclic(IntMatrix([[1, 1], [0, 1]]), 50))
+    for use in (h1, obstruction_scan, GLattice.elements):
+        with pytest.raises(GroupTooLarge, match="^group too large or infinite: order exceeds 50$"):
+            use(m)
+    # the order's refusal is kept with the spec, as a walk's is: the unipotent generator is powered once
     assert len(orders) == 1
 
 

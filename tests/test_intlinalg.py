@@ -855,6 +855,69 @@ def test_matrix_rejects_bad_entries():
         IntMatrix.stack([IntMatrix.identity(2), IntMatrix.identity(3)])
 
 
+def entry_loop_rows(rows, cols=None):
+    """The constructor's checks as a loop over each row's entries, then the lengths: ``(rows, cols)``."""
+    data = []
+    for row in rows:
+        entries = []
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise TypeError(f"integer entry required, got {x!r}")
+            entries.append(x)
+        data.append(tuple(entries))
+    if data:
+        width = len(data[0])
+        if any(len(r) != width for r in data):
+            raise ValueError("rows have inconsistent lengths")
+        if cols is not None and cols != width:
+            raise ValueError(f"expected {cols} columns, got {width}")
+    else:
+        width = 0 if cols is None else cols
+    if width < 0:
+        raise ValueError("negative column count")
+    return tuple(data), width
+
+
+class Small(int):
+    pass
+
+
+@pytest.mark.parametrize("make, cols", [
+    (lambda: [[1, 2], [3, 4]], None),
+    (lambda: [[1, True], [3, 4]], None),
+    (lambda: [[1, 2], [3, 4.0]], None),
+    (lambda: [[1, 2], ["3", 4]], None),
+    (lambda: [[1, 2], [3]], None),
+    (lambda: [[1, 2], [3], [4, None]], None),  # an entry defect is named before the lengths
+    (lambda: [[1, 2.5], 7], None),  # and before a later row that is not iterable
+    (lambda: [[1, 2], 7, [False, 1]], None),
+    (lambda: [[1, 2]], 3),
+    (lambda: [], 2),
+    (lambda: [], -1),
+    (lambda: [[]], None),
+    (lambda: ((x for x in row) for row in [[1, 2], [3, 4]]), None),
+    (lambda: ((x for x in row) for row in [[1, 2], [3, 1.0]]), None),
+    (lambda: ((x for x in row) for row in [[1, 2], [3]]), 2),
+    (lambda: [[Small(1), 2], [3, Small(4)]], None),
+    (lambda: [(Small(1), True)], None),
+    (lambda: "ab", None),
+    (lambda: 5, None),
+])
+def test_matrix_constructor_takes_the_checks_of_an_entry_loop(make, cols):
+    try:
+        expected = entry_loop_rows(make(), cols)
+    except (TypeError, ValueError) as e:
+        expected = type(e), str(e)
+    try:
+        m = IntMatrix(make(), cols=cols)
+    except (TypeError, ValueError) as e:
+        got = type(e), str(e)
+    else:
+        got = tuple(m), m.cols
+        assert [list(map(type, row)) for row in m] == [list(map(type, row)) for row in expected[0]]
+    assert got == expected
+
+
 def test_arithmetic_rejects_shape_mismatch():
     a, b = IntMatrix.identity(2), IntMatrix([[1, 2, 3]])
     with pytest.raises(ValueError, match=r"^shape mismatch: 2x2 @ 1x3$"):

@@ -384,13 +384,11 @@ def test_q_glattice_is_the_restricted_action():
 
 
 def test_q_glattice_refuses_a_span_that_is_not_invariant():
-    import dataclasses
-
     cb = dejonquieres(2)
     for j in range(cb.rank - 1):
         rows = cb.delta.tolists()
         rows[-1][j] = 1
-        broken = dataclasses.replace(cb, delta=IntMatrix(rows))
+        broken = ConicBundlePic(cb.genus, cb.rank, cb.gram, IntMatrix(rows), cb.section_square)
         with pytest.raises(ConstructionError, match="not invariant"):
             broken.q_glattice()
 
@@ -656,8 +654,6 @@ def test_verify_row_argument_errors():
 def test_verify_row_reports_a_broken_construction(monkeypatch, capsys):
     # delta preserves every multiple of the form, so GLattice accepts a doubled gram;
     # the row's determinant check is what catches it, without raising
-    import dataclasses
-
     import glattice.picard as picard
     from glattice.cli import EXIT_VERIFY, run_command
 
@@ -665,7 +661,8 @@ def test_verify_row_reports_a_broken_construction(monkeypatch, capsys):
 
     def doubled(g, section_square=-1):
         cb = real(g, section_square)
-        return dataclasses.replace(cb, gram=IntMatrix([[2 * x for x in row] for row in cb.gram]))
+        return ConicBundlePic(cb.genus, cb.rank, IntMatrix([[2 * x for x in row] for row in cb.gram]), cb.delta,
+                              cb.section_square)
 
     monkeypatch.setattr(picard, "dejonquieres", doubled)
     r = verify_row("dejonquieres", genus=1)
