@@ -26,7 +26,9 @@ group elements) are mostly zeros with tiny entries, so the kernels are
 sparse-aware: ``A @ B`` sums ``a * B[k]`` over the nonzero ``a`` of each row
 of ``A`` (Gustavson), adding a row ``B[k]`` with fewer than a quarter
 nonzeros at its nonzero columns alone; row and column operations skip zero
-source entries; ``det`` skips the Bareiss updates that are the identity;
+source entries, and a pivot row subtracted from many rows has its nonzero
+columns found once for each state of the pivot, found again after an xgcd
+step rewrites it; ``det`` skips the Bareiss updates that are the identity;
 ``kernel_basis`` eliminates the sparsest rows first (``_fill_in_order``);
 ``subquotient`` of the identity basis solves nothing.
 Characteristic polynomials are computed modulo the narrowest listed prime
@@ -352,6 +354,12 @@ def _row_sub(row: list[int], other: Sequence[int], q: int, start: int = 0) -> No
             row[k] -= q * x
 
 
+def _row_sub_on(row: list[int], other: Sequence[int], q: int, support: Sequence[int]) -> None:
+    # row -= q * other, where support lists the columns at which other is nonzero
+    for k in support:
+        row[k] -= q * other[k]
+
+
 def _combine_rows(r1: list[int], r2: list[int], x: int, y: int, u: int, v: int, start: int = 0) -> None:
     # applies the 2x2 transform [[x, y], [u, v]] to the row pair; a position
     # where both rows are 0 stays 0
@@ -367,22 +375,31 @@ def _clear_below(rows: list[list[int]], u: list[list[int]] | None, r: int, j: in
     in rows that are 0 left of ``j``: the module's one column-elimination
     step.  An entry the pivot divides is cleared by an exact quotient, any
     other by the xgcd transform, which leaves their gcd as the pivot.
-    ``u``, when given, takes the same row operations."""
+    ``u``, when given, takes the same row operations.  The pivot row's
+    nonzero columns (and its transform's) are found at its first exact
+    quotient and serve every later one, until an xgcd step rewrites it."""
+    piv = rows[r]
+    support = None
     for i in range(r + 1, len(rows)):
         b = rows[i][j]
         if b == 0:
             continue
-        a = rows[r][j]
+        a = piv[j]
         if b % a == 0:
             q = b // a
-            _row_sub(rows[i], rows[r], q, j)
+            if support is None:
+                support = [k for k in range(j, len(piv)) if piv[k]]
+                if u is not None:
+                    u_support = [k for k in range(len(u[r])) if u[r][k]]
+            _row_sub_on(rows[i], piv, q, support)
             if u is not None:
-                _row_sub(u[i], u[r], q)
+                _row_sub_on(u[i], u[r], q, u_support)
         else:
             x, y, g = xgcd(a, b)
-            _combine_rows(rows[r], rows[i], x, y, -(b // g), a // g, j)
+            _combine_rows(piv, rows[i], x, y, -(b // g), a // g, j)
             if u is not None:
                 _combine_rows(u[r], u[i], x, y, -(b // g), a // g)
+            support = None
 
 
 def _fill_in_order(row: Sequence[int]) -> int:
@@ -411,7 +428,8 @@ def _insert_row(h: list[list[int]], cols: list[int], row: list[int], n: int) -> 
     any other takes the xgcd transform with the row, which leaves their gcd
     as the pivot.  A row left nonzero joins the basis at its first nonzero
     column, made positive.  From the first pivot row added or changed on,
-    the entries above each pivot are reduced again into ``[0, pivot)``.
+    the entries above each pivot are reduced again into ``[0, pivot)``,
+    the pivot row's nonzero columns found once for all the rows above it.
     """
     first = None
     m = len(cols)
@@ -439,12 +457,14 @@ def _insert_row(h: list[list[int]], cols: list[int], row: list[int], n: int) -> 
             first = k if first is None else first
     if first is not None:
         for l in range(first, len(h)):
-            c = cols[l]
-            p = h[l][c]
+            c, piv = cols[l], h[l]
+            p = piv[c]
+            support = None
             for i in range(l):
                 q = h[i][c] // p  # floor: leaves the entry in [0, p)
                 if q:
-                    _row_sub(h[i], h[l], q, c)
+                    support = support or [k for k in range(c, len(piv)) if piv[k]]
+                    _row_sub_on(h[i], piv, q, support)
     return j < n
 
 

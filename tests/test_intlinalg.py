@@ -254,9 +254,9 @@ def test_hermite_transforms_of_dense_matrices_are_pinned():
 
 
 def spy_row_operations(monkeypatch):
-    """Record the width of the first row of every ``_row_sub`` and ``_combine_rows`` call."""
+    """Record the width of the first row of every ``_row_sub``, ``_row_sub_on`` and ``_combine_rows`` call."""
     widths = []
-    for name in ("_row_sub", "_combine_rows"):
+    for name in ("_row_sub", "_row_sub_on", "_combine_rows"):
         op = getattr(intlinalg, name)
         monkeypatch.setattr(intlinalg, name, lambda row, *args, op=op: widths.append(len(row)) or op(row, *args))
     return widths
@@ -1153,6 +1153,91 @@ def smith_pin_family():
     for _ in range(300):  # small pivots that rarely divide the rest: many offender steps
         misc.append(sparse_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), entries=(0, 0, 2, 3, 4, 6, -6, 12)))
     return {"dense16": dense16, "dense30": dense30, "dejonquieres": dejonquieres_family, "misc": misc}
+
+
+def rescanning_clear_below(rows, u, r, j):
+    """``_clear_below`` before it kept the pivot row's nonzero columns: each exact
+    quotient reads the whole pivot row again, so a pivot that an xgcd step has
+    rewritten is always read as it now is.  The reference it must match."""
+    for i in range(r + 1, len(rows)):
+        b = rows[i][j]
+        if b == 0:
+            continue
+        a = rows[r][j]
+        if b % a == 0:
+            q = b // a
+            intlinalg._row_sub(rows[i], rows[r], q, j)
+            if u is not None:
+                intlinalg._row_sub(u[i], u[r], q)
+        else:
+            x, y, g = xgcd(a, b)
+            intlinalg._combine_rows(rows[r], rows[i], x, y, -(b // g), a // g, j)
+            if u is not None:
+                intlinalg._combine_rows(u[r], u[i], x, y, -(b // g), a // g)
+
+
+def rescanning_insert_row(h, cols, row, n):
+    """``_insert_row`` before it kept the pivot row's nonzero columns for the
+    reduction above it: each subtraction reads the whole pivot row again."""
+    first = None
+    m = len(cols)
+    k = j = 0
+    while True:
+        while j < n and not row[j]:
+            j += 1
+        if j == n:
+            break
+        while k < m and cols[k] < j:
+            k += 1
+        if k == m or cols[k] != j:
+            if row[j] < 0:
+                row = [-x for x in row]
+            cols.insert(k, j)
+            h.insert(k, row)
+            first = k if first is None else first
+            break
+        p, b = h[k][j], row[j]
+        if b % p == 0:
+            intlinalg._row_sub(row, h[k], b // p, j)
+        else:
+            x, y, g = xgcd(p, b)
+            intlinalg._combine_rows(h[k], row, x, y, -(b // g), p // g, j)
+            first = k if first is None else first
+    if first is not None:
+        for l in range(first, len(h)):
+            c = cols[l]
+            p = h[l][c]
+            for i in range(l):
+                q = h[i][c] // p
+                if q:
+                    intlinalg._row_sub(h[i], h[l], q, c)
+    return j < n
+
+
+def test_kept_pivot_columns_match_rereading_the_pivot_row(monkeypatch):
+    # in column 0 the pivot 2 clears 4 by an exact quotient, takes the xgcd step with 3, which
+    # gives it new nonzero columns (in its tail too), then clears 2 and 6 by exact quotients from
+    # rows that are nonzero in those columns: the columns found before the xgcd step are stale
+    smith_case = IntMatrix([[2, 0, 0, 0], [4, 6, 0, 0], [3, 5, 7, 0], [2, 3, 3, 3]])
+    # kernel_basis of its transpose eliminates these rows in this order (each ends in column 3)
+    kernel_case = IntMatrix([[2, 0, 0, 1], [4, 6, 0, 1], [3, 5, 7, 1], [2, 3, 3, 1], [0, 2, 1, 1], [6, 1, 0, 1]])
+    cases = [smith_case, smith_case.transpose(), kernel_case, kernel_case.transpose()]
+    for g in range(1, 21):
+        m = dejonquieres(g).delta - IntMatrix.identity(2 * g + 4)
+        cases += [m, m.transpose()]
+    rng = random.Random(44)
+    cases += [sparse_matrix(rng, rng.randint(2, 8), rng.randint(2, 8), entries=(0, 0, 0, 2, 3, 4, 6))
+              for _ in range(200)]
+
+    def normal_forms(a):
+        sf = smith_form(a)
+        return kernel_basis(a), hermite_form(a), (sf.U, sf.D, sf.V)
+
+    kept = [normal_forms(a) for a in cases]
+    monkeypatch.setattr(intlinalg, "_clear_below", rescanning_clear_below)
+    monkeypatch.setattr(intlinalg, "_insert_row", rescanning_insert_row)
+    for a, expected in zip(cases, kept):
+        assert normal_forms(a) == expected, a
 
 
 SMITH_PINS = {
