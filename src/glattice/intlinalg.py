@@ -23,14 +23,14 @@ that clear to zero, and ``smith_form``, on rows and on columns.  Outside
 
 The actions met in practice (permutation modules, de Jonquieres and Weyl
 group elements) are mostly zeros with tiny entries, so the kernels are
-sparse-aware: ``A @ B`` sums ``a * B[k]`` over the nonzero ``a`` of each row
-of ``A`` (Gustavson), adding a row ``B[k]`` with fewer than a quarter
-nonzeros at its nonzero columns alone; row and column operations skip zero
-source entries, and a pivot row subtracted from many rows has its nonzero
-columns found once for each state of the pivot, found again after an xgcd
-step rewrites it; ``det`` skips the Bareiss updates that are the identity;
-``kernel_basis`` eliminates the sparsest rows first (``_fill_in_order``);
-``subquotient`` of the identity basis solves nothing.
+sparse-aware: ``A @ B`` adds ``a * B[k]`` over the nonzero ``a`` of each row
+of ``A`` (Gustavson) at ``B[k]``'s nonzero columns, found once per product;
+row and column operations skip zero source entries, and a pivot row
+subtracted from many rows has its nonzero columns found once for each state
+of the pivot, found again after an xgcd step rewrites it; ``det`` skips the
+Bareiss updates that are the identity; ``kernel_basis`` eliminates the
+sparsest rows first (``_fill_in_order``); ``subquotient`` of the identity
+basis solves nothing.
 Characteristic polynomials are computed modulo the narrowest listed prime
 above their coefficient bound, and each product of ``A`` with a vector is one
 big-integer product per column of ``A`` (see ``char_poly``).
@@ -309,31 +309,32 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: i
     """Rows of the product of ``a`` and ``b``, where ``b`` has ``width`` columns.
 
     Output row i is the sum of ``x * b[k]`` over the nonzero entries
-    ``x = a[i][k]``, which ``compress`` finds; rows of ``a`` with no nonzero
-    entry share one zero tuple.  The first term starts the sum (``b[k]``
-    itself when ``x`` is 1).  A later row ``b[k]`` with fewer than a quarter
-    nonzeros is scattered into the sum at its nonzero columns; a denser one
-    is added across the whole width.  The choice reads that row alone, so
-    rows of ``b`` that no entry of ``a`` selects cost nothing.
+    ``x = a[i][k]``, which ``compress`` finds.  A row with no term is one
+    shared zero tuple, and a row with one term is ``x * b[k]`` (``b[k]``
+    itself when ``x`` is 1).  Any other row starts from zeros and adds each
+    term in place at the nonzero columns of ``b[k]``, found the first time
+    the call reads ``b[k]``; rows of ``b`` that no term reads cost nothing.
     """
     zero = (0,) * width
     columns, inner = range(width), range(len(b))
+    supports = [None] * len(b)
     out = []
     for row in a:
-        acc = None
-        for k in compress(inner, row):
-            x, r = row[k], b[k]
-            if acc is None:
-                first = r
-                acc = r if x == 1 else [x * y for y in r]
-            elif 4 * (width - r.count(0)) < width:
-                if acc is first:  # a row of b itself: never write into it
-                    acc = list(acc)
-                for j in compress(columns, r):
+        terms = list(compress(inner, row))
+        if not terms:
+            out.append(zero)
+        elif len(terms) == 1:
+            x, r = row[terms[0]], b[terms[0]]
+            out.append(tuple(r) if x == 1 else tuple([x * y for y in r]))
+        else:
+            acc = [0] * width
+            for k in terms:
+                x, r, support = row[k], b[k], supports[k]
+                if support is None:
+                    support = supports[k] = list(compress(columns, r))
+                for j in support:
                     acc[j] += x * r[j]
-            else:
-                acc = [s + x * y for s, y in zip(acc, r)]
-        out.append(zero if acc is None else tuple(acc))
+            out.append(tuple(acc))
     return out
 
 

@@ -87,8 +87,7 @@ def restrict_action(action: IntMatrix, basis: IntMatrix) -> IntMatrix:
     The sublattice must be invariant; the result acts on column vectors of
     coordinates relative to ``basis``.
     """
-    images = (action @ basis.transpose()).transpose()
-    return express_in_row_basis(basis, images).transpose()
+    return express_in_row_basis(basis, basis @ action.transpose()).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +362,8 @@ class WeylSearchConfig(Record):
     __slots__ = _fields = ("seed", "max_trials", "word_min", "word_max")
 
     def __init__(self, seed: int = 0, max_trials: int = 1_000_000, word_min: int = 2, word_max: int = 16) -> None:
-        for name, value in zip(self._fields[1:], (max_trials, word_min, word_max)):
-            _require_int(value, name)  # a bool counts trials as 0 or 1, a float fails in randrange
+        for name, value in zip(self._fields, (seed, max_trials, word_min, word_max)):
+            _require_int(value, name)  # None seeds from the OS, a bool counts as 0 or 1, a float fails in randrange
         if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
         if not 1 <= word_min <= word_max:
@@ -408,7 +407,7 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
     integer solution of M B = B'.
 
     Deterministic for a fixed seed.  Raises :class:`SearchExhausted` after
-    max_trials misses; parameter errors are ordinary ValueErrors.
+    max_trials misses; parameter errors are ordinary ValueErrors or TypeErrors.
     """
     system = root_system(d)  # refuses a degree outside 1..6 first
     lat = system.lattice

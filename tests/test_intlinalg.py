@@ -762,8 +762,7 @@ def test_matmul_matches_naive_product():
         (dense, huge),
         (IntMatrix([], cols=4), random_matrix(rng, 4, 3)),
     ]
-    # rows of B with fewer than a quarter nonzeros are scattered into the sum, denser ones added in full;
-    # A's rows mix 1, -1 and other entries, and start on sparse and dense rows alike
+    # A's rows have no term, one term or several, with entries 1, -1 and others, over sparse and dense rows of B
     mixed = IntMatrix([
         [i + 1 if j == i else -2 if j == (i + 5) % 12 else 0 for j in range(12)] if i % 2 == 0
         else [(3 * i + j) % 7 - 3 for j in range(12)]
@@ -779,6 +778,14 @@ def test_matmul_matches_naive_product():
         [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
     ] + [[rng.choice((0, 0, 0, 1, -1, 5, -7)) for _ in range(10)] for _ in range(4)])
     cases += [(picks, mixed), (picks @ mixed @ mixed.transpose(), mixed), (mixed.transpose(), mixed)]
+    # rows of A that read B's row 0 among other terms, and several terms where one row of B is zero
+    b_reused = IntMatrix([[2, 0, 0, 1], [0, 0, 0, 0], [0, -3, 0, 0]])
+    a_reused = IntMatrix([[1, 2, 0], [3, 0, -1], [-2, 5, 1], [0, 7, 4], [1, 0, 0]])
+    cases += [(a_reused, b_reused), (a_reused @ b_reused, IntMatrix(dense[:4]))]
+    # a permutation matrix, one term per row, times a dense matrix
+    order = list(range(40))
+    rng.shuffle(order)
+    cases.append((IntMatrix([[int(j == order[i]) for j in range(40)] for i in range(40)]), random_matrix(rng, 40, 40)))
     # the genus-20 de Jonquieres involution and its form
     cb = dejonquieres(20)
     cases += [(cb.delta, cb.delta), (cb.delta.transpose(), cb.gram), (cb.delta.transpose() @ cb.gram, cb.delta)]
@@ -791,10 +798,34 @@ def test_matmul_matches_naive_product():
     b = mixed.tolists()
     assert matmul_rows(picks.tolists(), b, 12) == list(map(tuple, naive_product(picks, mixed)))
     assert b == mixed.tolists()
+    # rows with one term x = 1, -1 or 5 over tuple and list rows of B: tuples of ints, and B is not written
+    single = [[1, 0, 0], [0, -1, 0], [0, 0, 5], [0, 0, 1], [0, 0, 0]]
+    expected = [(3, 0, -2), (0, 1, -7), (5, 0, 0), (1, 0, 0), (0, 0, 0)]
+    for rows in ([(3, 0, -2), (0, -1, 7), (1, 0, 0)], [[3, 0, -2], [0, -1, 7], [1, 0, 0]]):
+        copy = [list(r) for r in rows]
+        got = matmul_rows(single, rows, 3)
+        assert got == expected and all(type(r) is tuple and all(type(x) is int for x in r) for r in got)
+        assert [list(r) for r in rows] == copy
     # an empty inner dimension gives the zero matrix of the outer shape
     prod = IntMatrix([[], [], []], cols=0) @ IntMatrix([], cols=4)
     assert prod == IntMatrix.zeros(3, 4)
     assert_check_free_result(prod)
+    # an empty width gives empty rows, whatever A's entries
+    prod = IntMatrix([[1, 2], [0, -3], [0, 0]]) @ IntMatrix([[], []], cols=0)
+    assert prod == IntMatrix.zeros(3, 0)
+    assert_check_free_result(prod)
+
+
+def test_matmul_finds_each_row_support_once(monkeypatch):
+    # rows 0-2 of A read B's row 0 among other terms, rows 0 and 2-3 read the zero row 1, row 4 reads row 0 alone:
+    # each of B's rows that a row with several terms reads has its nonzero columns found once for the call
+    scans = []
+    real = intlinalg.compress
+    monkeypatch.setattr(intlinalg, "compress", lambda data, selectors: scans.append(data) or real(data, selectors))
+    a = [(1, 2, 0), (3, 0, -1), (-2, 5, 1), (0, 7, 4), (1, 0, 0)]
+    b = [(2, 0, 0, 1), (0, 0, 0, 0), (0, -3, 0, 0)]
+    assert matmul_rows(a, b, 4) == [(2, 0, 0, 1), (6, 3, 0, 3), (-4, -3, 0, -2), (0, -12, 0, 0), (2, 0, 0, 1)]
+    assert scans.count(range(4)) == 3 and scans.count(range(3)) == len(a)
 
 
 def test_express_in_row_basis_recovers_coefficients():

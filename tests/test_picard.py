@@ -96,6 +96,10 @@ def test_search_sizes_and_the_degree_must_be_ints():
                          ("word_max", 16.0)):
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {value}$"):
             weyl_search(3, 2, WeylSearchConfig(**{field: value}))
+    # a None seed draws from the OS, so two searches with it could find different elements
+    for seed in (None, True, 0.0, "0"):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            WeylSearchConfig(seed=seed)
     for d in (3.0, True):
         with pytest.raises(TypeError, match=f"^degree must be an int, got {d}$"):
             del_pezzo_pic(d)
