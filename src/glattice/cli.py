@@ -271,7 +271,7 @@ def _cmd_verify_table(args) -> _Outcome:
         raise InputError(f"verify-table --max-genus must be at least 0, got {args.max_genus}")
     if args.max_genus > MAX_GENUS:
         raise InputError(f"verify-table --max-genus must be at most {MAX_GENUS}, got {args.max_genus}")
-    cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
+    cfg = WeylSearchConfig(seed=args.seed)
     cases = [("dejonquieres", g) for g in range(1, args.max_genus + 1)]
     cases += [(c, None) for c in DEL_PEZZO_CASES]
     rows = [verify_row(case, genus=genus, cfg=cfg) for case, genus in cases]
@@ -371,12 +371,7 @@ def _cmd_builtin(args) -> _Outcome:
 
 
 def _cmd_search(args) -> _Outcome:
-    cfg = WeylSearchConfig(
-        seed=args.seed,
-        max_trials=args.max_trials,
-        word_min=args.word_min,
-        word_max=args.word_max,
-    )
+    cfg = WeylSearchConfig(seed=args.seed, max_trials=args.max_trials)
     m = weyl_search(args.degree, args.prime, cfg=cfg)
     res = h1(m)
     predicted = charpoly_order(m)
@@ -444,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-table", parents=[report], help="verify every built-in case")
     p.add_argument("--max-genus", type=int, default=5, help=f"verify conic bundles up to this genus, at most {MAX_GENUS} (0: del Pezzo rows only; {MAX_GENUS}: about 1.5 s, 31 MB peak)")
     p.add_argument("--seed", type=int, default=DEFAULT_TABLE_SEED)
-    p.add_argument("--max-trials", type=int, default=1_000_000)
     p.set_defaults(func=_cmd_verify_table)
 
     p = sub.add_parser("compute", parents=[report], help="H^1 of an action described in a JSON file")
@@ -461,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=1_000_000)
-    p.add_argument("--word-min", type=int, default=2)
-    p.add_argument("--word-max", type=int, default=16)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scan", parents=[report], help="H^1 over all cyclic subgroups, with verdict")

@@ -56,7 +56,6 @@ __all__ = [
     "express_in_row_basis",
     "hermite_form",
     "kernel_basis",
-    "poly_eval",
     "poly_mul",
     "poly_pow",
     "poly_str",
@@ -148,10 +147,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        if n < 0:
+            raise ValueError("negative size")
         return cls._from_rows(tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("negative size")
         return cls._from_rows(((0,) * cols,) * rows, cols)
 
     @classmethod
@@ -682,6 +685,7 @@ class FinAbGroup(Record):
 
     def __init__(self, invariant_factors: Iterable[int] = (), free_rank: int = 0) -> None:
         fs = tuple(invariant_factors)
+        _require_int_entries((fs, (free_rank,)))  # the value checks below pass a float factor or a bool rank
         if any(f <= 1 for f in fs):
             raise ValueError("invariant factors must exceed 1")
         if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
@@ -926,20 +930,15 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def poly_pow(p: Sequence[int], k: int) -> tuple[int, ...]:
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
     out: tuple[int, ...] = (1,)
     for _ in range(k):
         out = poly_mul(out, p)
     return out
 
 
-def poly_eval(p: Sequence[int], t: int) -> int:
-    val = 0
-    for c in reversed(p):
-        val = val * t + c
-    return val
-
-
-def poly_str(p: Sequence[int], var: str = "t") -> str:
+def poly_str(p: Sequence[int]) -> str:
     """Human-readable form, highest degree first."""
     terms = []
     for k in range(len(p) - 1, -1, -1):
@@ -950,7 +949,7 @@ def poly_str(p: Sequence[int], var: str = "t") -> str:
             body = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-            body = f"{mag}{var}" + (f"^{k}" if k > 1 else "")
+            body = f"{mag}t" + (f"^{k}" if k > 1 else "")
         terms.append(("- " if c < 0 else "+ ") + body)
     if not terms:
         return "0"

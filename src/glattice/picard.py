@@ -359,20 +359,19 @@ def dejonquieres(g: int, section_square: int = -1) -> ConicBundlePic:
 
 
 class WeylSearchConfig(Record):
-    __slots__ = _fields = ("seed", "max_trials", "word_min", "word_max")
+    __slots__ = _fields = ("seed", "max_trials")
 
-    def __init__(self, seed: int = 0, max_trials: int = 1_000_000, word_min: int = 2, word_max: int = 16) -> None:
-        for name, value in zip(self._fields, (seed, max_trials, word_min, word_max)):
+    def __init__(self, seed: int = 0, max_trials: int = 1_000_000) -> None:
+        for name, value in zip(self._fields, (seed, max_trials)):
             _require_int(value, name)  # None seeds from the OS, a bool counts as 0 or 1, a float fails in randrange
         if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
-        if not 1 <= word_min <= word_max:
-            raise ValueError("need 1 <= word_min <= word_max")
         self._set("seed", seed)
         self._set("max_trials", max_trials)
-        self._set("word_min", word_min)
-        self._set("word_max", word_max)
 
+
+# the shortest and longest words a search trial draws
+_WORD_MIN, _WORD_MAX = 2, 16
 
 # no Weyl group element has order above this; used to cap order detection
 _MAX_WEYL_ORDER = 60
@@ -381,7 +380,7 @@ _MAX_WEYL_ORDER = 60
 def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice:
     """Find an order-p isometry of Pic with char polynomial Phi_p^s on Q, s = (9 - d)/(p - 1).
 
-    Each trial draws a word of random length in [word_min, word_max] over
+    Each trial draws a word of random length from 2 to 16 over
     uniformly sampled roots and multiplies the reflections.  When p divides
     the order of the product, the trial tests its (order/p)-th power, an
     element of order exactly p; it succeeds when that power, restricted to
@@ -430,7 +429,7 @@ def weyl_search(d: int, p: int, cfg: WeylSearchConfig | None = None) -> GLattice
     ident = bytes(range(256))
 
     for _ in range(cfg.max_trials):
-        length = rng.randint(cfg.word_min, cfg.word_max)
+        length = rng.randint(_WORD_MIN, _WORD_MAX)
         word = [rng.randrange(nroots) for _ in range(length)]
         w = tables[word[-1]]
         for idx in reversed(word[:-1]):  # the word acts on a root from its right end
@@ -690,10 +689,10 @@ def _verify_conic_bundle(g: int) -> RowReport:
 def verify_row(case: str, genus: int | None = None, cfg: WeylSearchConfig | None = None) -> RowReport:
     """Verify one table case and return the report with its certificates.
 
-    ``case`` is a key of ``CASE_PARAMS`` or ``dejonquieres``, which takes
-    ``genus``.  An action :class:`GLattice` refuses (not unimodular or not
-    form-preserving) raises ValidationError; every other failure is recorded
-    check by check in the report.  The module docstring says where each fact
+    ``case`` is a key of ``CASE_PARAMS``, which takes no ``genus``, or
+    ``dejonquieres``, which needs one.  An action :class:`GLattice` refuses
+    (not unimodular or not form-preserving) raises ValidationError; every
+    other failure is recorded check by check in the report.  The module docstring says where each fact
     is checked.
     """
     if case == "dejonquieres":
@@ -701,5 +700,7 @@ def verify_row(case: str, genus: int | None = None, cfg: WeylSearchConfig | None
             raise ValueError("dejonquieres needs a genus")
         return _verify_conic_bundle(genus)
     if case in CASE_PARAMS:
+        if genus is not None:
+            raise ValueError(f"{case} takes no genus")
         return _verify_del_pezzo(case, cfg)
     raise ValueError(f"unknown case {case!r}")

@@ -347,23 +347,17 @@ def test_search_reports_are_byte_identical(capsys):
 
 
 def test_search_exhaustion_exit_code(capsys):
-    argv = [
-        "search", "--degree", "1", "--prime", "5", "--seed", "0",
-        "--max-trials", "10", "--word-min", "2", "--word-max", "2",
-    ]
+    # the target is -1 on K^perp, the E6 lattice, and -1 is not in W(E6)
+    argv = ["search", "--degree", "3", "--prime", "2", "--seed", "0", "--max-trials", "10"]
     assert run_command(argv) == 2
     assert "exhausted" in capsys.readouterr().err
 
 
 def test_search_invalid_parameters_exit_1(capsys):
     assert run_command(["search", "--degree", "2", "--prime", "3"]) == 1
-    for argv, message in (
-        (["--max-trials", "0"], "max_trials must be at least 1"),
-        (["--word-min", "3", "--word-max", "2"], "need 1 <= word_min <= word_max"),
-    ):
-        capsys.readouterr()
-        assert run_command(["search", "--degree", "1", "--prime", "5", *argv]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+    capsys.readouterr()
+    assert run_command(["search", "--degree", "1", "--prime", "5", "--max-trials", "0"]) == 1
+    assert capsys.readouterr().err == "error: max_trials must be at least 1\n"
 
 
 def test_search_refuses_a_large_prime_without_trial_division(capsys):
@@ -574,6 +568,19 @@ def test_verify_table_regression_exits_3(monkeypatch, capsys):
 def test_usage_error_maps_to_exit_1(capsys):
     assert run_command(["no-such-command"]) == 1
     assert run_command([]) == 1
+
+
+def test_removed_search_options_are_refused(capsys):
+    # a search draws words of length 2 to 16, and verify-table's searches run up to the default trial count
+    for argv, option in (
+        (["search", "--degree", "1", "--prime", "5", "--word-min", "2"], "--word-min 2"),
+        (["search", "--degree", "1", "--prime", "5", "--word-max", "16"], "--word-max 16"),
+        (["verify-table", "--max-genus", "0", "--max-trials", "1000"], "--max-trials 1000"),
+    ):
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: unrecognized arguments: {option}\n")
 
 
 def test_help_exits_0(capsys):

@@ -18,7 +18,6 @@ from glattice.intlinalg import (
     hermite_form,
     kernel_basis,
     matmul_rows,
-    poly_eval,
     poly_mul,
     poly_pow,
     poly_str,
@@ -659,6 +658,10 @@ def test_finabgroup_validation():
         FinAbGroup((4, 2))
     with pytest.raises(ValueError):
         FinAbGroup((), -1)
+    # a float factor was kept as given, and a bool rank was rendered as "free_rank": true
+    for factors, free_rank in (((2.0,), 0), ((2, 4.0), 0), ((True,), 0), ((), True), ((2,), 1.0), ((), None)):
+        with pytest.raises(TypeError, match="^integer entry required, got "):
+            FinAbGroup(factors, free_rank)
     with pytest.raises(ValueError, match="^infinite group has no order$"):
         FinAbGroup((2,), 1).order()
     assert str(FinAbGroup((2, 2, 6), 3)) == "Z^3 x (Z/2)^2 x (Z/6)"
@@ -680,7 +683,8 @@ def test_finabgroup_display():
 def test_poly_helpers():
     assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)
     assert poly_pow((1, 1), 0) == (1,)
-    assert poly_eval((1, 1, 1), 1) == 3
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
+        poly_pow((1, 1), -1)
     assert poly_str((1, 1, 1)) == "t^2 + t + 1"
     assert poly_str((-1, 0, 1)) == "t^2 - 1"
     assert poly_str((0,)) == "0"
@@ -880,6 +884,10 @@ def test_matrix_rejects_bad_entries():
         IntMatrix([[1, 2]], cols=3)
     with pytest.raises(ValueError, match="^negative column count$"):
         IntMatrix([], cols=-1)
+    # identity(-1) and zeros(2, -1) had a column count of -1
+    for make in (lambda: IntMatrix.identity(-1), lambda: IntMatrix.zeros(2, -1), lambda: IntMatrix.zeros(-1, 2)):
+        with pytest.raises(ValueError, match="^negative size$"):
+            make()
     with pytest.raises(ValueError, match="^nothing to stack$"):
         IntMatrix.stack([])
     with pytest.raises(ValueError, match="^column counts differ$"):

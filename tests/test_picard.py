@@ -5,7 +5,7 @@ import re
 import pytest
 
 from glattice.cohomology import Cyclic, Generated, GLattice, h1_cyclic, invariants_h0, matrix_order
-from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, express_in_row_basis, poly_eval, poly_mul, poly_pow
+from glattice.intlinalg import FinAbGroup, IntMatrix, char_poly, express_in_row_basis, poly_mul, poly_pow
 from glattice.picard import (
     CASE_PARAMS,
     ConicBundlePic,
@@ -92,8 +92,7 @@ def test_del_pezzo_range_check():
 def test_search_sizes_and_the_degree_must_be_ints():
     # a bool counted trials as 0 or 1 ("found in True trials"), and a float failed inside
     # randrange or list repetition with the standard library's untyped error
-    for field, value in (("max_trials", True), ("max_trials", 5.5), ("word_min", 1.5), ("word_min", True),
-                         ("word_max", 16.0)):
+    for field, value in (("max_trials", True), ("max_trials", 5.5)):
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {value}$"):
             weyl_search(3, 2, WeylSearchConfig(**{field: value}))
     # a None seed draws from the OS, so two searches with it could find different elements
@@ -103,7 +102,7 @@ def test_search_sizes_and_the_degree_must_be_ints():
     for d in (3.0, True):
         with pytest.raises(TypeError, match=f"^degree must be an int, got {d}$"):
             del_pezzo_pic(d)
-    assert WeylSearchConfig(max_trials=5, word_min=1, word_max=1).max_trials == 5
+    assert WeylSearchConfig(max_trials=5).max_trials == 5
 
 
 def test_q_sublattice_discriminants():
@@ -461,11 +460,10 @@ def test_weyl_search_deterministic():
 
 
 def test_weyl_search_exhaustion_is_distinct():
-    # two reflections compose to a rotation of order 2, 3, 4 or 6 in a
-    # crystallographic group, never 5, so this cannot succeed
-    cfg = WeylSearchConfig(seed=0, max_trials=25, word_min=2, word_max=2)
-    with pytest.raises(SearchExhausted):
-        weyl_search(1, 5, cfg=cfg)
+    # degree 3, p = 2 asks for -1 on K^perp, the E6 lattice, and -1 is not in W(E6), so this cannot succeed
+    cfg = WeylSearchConfig(seed=0, max_trials=25)
+    with pytest.raises(SearchExhausted, match=r"found in 25 trials \(seed 0\)$"):
+        weyl_search(3, 2, cfg=cfg)
 
 
 def test_weyl_search_builds_no_k_perp(monkeypatch):
@@ -604,7 +602,7 @@ def test_charpoly_order_matches_the_restriction_to_k_perp():
     for (d, p), seed in itertools.product([(3, 3), (1, 3), (1, 5), (5, 5), (1, 2), (2, 2)], range(10)):
         m = weyl_search(d, p, cfg=WeylSearchConfig(seed=seed))
         chi = char_poly(restrict_action(m.group.generator, root_system(d).q.basis))
-        assert charpoly_order(m) == abs(poly_eval(chi, 1)) // d
+        assert charpoly_order(m) == abs(sum(chi)) // d  # chi(1)
 
 
 # --- the verification harness ------------------------------------------------------------
@@ -651,6 +649,9 @@ def test_verify_row_argument_errors():
         verify_row("dejonquieres")
     with pytest.raises(ValueError, match="unknown case"):
         verify_row("dp2-p7")
+    for case in CASE_PARAMS:  # a del Pezzo case ignored a genus, which `builtin geiser --genus 2` refuses
+        with pytest.raises(ValueError, match=f"^{case} takes no genus$"):
+            verify_row(case, genus=5)
     with pytest.raises(ValueError, match="^unknown case 'nope'$"):
         build_case("nope")
 
