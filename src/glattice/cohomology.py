@@ -36,13 +36,16 @@ from that square: by Minkowski's lemma the kernel of GL_n(Z) -> GL_n(F_3)
 is torsion-free, so a finite order equals the order mod 3, and an
 infinite-order input is refused after a few cheap products on bit-packed
 residue rows instead of ``bound`` growing exact ones.  A cyclic spec keeps
-its generator's order, from which a sub-action's is read (``_sub_order``).
-Its check forms the generator's square, which the order then starts from;
-the square proves an involution g unimodular, as det(g)^2 = 1, and
-form-preserving when F.g is symmetric, for a symmetric form F: no
-determinant and one product (``GroupSpec._check``).  A list's walk raises
-every list refusal; its check then takes determinants and form products of
-the walk's greedy generators, or of every listed matrix if the walk refused.
+its generator's order, from which a sub-action's is read (``_sub_order``),
+and each order comes from one proof.  Its check forms the generator's
+square: g^2 = 1 proves an involution g unimodular, as det(g)^2 = 1,
+form-preserving when F.g is symmetric, for a symmetric form F, with no
+determinant and one product (``GroupSpec._check``), and of order 1 or 2,
+which the spec keeps within its bound.  Any other order is found by
+``matrix_order``, or read from a parent spec (``GroupSpec._keep``).  A
+list's walk raises every list refusal; its check then takes determinants
+and form products of the walk's greedy generators, or of every listed
+matrix if the walk refused.
 
 H^1 has one kernel, ``_h1``, and needs no relators.  A crossed homomorphism
 f(gh) = f(g) + g.f(h) is fixed by its values on generators s_1, ..., s_k,
@@ -167,7 +170,6 @@ class GroupSpec:
     """
 
     _walk: _Walk | ValueError | None = None  # the walk that proved the spec a group, or the refusal it ended in
-    _square: IntMatrix | None = None  # a cyclic spec's generator's square, read by its check and then its order
 
     def __init__(self, matrices: Sequence[IntMatrix], closure_bound: int = DEFAULT_ORDER_BOUND):
         what = type(self).__name__
@@ -238,11 +240,14 @@ class GroupSpec:
         return None
 
     def _defect(self, g: IntMatrix, form: IntMatrix | None) -> str | None:
-        """``"unimodular"`` or ``"form"`` when the listed ``g`` fails that check, else None.  An involution g
-        has det(g)^2 = 1 and, being its own inverse, preserves a symmetric F exactly when F.g is symmetric:
-        one product and no determinant, where any other matrix or form takes a determinant and g^T.F.g."""
-        square = self._square  # None unless the spec is cyclic, whose one listed matrix it squares
-        involution = square is not None and _is_identity(square) and (form is None or _is_symmetric(form))
+        """``"unimodular"`` or ``"form"`` when the listed ``g`` fails that check, else None.  A cyclic spec squares
+        its one listed matrix first.  An involution g has det(g)^2 = 1 and, being its own inverse, preserves a
+        symmetric F exactly when F.g is symmetric: one product and no determinant, where any other matrix or form
+        takes a determinant and g^T.F.g.  g^2 = 1 also proves g's order, 1 or 2, which the spec keeps."""
+        squared = isinstance(self, Cyclic) and _is_identity(g @ g)
+        if squared and (order := 1 if _is_identity(g) else 2) <= self.closure_bound:
+            self._order = order  # as ``_keep`` keeps it; beyond the bound ``matrix_order`` refuses it
+        involution = squared and (form is None or _is_symmetric(form))
         if not involution and not g.is_unimodular():
             return "unimodular"
         if form is not None and not (_is_symmetric(form @ g) if involution else g.transpose() @ form @ g == form):
@@ -259,7 +264,7 @@ class GroupSpec:
 
 
 class Cyclic(GroupSpec):
-    """Cyclic group presented by a single generator of finite order, checked and ordered from its square."""
+    """Cyclic group presented by a single generator of finite order, an involution checked and ordered by its square."""
 
     def __init__(self, generator, closure_bound: int = DEFAULT_ORDER_BOUND):
         super().__init__([generator], closure_bound)
@@ -269,18 +274,13 @@ class Cyclic(GroupSpec):
         return self.matrices[0]
 
     @cached_property
-    def _square(self) -> IntMatrix:
-        """The generator's square, formed by the check and held until the order is read from it."""
-        return self.generator @ self.generator
-
-    @cached_property
     def _order(self) -> int:
-        """The generator's order within ``closure_bound``, found once per spec, from its square if formed.
-        A refused order is kept as the walk's refusal, which the walk would end in, and raised again."""
+        """The generator's order within ``closure_bound``, found once per spec unless the check or ``_keep`` has
+        kept it.  A refused order is kept as the walk's refusal, which the walk would end in, and raised again."""
         if isinstance(self._walk, GroupTooLarge):
             raise self._walk.with_traceback(None)
         try:
-            return matrix_order(self.generator, self.closure_bound, self.__dict__.pop("_square", None))
+            return matrix_order(self.generator, self.closure_bound)
         except GroupTooLarge as e:
             self._walk = e
             raise
@@ -331,26 +331,24 @@ class Generated(GroupSpec):
         return _closed_walk(self.generators, bound=bound)
 
 
-def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND, square: IntMatrix | None = None) -> int:
+def matrix_order(g: IntMatrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Multiplicative order of ``g``; error if it exceeds ``bound``.
 
     The identity has order 1 and g with g^2 == I order 2.  Any other
     candidate ``k`` is the order of ``g`` mod 3 (``_order_mod3``), and
     ``g^k == I`` is confirmed exactly by binary powering from that square.
     By Minkowski's lemma a finite order equals the order mod 3, so a failed
-    confirmation proves it infinite.  A given ``square`` must be g^2 (a
-    cyclic spec's check forms it).  Cost: no product for the identity, and
-    for an involution one, the square, unless given; otherwise min(k, bound)
-    packed products of O(nonzeros of g) operations on rank-bit ints, plus
-    the square and at most 2 log2(k) - 1 more exact ones (one for order 3).
+    confirmation proves it infinite.  Cost: no product for the identity,
+    and for an involution one, the square; otherwise min(k, bound) packed
+    products of O(nonzeros of g) operations on rank-bit ints, plus the
+    square and at most 2 log2(k) - 1 more exact ones (one for order 3).
     """
     _require_int(bound, "order bound")
     if not g.is_square:
         raise ValueError("order of a non-square matrix")
     if bound >= 1 and _is_identity(g):
         return 1
-    if square is None:
-        square = g @ g
+    square = g @ g
     if bound >= 2 and _is_identity(square):
         return 2
     k = _order_mod3(g, bound)

@@ -21,9 +21,9 @@ This module constructs:
 
 Each fact about an action built here is checked once.  :class:`GLattice`
 checks unimodularity and the form, as for a user's document, an involution
-by its square with no determinant; the cyclic spec confirms the order
-exactly from that square (``matrix_order``), and a row reads it as
-``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
+by its square with no determinant; the cyclic spec keeps the order that
+square proves, or finds any other by ``matrix_order``, and a row reads it
+as ``group_order``; fixing K, the fixed ranks, H^1 and ``det gram`` are
 checked by the row, and ``charpoly_order`` refuses an action moving K, as
 its formula reads the Pic matrix.  Matrices written here skip the per-entry
 check (their arguments are checked up front); a conic bundle's Q action is a
@@ -308,8 +308,8 @@ class ConicBundlePic(Record):
         return ("F",) + tuple(f"F{i}'" for i in range(1, 2 * self.genus + 3)) + ("S",)
 
     def k_vector(self) -> tuple[int, ...]:
-        """Canonical class -3F + sum(F_i') - 2S (from adjunction on F, F_i', S)."""
-        return (-3,) + (1,) * (2 * self.genus + 2) + (-2,)
+        """Canonical class (S^2 - 2)F + sum(F_i') - 2S, from adjunction: K.F = -2, K.F_i' = -1, K.S + S^2 = -2."""
+        return (self.section_square - 2,) + (1,) * (2 * self.genus + 2) + (-2,)
 
     def pic_glattice(self) -> GLattice:
         """The involution on Pic, built and checked once per bundle."""

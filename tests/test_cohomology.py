@@ -477,6 +477,32 @@ def test_restrict_weyl_e6_to_a_generator_builds_no_element():
     assert h1(sub).group_order == 2
 
 
+def test_wd5_dihedral_group_holds_a_klein_four_group_with_nonzero_h1():
+    from pathlib import Path
+
+    from glattice.cli import parse_input
+
+    data = Path(__file__).resolve().parent / "data"
+    dihedral = parse_input((data / "wd5_dihedral8.json").read_text()).lattice
+    klein = parse_input((data / "wd5_klein4_obstructed.json").read_text()).lattice
+    a, b = dihedral.group.generators
+    assert dihedral.form == klein.form == IntMatrix.diagonal((1, -1, -1, -1, -1, -1))
+    assert klein.group.generators == (b, a @ a)
+    assert (len(dihedral.elements()), matrix_order(a), matrix_order(b)) == (8, 4, 2)
+    k = IntMatrix([[-3, 1, 1, 1, 1, 1]]).transpose()  # the canonical class of del_pezzo_pic(4)
+    assert a @ k == k and b @ k == k
+    # H^1 vanishes on the whole group and on every cyclic subgroup the scan reaches
+    scan = obstruction_scan(dihedral)
+    assert scan.full_group.h1 == FinAbGroup(()) and scan.full_group.group_order == 8
+    assert len(scan.subgroups) == 7 and all(e.h1 == FinAbGroup(()) for e in scan.subgroups)
+    # but not on the Klein four-group <b, a^2>; the other one, <ab, a^2>, has H^1 = 0
+    for gens, expected in (((b, a @ a), FinAbGroup((2,))), ((a @ b, a @ a), FinAbGroup(()))):
+        res = h1(restrict_subgroup(dihedral, mulclose(gens)))
+        assert (res.group_order, res.h1) == (4, expected)
+    res = h1(klein)
+    assert (res.group_order, res.h1) == (4, FinAbGroup((2,)))
+
+
 # --- obstruction scan -------------------------------------------------------------
 
 
@@ -1172,10 +1198,11 @@ def test_generator_order_found_once_per_lattice(monkeypatch):
         return real(g, *args, **kw)
 
     monkeypatch.setattr(coh, "matrix_order", counted)
+    # the Pic lattice's order, once, by the check that squares the involution; its K^perp restriction's
+    # is found within it (``_sub_order``), so no order is sought
+    assert picard.geiser_involution().group.__dict__["_order"] == 2
     assert picard.verify_row("geiser").passed
-    # the Pic lattice's order, once; its K^perp restriction's is found mod 3 within it
-    assert len(calls) == 1
-    assert calls[0].rows == 8
+    assert calls == []
 
 
 def test_order_found_once_per_searched_row(monkeypatch):
@@ -1221,22 +1248,23 @@ def test_cyclic_h1_reads_the_order_and_takes_no_walk(monkeypatch):
     assert (res.group_order, res.h0_rank, res.h1) == (2, 1, FinAbGroup((2,) * 6))
     assert charpoly_order(geiser) == 64
     assert verify_row("dejonquieres", genus=3).passed
-    # one exact order per lattice (Geiser, then the conic bundle's Pic), kept by the spec; the Q block's
-    # order is 1 or 2 by one identity test (see leading_block); no walk
-    assert len(orders) == 2 and walks == []
+    # one exact order per lattice (Geiser, then the conic bundle's Pic), found by the check that squares the
+    # involution and kept by the spec; the Q block's order is 1 or 2 by one identity test (see leading_block);
+    # no walk
+    assert orders == [] and walks == []
     assert geiser.group._walk is None and "_elements" not in geiser.__dict__
 
     # the closure and the scan still walk the powers, on the order already found
     g = -permutation_module([[1, 2, 0, 4, 3]], kind="cyclic").group.generator
     m = GLattice(5, Cyclic(g))
     res = h1_cyclic(m)
-    assert (res.group_order, res.h0_rank, res.h1, len(orders), walks) == (6, 1, FinAbGroup((2,)), 3, [])
+    assert (res.group_order, res.h0_rank, res.h1, len(orders), walks) == (6, 1, FinAbGroup((2,)), 1, [])
     powers = [IntMatrix.identity(5)]
     for _ in range(5):
         powers.append(powers[-1] @ g)
     assert m.elements() == powers
     scan = obstruction_scan(m)
-    assert (len(orders), len(walks)) == (3, 1)
+    assert (len(orders), len(walks)) == (1, 1)
     assert scan.full_group == res
     assert scan.subgroups == (
         SubgroupEntry(0, 1, FinAbGroup(())),
@@ -2020,25 +2048,37 @@ def test_involution_is_checked_and_ordered_by_its_square(monkeypatch):
     for name, calls in (("det", dets), ("__matmul__", products)):
         real = getattr(IntMatrix, name)
         monkeypatch.setattr(IntMatrix, name, lambda *a, real=real, calls=calls: calls.append(1) or real(*a))
-    # g^2, formed by the check and read by the order, and F.g: no determinant; the spec then drops the square
+    # g^2 and F.g: no determinant; the check keeps the order g^2 = 1 proves, and the spec holds no square
     spec = GLattice(6, Cyclic(g), form).group
-    assert spec._order == 2 and "_square" not in spec.__dict__
+    assert spec.__dict__["_order"] == 2 and "_square" not in spec.__dict__
     assert (len(dets), len(products)) == (0, 2)
-    # an order-3 generator keeps its determinant and g^T.F.g; its square also starts the confirmation g^2.g
+    # an order-3 generator keeps its determinant and g^T.F.g; its order forms its own square g^2, then g^2.g
     dets.clear()
     products.clear()
-    assert GLattice(2, Cyclic(rotation), rotation_form).group._order == 3
-    assert (len(dets), len(products)) == (1, 4)
+    spec = GLattice(2, Cyclic(rotation), rotation_form).group
+    assert "_order" not in spec.__dict__ and spec._order == 3
+    assert (len(dets), len(products)) == (1, 5)
     monkeypatch.undo()
+    # the order a checked spec keeps, or its refusal, is matrix_order's at the spec's bound
     for h in (IntMatrix.identity(2), SWAP, rotation, IntMatrix([[1, 1], [0, 1]])):
-        for bound in (0, 1, 2):
+        for bound in (1, 2, 3):
+            spec = GLattice(2, Cyclic(h, bound)).group
+            kept = "_order" in spec.__dict__
             outcomes = []
-            for args in ((h, bound), (h, bound, h @ h)):
+            for order in (lambda: spec._order, lambda: matrix_order(h, bound)):
                 try:
-                    outcomes.append(matrix_order(*args))
+                    outcomes.append(order())
                 except GroupTooLarge as e:
                     outcomes.append(str(e))
             assert outcomes[0] == outcomes[1]
+            # the check keeps an involution's order within the bound, and nothing else
+            assert kept == (h @ h == IntMatrix.identity(2) and isinstance(outcomes[0], int))
+
+
+def test_matrix_order_takes_no_square():
+    import inspect
+
+    assert list(inspect.signature(matrix_order).parameters) == ["g", "bound"]
 
 
 def test_sub_action_orders_match_their_exact_orders(monkeypatch):

@@ -353,12 +353,17 @@ def test_dejonquieres_defining_constraints():
 
 
 def test_dejonquieres_canonical_class():
-    cb = dejonquieres(2)
-    k = cb.k_vector()
-    n = cb.rank
-    kk = sum(k[i] * cb.gram[i][j] * k[j] for i in range(n) for j in range(n))
-    assert kk == 6 - 2 * cb.genus
-    assert tuple((cb.delta @ IntMatrix([k]).transpose()).column(0)) == k
+    for g in range(1, 6):
+        for section_square in range(-2, 3):
+            cb = dejonquieres(g, section_square)
+            k = IntMatrix([cb.k_vector()])
+            # K.x for each basis class x: F, the F_i', then S
+            kx = (k @ cb.gram)[0]
+            assert kx[0] == -2  # the fiber F: F^2 = 0
+            assert kx[1:-1] == (-1,) * (2 * g + 2)  # each component F_i': F_i'^2 = -1
+            assert kx[-1] + section_square == -2  # the section S
+            assert (k @ cb.gram @ k.transpose())[0][0] == 6 - 2 * g
+            assert cb.delta @ k.transpose() == k.transpose()
 
 
 def test_dejonquieres_rejects_genus_zero():
